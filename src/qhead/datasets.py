@@ -145,12 +145,20 @@ def _load_csv(path, num_classes: int | None) -> EmbeddingDataset:
 
 def load_embeddings(path, format: str = "binary",
                     num_classes: int | None = None) -> EmbeddingDataset:
-    """Read an embedding dataset from disk (format "binary" or "csv")."""
+    """Read an embedding dataset from disk (format "binary" or "csv").
+
+    Rows holding NaN or infinite values are rejected with a ``DataError``.
+    """
     if format == "binary":
-        return _load_binary(path, num_classes)
-    if format == "csv":
-        return _load_csv(path, num_classes)
-    raise ConfigurationError(f"unknown dataset format {format!r}")
+        dataset = _load_binary(path, num_classes)
+    elif format == "csv":
+        dataset = _load_csv(path, num_classes)
+    else:
+        raise ConfigurationError(f"unknown dataset format {format!r}")
+    bad = np.flatnonzero(~np.isfinite(dataset.vectors).all(axis=1))
+    if bad.size:
+        raise DataError(f"row {bad[0]} holds a non-finite value ({bad.size} such rows)")
+    return dataset
 
 
 def _stratified_pick(labels: np.ndarray, per_class: dict[int, int],
@@ -169,17 +177,19 @@ def _stratified_pick(labels: np.ndarray, per_class: dict[int, int],
 def make_benchmark_splits(dataset: EmbeddingDataset, seed: int) -> EmbeddingDataset:
     """256 samples per class for train+val (85/15, stratified); the rest is test.
 
-    The 15% validation share rounds down per class (38 of 256), so the sizes
-    are 436 train / 76 val, and every remaining sample lands in the test split.
+    The 15% validation share rounds down per class (38 of 256), so with two
+    classes the sizes are 436 train / 76 val; every class present in the
+    labels is drawn, and every remaining sample lands in the test split.
     """
     take = 256
+    classes = [int(c) for c in np.unique(dataset.labels)]
     picked = _stratified_pick(
-        dataset.labels, {0: take, 1: take}, seeding.stream(seed, seeding.DATA_SPLIT)
+        dataset.labels, {c: take for c in classes}, seeding.stream(seed, seeding.DATA_SPLIT)
     )
-    val_per_class = int(0.15 * 2 * take) // 2  # 38
+    val_per_class = int(0.15 * take)  # 38
     train_parts, val_parts = [], []
     selected = []
-    for cls in (0, 1):
+    for cls in classes:
         idx = picked[cls]
         val_parts.append(idx[:val_per_class])
         train_parts.append(idx[val_per_class:])

@@ -8,8 +8,14 @@ Three gradient routes with different trade-offs:
 * adjoint reverse accumulation: one backward sweep, noiseless circuits only;
 * central finite differences: O(h^2) oracle used for cross-checking.
 
-Shifted evaluations are batched: all parameter rows run through the gate list
-at once on a (rows, 2^Q) amplitude array, chunked to bound peak memory.
+Shifted evaluations are batched on a (rows, 2^Q) amplitude array, chunked to
+bound peak memory, with the unshifted row first. Each row runs only from the
+first gate that reads an angle where it differs from that first row: the
+state before that gate is the first row's, and is copied from it. Starting
+from |0...0> the states are real, because every gate is real up to a global
+phase: on real arrays Y is applied as XZ = -iY, and the dropped phase never
+reaches |amplitude|^2. Single-state evaluation and the adjoint sweep stay
+complex.
 """
 from __future__ import annotations
 
@@ -30,8 +36,25 @@ from .simcore import (
     _zero_amplitudes,
 )
 
-# cap on amplitudes held at once during batched evaluation (~64 MB complex128)
+# cap on amplitudes held at once during batched evaluation (32 MB of float64)
 _CHUNK_ELEMENTS = 1 << 22
+
+
+def _apply_gate(amps: np.ndarray, n: int, g: tuple, params, latent) -> None:
+    """Apply one expanded gate record in place; angles broadcast row-wise."""
+    kind = g[0]
+    if kind == RY:
+        _ry(amps, n, g[1], params[..., g[2]])
+    elif kind == CNOT:
+        _cnot(amps, n, g[1], g[2])
+    elif kind == DATA:
+        _ry(amps, n, g[1], latent[..., g[2]])
+    elif kind == PAULI:
+        _pauli(amps, n, g[1], g[2])
+    elif kind == ENCODE:
+        raise ConfigurationError("encoding steps must be expanded before execution")
+    else:
+        raise ConfigurationError(f"unknown gate record {g!r}")
 
 
 def run_gates(amps: np.ndarray, circuit: GateList, params=None, latent=None) -> np.ndarray:
@@ -40,21 +63,8 @@ def run_gates(amps: np.ndarray, circuit: GateList, params=None, latent=None) -> 
     ``params`` and ``latent`` may carry leading batch axes matching ``amps``;
     angles broadcast row-wise.
     """
-    n = circuit.num_qubits
     for g in circuit.gates:
-        kind = g[0]
-        if kind == RY:
-            _ry(amps, n, g[1], params[..., g[2]])
-        elif kind == CNOT:
-            _cnot(amps, n, g[1], g[2])
-        elif kind == DATA:
-            _ry(amps, n, g[1], latent[..., g[2]])
-        elif kind == PAULI:
-            _pauli(amps, n, g[1], g[2])
-        elif kind == ENCODE:
-            raise ConfigurationError("encoding steps must be expanded before execution")
-        else:
-            raise ConfigurationError(f"unknown gate record {g!r}")
+        _apply_gate(amps, circuit.num_qubits, g, params, latent)
     return amps
 
 
@@ -116,48 +126,81 @@ def lift_data_slots(circuit: GateList) -> tuple[GateList, np.ndarray]:
     return GateList(circuit.num_qubits, gates), np.asarray(occurrences, dtype=np.intp)
 
 
+def _row_starts(circuit: GateList, rows: np.ndarray) -> np.ndarray:
+    """Index of the first gate reading a column where each row differs from row 0.
+
+    Every gate before that index reads the same angles as row 0, so the row's
+    state there is row 0's. Rows that never differ get ``len(circuit.gates)``.
+    """
+    n_gates = len(circuit.gates)
+    first_read = np.full(rows.shape[1], n_gates)
+    for i in reversed(range(n_gates)):
+        g = circuit.gates[i]
+        if g[0] == RY:
+            first_read[g[2]] = i
+    starts = np.where(rows != rows[0], first_read, n_gates).min(axis=1, initial=n_gates)
+    starts[0] = 0
+    return starts
+
+
+def _run_chunk(circuit: GateList, rows, starts, latent, initial) -> np.ndarray:
+    """Final states of ``rows`` (row 0 first, then by ascending start gate).
+
+    Row 0 runs from |0...0> (or ``initial``); each other row is copied from
+    row 0 just before its start gate, so gates apply to the contiguous prefix
+    of rows already started.
+    """
+    n = circuit.num_qubits
+    dtype = np.float64 if initial is None else initial.dtype
+    amps = np.empty((rows.shape[0], 1 << n), dtype=dtype)
+    if initial is None:
+        amps[0] = 0.0
+        amps[0, 0] = 1.0
+    else:
+        amps[0] = initial
+    started = np.searchsorted(starts, np.arange(len(circuit.gates)), side="right")
+    active = 1
+    for g, upto in zip(circuit.gates, started):
+        if upto > active:
+            amps[active:upto] = amps[0]
+            active = upto
+        _apply_gate(amps[:active], n, g, rows[:active], latent)
+    amps[active:] = amps[0]
+    return amps
+
+
 def _batch_expectations(circuit, rows, latent, measured, initial=None) -> np.ndarray:
-    """<Z_measured> for each parameter row; rows shape (R, P)."""
+    """<Z_measured> for each parameter row; rows shape (R, P), one shared latent.
+
+    With ``measured=None`` returns every qubit's <Z>, shape (R, num_qubits).
+    Rows share the prefix of gates that read equal angles with row 0 (see
+    ``_row_starts``). Without ``initial`` the states are real: every gate is
+    real up to a global phase, which ``_pauli`` drops for Y on real arrays.
+    Rows run in chunks that each repeat row 0, bounding peak memory.
+    """
     n = circuit.num_qubits
-    dim = 1 << n
-    n_rows = rows.shape[0]
-    out = np.empty(n_rows, dtype=np.float64)
-    step = max(1, _CHUNK_ELEMENTS // dim)
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        if initial is None:
-            amps = _zero_amplitudes(n, (stop - start,))
+    starts = _row_starts(circuit, rows)
+    order = 1 + np.argsort(starts[1:], kind="stable")
+    per_chunk = max(1, _CHUNK_ELEMENTS // (1 << n) - 1)
+    chunks = [order[lo : lo + per_chunk] for lo in range(0, order.size, per_chunk)] or [order]
+    out = np.empty((rows.shape[0],) if measured is not None else (rows.shape[0], n))
+    for chunk in chunks:
+        idx = np.concatenate(([0], chunk))
+        amps = _run_chunk(circuit, rows[idx], starts[idx], latent, initial)
+        if measured is None:
+            out[idx] = _all_z_expectations(amps, n)
         else:
-            amps = np.tile(initial, (stop - start, 1))
-        run_gates(amps, circuit, rows[start:stop], latent)
-        out[start:stop] = _z_expectation(amps, n, measured)
+            out[idx] = _z_expectation(amps, n, measured)
     return out
 
 
-def _batch_all_z(circuit, rows, latent, initial=None) -> np.ndarray:
-    """Per-qubit <Z> for each parameter row; shape (rows, num_qubits)."""
-    n = circuit.num_qubits
-    dim = 1 << n
-    n_rows = rows.shape[0]
-    out = np.empty((n_rows, n), dtype=np.float64)
-    step = max(1, _CHUNK_ELEMENTS // dim)
-    for start in range(0, n_rows, step):
-        stop = min(start + step, n_rows)
-        if initial is None:
-            amps = _zero_amplitudes(n, (stop - start,))
-        else:
-            amps = np.tile(initial, (stop - start, 1))
-        run_gates(amps, circuit, rows[start:stop], latent)
-        out[start:stop] = _all_z_expectations(amps, n)
-    return out
-
-
-def _shift_rows(params: np.ndarray, delta: float) -> np.ndarray:
-    """(2P, P) matrix: +delta on the diagonal for the first P rows, -delta after."""
-    p = params.size
-    rows = np.tile(params, (2 * p, 1))
-    rows[np.arange(p), np.arange(p)] += delta
-    rows[p + np.arange(p), np.arange(p)] -= delta
+def _shift_rows(base: np.ndarray, delta: float) -> np.ndarray:
+    """(1 + 2P, P) rows: ``base``, then +delta on each column, then -delta."""
+    p = base.size
+    rows = np.tile(base, (1 + 2 * p, 1))
+    cols = np.arange(p)
+    rows[1 + cols, cols] += delta
+    rows[1 + p + cols, cols] -= delta
     return rows
 
 
@@ -168,7 +211,7 @@ def _paired_shift_values(circuit, params, latent, measured, delta, initial=None)
         empty = np.zeros(0)
         return empty, empty
     vals = _batch_expectations(circuit, _shift_rows(params, delta), latent, measured, initial)
-    return vals[:p], vals[p:]
+    return vals[1 : 1 + p], vals[1 + p :]
 
 
 def evaluate_expectation(circuit: GateList, params, latent=None, measured: int = 0,
@@ -309,5 +352,5 @@ def parameter_shift_jacobian(circuit: GateList, params, latent=None,
     p = params.size
     if p == 0:
         return np.zeros((circuit.num_qubits, 0))
-    vals = _batch_all_z(circuit, _shift_rows(params, math.pi / 2), latent, initial)
-    return (vals[:p] - vals[p:]).T / 2.0
+    vals = _batch_expectations(circuit, _shift_rows(params, math.pi / 2), latent, None, initial)
+    return (vals[1 : 1 + p] - vals[1 + p :]).T / 2.0

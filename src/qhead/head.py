@@ -12,8 +12,12 @@ step applies stacked rotation passes, one per width-sized latent slice.
 Gradients: analytic linear-layer terms chain with parameter-shift gradients of
 the noisy circuit (one shared Pauli trajectory, and one normal draw per +/-
 pair, as common random numbers) and an adjoint sweep through the exact
-encoders. With no noise attached the circuit gradient also uses the adjoint
-fast path; both routes agree to 1e-8 and are cross-checked in the tests.
+encoders. The 1 + 2(P + K) shift rows of a sample (P circuit angles, K
+encoding-gate occurrences) run as one real-valued batch in which each shifted
+row starts at its own shifted gate from a copy of the unshifted state (see
+``qhead.grad``). With no noise attached the circuit gradient also uses the
+adjoint fast path; both routes agree to 1e-8 and are cross-checked in the
+tests.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from .ansatz import RY, CircuitSpec, GateList, assemble_head_circuit, build_bloc
 from .errors import ConfigurationError
 from .grad import (
     _batch_expectations,
+    _shift_rows,
     adjoint_observable_gradients,
     evaluate_expectation,
     lift_data_slots,
@@ -217,10 +222,7 @@ def _pqc_value_and_grads(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray
             raise ConfigurationError("an rng stream is required for gate-noise trajectories")
         run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
     total = p + k
-    rows = np.tile(ext, (1 + 2 * total, 1))
-    rows[1 + np.arange(total), np.arange(total)] += math.pi / 2
-    rows[1 + total + np.arange(total), np.arange(total)] -= math.pi / 2
-    vals = _batch_expectations(run_list, rows, None, 0)
+    vals = _batch_expectations(run_list, _shift_rows(ext, math.pi / 2), None, 0)
     if noise.shots is not None:
         if rng_shot is None:
             raise ConfigurationError("an rng stream is required for shot sampling")

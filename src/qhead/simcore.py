@@ -5,16 +5,20 @@ qubits the amplitude order is |00>, |01>, |10>, |11>. Gates act in place on the
 amplitude array through strided views (never via full 2^Q x 2^Q matrices) and
 return the state, so calls can be chained.
 
-The private ``_*`` kernels operate on bare complex arrays whose *last* axis is
-the 2^Q state dimension; any leading axes are independent batch entries, and
-rotation angles broadcast against them. The public functions wrap a single
-:class:`StateVector`, which is the shape the rest of the package exposes.
+The private ``_*`` kernels operate on bare arrays whose *last* axis is the 2^Q
+state dimension; any leading axes are independent batch entries, and rotation
+angles broadcast against them. The arrays are complex, or real where the
+caller only reads |amplitude|^2: Y on a real array applies XZ = -iY. The
+public functions wrap a single complex :class:`StateVector`, which is the
+shape the rest of the package exposes.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateInputError
+from .errors import ConfigurationError, DataError, DegenerateInputError
 
 MAX_QUBITS = 24
 DEGENERATE_NORM = 1e-12
@@ -95,8 +99,14 @@ def _pauli(amps: np.ndarray, num_qubits: int, qubit: int, which: str) -> np.ndar
         v[..., 0, :] = b
         v[..., 1, :] = a
     elif which == "Y":
-        v[..., 0, :] = -1j * b
-        v[..., 1, :] = 1j * a
+        if np.iscomplexobj(amps):
+            v[..., 0, :] = -1j * b
+            v[..., 1, :] = 1j * a
+        else:
+            # Y = i.XZ: a real array gets XZ (Z, then X), dropping the global
+            # phase i, which no |amplitude|^2 can see
+            v[..., 0, :] = -b
+            v[..., 1, :] = a
     else:
         raise ConfigurationError(f"unknown Pauli label {which!r}, expected X, Y, or Z")
     return amps
@@ -184,6 +194,10 @@ def amplitude_encode(x, num_qubits: int) -> StateVector:
             f"vector of length {x.size} does not fit in {num_qubits} qubits (max {dim})"
         )
     nrm = float(np.linalg.norm(x))
+    if not math.isfinite(nrm):
+        bad = np.flatnonzero(~np.isfinite(x))
+        where = f"index {bad[0]} holds {x[bad[0]]}" if bad.size else "its norm overflows"
+        raise DataError(f"input vector is not finite: {where}")
     if nrm < DEGENERATE_NORM:
         raise DegenerateInputError(
             f"input norm {nrm:.3e} is below {DEGENERATE_NORM:.0e}; refusing to normalize"

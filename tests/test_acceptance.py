@@ -14,7 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from qhead.ansatz import CircuitSpec, GateList, assemble_head_circuit, count_parameters, expand_encoding
+from qhead.ansatz import (
+    PAULI,
+    CircuitSpec,
+    GateList,
+    assemble_head_circuit,
+    count_parameters,
+    expand_encoding,
+)
 from qhead.baselines import LogisticModel, MlpConfig, MlpHead
 from qhead.cli import main as cli_main
 from qhead.datasets import (
@@ -25,13 +32,19 @@ from qhead.datasets import (
     synthetic_clusters,
 )
 from qhead.energy import find_crossover
-from qhead.grad import adjoint_gradient, parameter_shift_gradient, trajectory_expectation
-from qhead.head import EncoderConfig, build_hybrid_head, count_head_parameters
+from qhead.grad import adjoint_gradient, parameter_shift_gradient, run_gates, trajectory_expectation
+from qhead.head import (
+    EncoderConfig,
+    _pqc_value_and_grads,
+    build_hybrid_head,
+    count_head_parameters,
+)
 from qhead.noise import (
     NoiseModel,
     depolarizing_reference_expectation,
     gaussian_shot_estimate,
     multinomial_z_estimate,
+    sample_pauli_insertions,
 )
 from qhead.seeding import SHOTS, TRAJECTORY, stream
 from qhead.simcore import apply_cnot, apply_pauli, apply_ry, z_expectation, zero_state
@@ -115,17 +128,62 @@ def _head_fd_deviation(model, X, y, h=1e-5):
     return worst
 
 
+def _noisy_shift_deviation(model, latent, trial):
+    """Gap between the noisy shift path and its shift rows run one at a time.
+
+    The reference builds each row by hand and runs it alone from |0...0> in
+    complex128, under the same trajectory and the same shot draws. Also
+    returns the number of Y insertions in the trajectory.
+    """
+    plan = model.plan
+    noise = NoiseModel(p1q=0.2, p2q=0.2, shots=1000)
+    got = _pqc_value_and_grads(plan, model.theta_q, latent, noise,
+                               stream(trial, TRAJECTORY), stream(trial, SHOTS))
+
+    run_list = sample_pauli_insertions(plan.lifted, noise, stream(trial, TRAJECTORY))
+    ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
+    total = ext.size
+    rows = [ext]
+    for sign in (1.0, -1.0):
+        for j in range(total):
+            row = ext.copy()
+            row[j] += sign * math.pi / 2
+            rows.append(row)
+    vals = []
+    for row in rows:
+        sv = zero_state(plan.spec.qubits)
+        run_gates(sv.amplitudes, run_list, row)
+        vals.append(z_expectation(sv, 0))
+    vals = np.array(vals)
+    shot = stream(trial, SHOTS)
+    z = gaussian_shot_estimate(vals[0], noise.shots, shot.standard_normal())
+    eps = shot.standard_normal(total)
+    g = (gaussian_shot_estimate(vals[1 : 1 + total], noise.shots, eps)
+         - gaussian_shot_estimate(vals[1 + total :], noise.shots, eps)) / 2.0
+    glatent = np.zeros(latent.size)
+    np.add.at(glatent, plan.occurrences, g[plan.n_params :])
+    deviation = max(abs(got[0] - float(z)),
+                    float(np.max(np.abs(got[1] - g[: plan.n_params]), initial=0.0)),
+                    float(np.max(np.abs(got[2] - glatent))))
+    return deviation, sum(gate[0] == PAULI and gate[2] == "Y" for gate in run_list.gates)
+
+
 def test_criterion_1_gradient_correctness():
     started = time.perf_counter()
     rng = np.random.default_rng(20240)
     worst_fd = 0.0
     worst_routes = 0.0
-    for _ in range(50):
+    worst_rows = 0.0
+    y_insertions = 0
+    for trial in range(50):
         model, encoder, spec = _random_head(rng)
         dim = 1 << encoder.encoder_qubits
         X = rng.standard_normal((2, dim))
         y = rng.integers(2, size=2)
         worst_fd = max(worst_fd, _head_fd_deviation(model, X, y))
+        deviation, ys = _noisy_shift_deviation(model, model.encoder.forward(X[0]), trial)
+        worst_rows = max(worst_rows, deviation)
+        y_insertions += ys
 
         circuit = expand_encoding(
             assemble_head_circuit(spec), encoder.latent_dim // spec.qubits
@@ -139,9 +197,11 @@ def test_criterion_1_gradient_correctness():
     elapsed = time.perf_counter() - started
     assert worst_fd < 1e-4
     assert worst_routes < 1e-8
+    assert worst_rows < 1e-12 and y_insertions > 0
     assert elapsed < 300.0
     _report(1, f"50 random heads: end-to-end FD deviation {worst_fd:.2e} < 1e-4, "
-               f"shift-vs-adjoint {worst_routes:.2e} < 1e-8, {elapsed:.0f}s")
+               f"shift-vs-adjoint {worst_routes:.2e} < 1e-8, noisy shift rows vs "
+               f"one-row reference {worst_rows:.2e} < 1e-12, {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,18 @@ class TestCsvFormat:
             load_embeddings(tmp_path / "x", "json")
 
 
+@pytest.mark.parametrize("fmt, save", [("binary", save_embeddings_binary),
+                                       ("csv", save_embeddings_csv)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_rejected(tmp_path, fmt, save, bad):
+    ds = EmbeddingDataset(np.ones((4, 3), dtype=np.float32), np.array([0, 1, 0, 1]))
+    ds.vectors[2, 1] = bad
+    path = tmp_path / f"bad.{fmt}"
+    save(ds, path)
+    with pytest.raises(DataError, match="row 2"):
+        load_embeddings(path, fmt)
+
+
 class TestBenchmarkSplits:
     def _corpus(self, n_total=9613, seed=0):
         rng = np.random.default_rng(seed)
@@ -162,6 +174,19 @@ class TestBenchmarkSplits:
         )
         with pytest.raises(DataError, match="class 1"):
             make_benchmark_splits(ds, seed=0)
+
+    def test_every_class_is_drawn(self):
+        # three classes: synthetic clusters plus a relabelled copy of one cluster
+        two = synthetic_clusters(dim=4, n_per_class=300, separation=3.0, seed=8)
+        extra = synthetic_clusters(dim=4, n_per_class=300, separation=3.0, seed=9)
+        keep = extra.labels == 0
+        ds = EmbeddingDataset(np.vstack([two.vectors, extra.vectors[keep]]),
+                              np.concatenate([two.labels, np.full(keep.sum(), 2)]))
+        split = make_benchmark_splits(ds, seed=3)
+        for idx, per_class in ((split.train_idx, 218), (split.val_idx, 38),
+                               (split.test_idx, 300 - 256)):
+            np.testing.assert_array_equal(np.bincount(ds.labels[idx], minlength=3),
+                                          [per_class] * 3)
 
 
 class TestCountSplits:

@@ -6,9 +6,22 @@ import math
 import numpy as np
 import pytest
 
-from qhead.ansatz import DATA, ENCODE, RY, CircuitSpec, GateList, assemble_head_circuit
+from qhead import grad as grad_mod
+from qhead.ansatz import (
+    DATA,
+    ENCODE,
+    PAULI,
+    RY,
+    CircuitSpec,
+    GateList,
+    assemble_head_circuit,
+    count_parameters,
+    expand_encoding,
+)
 from qhead.errors import ConfigurationError, UnsupportedModeError
 from qhead.grad import (
+    _batch_expectations,
+    _shift_rows,
     adjoint_gradient,
     adjoint_observable_gradients,
     evaluate_expectation,
@@ -18,8 +31,8 @@ from qhead.grad import (
     run_gates,
     trajectory_expectation,
 )
-from qhead.noise import NoiseModel
-from qhead.simcore import amplitude_encode
+from qhead.noise import NoiseModel, sample_pauli_insertions
+from qhead.simcore import _z_expectation, amplitude_encode
 
 from oracles import dense_run, dense_z
 
@@ -277,3 +290,122 @@ class TestTrajectoryExpectation:
         a = trajectory_expectation(circuit, params, latent, model, stream(7, 1, 2))
         b = trajectory_expectation(circuit, params, latent, model, stream(7, 1, 2))
         assert a == b
+
+
+class TestBatchExpectations:
+    """Row-batched evaluation: row r runs alone from its first differing gate."""
+
+    @staticmethod
+    def _reference(circuit, rows, latent=None, measured=0, initial=None):
+        # every row run alone on a complex128 state through run_gates
+        n = circuit.num_qubits
+        out = []
+        for row in rows:
+            amps = np.zeros(1 << n, dtype=np.complex128)
+            amps[0] = 1.0
+            if initial is not None:
+                amps = initial.astype(np.complex128)
+            run_gates(amps, circuit, row, latent)
+            qubits = range(n) if measured is None else [measured]
+            out.append([float(_z_expectation(amps, n, q)) for q in qubits])
+        out = np.array(out)
+        return out if measured is None else out[:, 0]
+
+    @staticmethod
+    def _circuit(rng, qubits=4, paulis=True):
+        spec = CircuitSpec(qubits=qubits, main_layers=2, reupload_count=1, reupload_layers=1)
+        circuit = expand_encoding(assemble_head_circuit(spec))
+        if paulis:
+            circuit = sample_pauli_insertions(circuit, NoiseModel(p1q=0.4, p2q=0.4), rng)
+        return circuit, count_parameters(spec), rng.uniform(-1, 1, qubits)
+
+    def _check(self, circuit, rows, latent, measured=0, initial=None):
+        got = _batch_expectations(circuit, rows, latent, measured, initial)
+        want = self._reference(circuit, rows, latent, measured, initial)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_rows_equal_to_row_zero(self):
+        rng = np.random.default_rng(3)
+        circuit, p, latent = self._circuit(rng)
+        rows = np.tile(rng.uniform(-3, 3, p), (4, 1))
+        got = _batch_expectations(circuit, rows, latent, 0)
+        assert np.all(got == got[0])
+        self._check(circuit, rows, latent)
+
+    def test_rows_differing_in_several_columns(self):
+        rng = np.random.default_rng(4)
+        circuit, p, latent = self._circuit(rng)
+        rows = np.tile(rng.uniform(-3, 3, p), (9, 1))
+        for r in range(1, 9):
+            cols = rng.choice(p, size=3, replace=False)
+            rows[r, cols] += rng.uniform(-1, 1, 3)
+        self._check(circuit, rows, latent)
+        self._check(circuit, rows, latent, measured=None)
+
+    def test_first_difference_read_late(self):
+        rng = np.random.default_rng(5)
+        circuit, p, latent = self._circuit(rng)
+        last = max(g[2] for g in circuit.gates if g[0] == RY)
+        rows = np.tile(rng.uniform(-3, 3, p), (3, 1))
+        rows[1, last] += 0.5
+        rows[2, last] -= 0.5
+        self._check(circuit, rows, latent)
+
+    def test_unread_column_copies_row_zero(self):
+        rng = np.random.default_rng(6)
+        circuit, p, latent = self._circuit(rng)
+        rows = np.tile(rng.uniform(-3, 3, p + 1), (3, 1))
+        rows[1, p] = 7.0  # no gate reads column p
+        rows[2, 0] += 0.25
+        got = _batch_expectations(circuit, rows, latent, 0)
+        assert got[1] == got[0]
+        self._check(circuit, rows, latent)
+
+    def test_chunk_boundaries(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        circuit, p, latent = self._circuit(rng)
+        rows = _shift_rows(rng.uniform(-3, 3, p), math.pi / 2)
+        whole = _batch_expectations(circuit, rows, latent, 0)
+        for per_chunk in (1, 2, 5):
+            # each chunk holds row 0 plus per_chunk others
+            monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << circuit.num_qubits)
+            np.testing.assert_array_equal(_batch_expectations(circuit, rows, latent, 0), whole)
+        self._check(circuit, rows, latent)
+
+    def test_y_insertions_on_real_states(self):
+        rng = np.random.default_rng(8)
+        circuit, p, latent = self._circuit(rng)
+        labels = [g[2] for g in circuit.gates if g[0] == PAULI]
+        assert "Y" in labels
+        self._check(circuit, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent)
+
+    def test_initial_state_keeps_its_dtype(self):
+        rng = np.random.default_rng(9)
+        circuit, p, latent = self._circuit(rng, paulis=False)
+        initial = amplitude_encode(rng.standard_normal(16), 4).amplitudes
+        rows = _shift_rows(rng.uniform(-3, 3, p), math.pi / 2)
+        self._check(circuit, rows, latent, initial=initial)
+        self._check(circuit, rows, latent, measured=None, initial=initial)
+
+    def test_rows_start_at_their_first_differing_gate(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        circuit, p, latent = self._circuit(rng)
+        rows = _shift_rows(rng.uniform(-3, 3, p), math.pi / 2)
+        first = {}
+        for i, g in enumerate(circuit.gates):
+            if g[0] == RY:
+                first.setdefault(g[2], i)
+        n_gates = len(circuit.gates)
+        # row 0 runs every gate; rows j+1 and 1+p+j run from column j's first read
+        want = n_gates + 2 * sum(n_gates - first[j] for j in range(p))
+        applied = []
+        for kernel in ("_ry", "_cnot", "_pauli"):
+            original = getattr(grad_mod, kernel)
+
+            def counted(amps, n, *args, original=original):
+                applied.append(amps.shape[0])
+                return original(amps, n, *args)
+
+            monkeypatch.setattr(grad_mod, kernel, counted)
+        _batch_expectations(circuit, rows, latent, 0)
+        assert sum(applied) == want < rows.shape[0] * n_gates

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qhead.errors import ConfigurationError, DegenerateInputError
+from qhead.errors import ConfigurationError, DataError, DegenerateInputError
 from qhead.simcore import (
     StateVector,
+    _pauli,
     amplitude_encode,
     angle_encode,
     apply_cnot,
@@ -114,6 +115,17 @@ class TestApplyPauli:
         with pytest.raises(ConfigurationError):
             apply_pauli(zero_state(1), 0, "H")
 
+    def test_real_y_drops_the_global_phase(self):
+        # on real arrays Y applies XZ = -iY, which keeps the state real
+        rng = np.random.default_rng(12)
+        real = rng.standard_normal((3, 8))
+        complex_ = real.astype(np.complex128)
+        _pauli(real, 3, 1, "Y")
+        _pauli(complex_, 3, 1, "Y")
+        assert real.dtype == np.float64
+        np.testing.assert_array_equal(real, (-1j * complex_).real)
+        np.testing.assert_array_equal((-1j * complex_).imag, 0.0)
+
     @pytest.mark.parametrize("which", ["X", "Y", "Z"])
     def test_self_inverse(self, which):
         rng = np.random.default_rng(11)
@@ -151,6 +163,11 @@ class TestAmplitudeEncode:
     def test_oversized_rejected(self):
         with pytest.raises(ConfigurationError):
             amplitude_encode(np.ones(5), 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DataError, match="index 2"):
+            amplitude_encode([0.5, 1.0, bad], 2)
 
 
 class TestAngleEncode:
