@@ -186,8 +186,11 @@ class MlpEncoder:
     """Classical drop-in for the quantum encoders: input -> [hidden ReLU] -> tanh latent.
 
     The tanh keeps the latent inside [-1, 1] so the downstream circuit sees the
-    same value range either way. Batch norm is not supported here because the
-    hybrid pipeline evaluates samples one at a time.
+    same value range either way. ``forward`` and ``backward`` take one input
+    (d,) or a batch (B, d) and use plain matmuls; the gradients of a batch are
+    summed over its rows. Batch norm is refused here: it would couple the
+    samples of a batch, whereas each sample's latent must depend on that
+    sample alone.
     """
 
     def __init__(self, in_dim: int, latent_dim: int, config: MlpConfig,
@@ -219,30 +222,29 @@ class MlpEncoder:
             arrays["enc_b2"] = self.b2
         return arrays
 
-    def _forward(self, x: np.ndarray):
-        pre1 = x @ self.w1 + self.b1
+    def _forward(self, X: np.ndarray):
+        pre1 = X @ self.w1 + self.b1
         if self.w2 is None:
-            return np.tanh(pre1), (x, pre1, None, None)
+            return np.tanh(pre1), None, None
         relu_mask = pre1 > 0
         act = pre1 * relu_mask
-        pre2 = act @ self.w2 + self.b2
-        return np.tanh(pre2), (x, pre1, relu_mask, act)
+        return np.tanh(act @ self.w2 + self.b2), relu_mask, act
 
     def forward(self, x) -> np.ndarray:
-        latent, _ = self._forward(np.asarray(x, dtype=np.float64))
+        latent, _, _ = self._forward(np.asarray(x, dtype=np.float64))
         return latent
 
     def backward(self, x, dlatent) -> dict[str, np.ndarray]:
-        x = np.asarray(x, dtype=np.float64)
-        latent, (x, pre1, relu_mask, act) = self._forward(x)
-        dpre_out = np.asarray(dlatent) * (1.0 - latent * latent)
+        """Gradients of sum_b dlatent[b] . latent(x[b]), for (B, d) or (d,) input."""
+        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        latent, relu_mask, act = self._forward(X)
+        dpre_out = np.asarray(dlatent).reshape(latent.shape) * (1.0 - latent * latent)
         if self.w2 is None:
-            return {"enc_w1": np.outer(x, dpre_out), "enc_b1": dpre_out}
-        grads = {"enc_w2": np.outer(act, dpre_out), "enc_b2": dpre_out}
-        dact = self.w2 @ dpre_out
-        dpre1 = dact * relu_mask
-        grads["enc_w1"] = np.outer(x, dpre1)
-        grads["enc_b1"] = dpre1
+            return {"enc_w1": X.T @ dpre_out, "enc_b1": dpre_out.sum(axis=0)}
+        grads = {"enc_w2": act.T @ dpre_out, "enc_b2": dpre_out.sum(axis=0)}
+        dpre1 = (dpre_out @ self.w2.T) * relu_mask
+        grads["enc_w1"] = X.T @ dpre1
+        grads["enc_b1"] = dpre1.sum(axis=0)
         return grads
 
 

@@ -65,10 +65,13 @@ class EmbeddingDataset:
 
 
 def _check_labels(labels: np.ndarray, num_classes: int | None) -> None:
-    if num_classes is not None and labels.size and int(labels.max()) >= num_classes:
-        raise DataError(
-            f"label {int(labels.max())} out of range for {num_classes} classes"
-        )
+    """Every label must lie in [0, num_classes), or be >= 0 when the count is open."""
+    bad = labels < 0
+    if num_classes is not None:
+        bad |= labels >= num_classes
+    if bad.any():
+        where = f" for {num_classes} classes" if num_classes is not None else ""
+        raise DataError(f"label {int(labels[bad][0])} out of range{where}")
 
 
 def save_embeddings_binary(dataset: EmbeddingDataset, path) -> None:

@@ -5,7 +5,8 @@ Three gradient routes with different trade-offs:
 * parameter-shift: exact for RY-parameterized circuits, two shifted
   evaluations per angle, and the only route that remains valid when a noise
   trajectory or finite shots are attached;
-* adjoint reverse accumulation: one backward sweep, noiseless circuits only;
+* adjoint reverse accumulation: one backward sweep, noiseless circuits only
+  (Jones & Gacon 2020, arXiv:2009.02823);
 * central finite differences: O(h^2) oracle used for cross-checking.
 
 Shifted evaluations are batched on a (rows, 2^Q) amplitude array, chunked to
@@ -14,7 +15,12 @@ first gate that reads an angle where it differs from that first row: the
 state before that gate is the first row's, and is copied from it. Starting
 from |0...0> the states are real, because every gate is real up to a global
 phase: on real arrays Y is applied as XZ = -iY, and the dropped phase never
-reaches |amplitude|^2. Single-state evaluation and the adjoint sweep stay
+reaches |amplitude|^2.
+
+The adjoint sweep runs on a (B, 2^Q) batch of real rows, each with its own
+latent and observable weights, and takes each RY derivative as the real
+overlap <lambda|(-iY)|psi> before un-applying the gate. Single-state
+evaluation (``evaluate_expectation``, ``trajectory_expectation``) stays
 complex.
 """
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .simcore import (
     _all_z_expectations,
     _cnot,
     _pauli,
+    _qubit_view,
     _ry,
     _z_expectation,
     _zero_amplitudes,
@@ -278,60 +285,97 @@ def finite_difference_oracle(circuit: GateList, params, latent=None, measured: i
     return (plus - minus) / (2.0 * h)
 
 
+def _z_diagonal(z_weights: np.ndarray, n: int) -> np.ndarray:
+    """Diagonal of sum_j w_j Z_j for each row of weights, shape (..., 2^n)."""
+    bits = (np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    return z_weights @ (1.0 - 2.0 * bits)
+
+
+def _first_row(values):
+    return values[0] if values is not None and values.ndim == 2 else values
+
+
 def adjoint_observable_gradients(circuit: GateList, params, latent=None,
                                  z_weights=None, measured: int = 0,
-                                 initial: np.ndarray | None = None):
-    """One reverse sweep for E = <psi| O |psi| with O = sum_j w_j Z_j.
+                                 initial: np.ndarray | None = None,
+                                 final: np.ndarray | None = None):
+    """One reverse sweep for E = <psi| O |psi> with O = sum_j w_j Z_j.
 
     Returns (gradient wrt params, gradient wrt latent). ``z_weights`` defaults
-    to the indicator of ``measured``. Noiseless circuits only; each RY is
-    un-applied while a cotangent state accumulates Re<lambda|dU|psi>.
+    to the indicator of ``measured``. Noiseless circuits only.
+
+    Any of ``params`` (B, P), ``latent`` (B, L), ``z_weights`` (B, Q) and
+    ``initial`` or ``final`` (B, 2^Q) may carry a leading axis of B rows; a
+    1-D value is shared by every row. With a row axis the gradients are per
+    row, (B, P) and (B, L); without one they are (P,) and (L,). ``final``
+    hands over the states the circuit ends in, so the forward pass is not
+    run again. Starting from |0...0> (or a real ``initial``) every state is
+    real.
     """
-    circuit, params, latent = _prepare(circuit, params, latent)
+    params = np.asarray(params if params is not None else [], dtype=np.float64)
+    latent = None if latent is None else np.asarray(latent, dtype=np.float64)
     n = circuit.num_qubits
-    dim = 1 << n
     if z_weights is None:
         z_weights = np.zeros(n)
         z_weights[measured] = 1.0
     z_weights = np.asarray(z_weights, dtype=np.float64)
-    if z_weights.shape != (n,):
-        raise ConfigurationError(f"z_weights must have shape ({n},), got {z_weights.shape}")
-
-    psi = _zero_amplitudes(n) if initial is None else initial.copy()
-    run_gates(psi, circuit, params, latent)
-
-    idx = np.arange(dim)
-    diag = np.zeros(dim)
-    for j in range(n):
-        if z_weights[j] != 0.0:
-            diag += z_weights[j] * (1.0 - 2.0 * ((idx >> (n - 1 - j)) & 1))
-    lam = diag * psi
-
-    grad_params = np.zeros(params.size)
-    grad_latent = np.zeros(latent.size if latent is not None else 0)
-    for g in reversed(circuit.gates):
-        kind = g[0]
-        if kind == CNOT:
-            _cnot(psi, n, g[1], g[2])
-            _cnot(lam, n, g[1], g[2])
-        elif kind == PAULI:
-            _pauli(psi, n, g[1], g[2])
-            _pauli(lam, n, g[1], g[2])
-        elif kind in (RY, DATA):
-            theta = params[g[2]] if kind == RY else latent[g[2]]
-            _ry(psi, n, g[1], -theta)
-            shifted = psi.copy()
-            # dRY/dtheta = RY(theta + pi) / 2; the 1/2 cancels against 2*Re(...)
-            _ry(shifted, n, g[1], theta + math.pi)
-            contrib = float(np.vdot(lam, shifted).real)
-            if kind == RY:
-                grad_params[g[2]] += contrib
-            else:
-                grad_latent[g[2]] += contrib
-            _ry(lam, n, g[1], -theta)
+    if z_weights.ndim not in (1, 2) or z_weights.shape[-1] != n:
+        raise ConfigurationError(
+            f"z_weights must have shape ({n},) or (rows, {n}), got {z_weights.shape}"
+        )
+    states = final if final is not None else initial
+    row_counts = {a.shape[0] for a in (params, latent, z_weights, states)
+                  if a is not None and a.ndim == 2}
+    if len(row_counts) > 1:
+        raise ConfigurationError(f"row axes disagree in length: {sorted(row_counts)}")
+    batched = bool(row_counts)
+    rows = row_counts.pop() if batched else 1
+    circuit, _, _ = _prepare(circuit, _first_row(params), _first_row(latent))
+    dim = 1 << n
+    if states is not None and states.shape not in ((dim,), (rows, dim)):
+        raise ConfigurationError(f"states must have shape ({dim},) or ({rows}, {dim}), "
+                                 f"got {states.shape}")
+    # psi and lam share one (2, rows, 2^Q) array, so that one kernel call
+    # un-applies a gate from both
+    dtype = np.float64 if states is None else np.result_type(np.float64, states)
+    both = np.empty((2, rows, dim), dtype=dtype)
+    psi, lam = both
+    if final is not None:
+        psi[...] = final
+    else:
+        if initial is None:
+            psi[...] = 0.0
+            psi[:, 0] = 1.0
         else:
-            raise ConfigurationError(f"unknown gate record {g!r}")
-    return grad_params, grad_latent
+            psi[...] = initial
+        run_gates(psi, circuit, params, latent)
+    lam[...] = _z_diagonal(z_weights, n) * psi
+
+    grad_params = np.zeros((rows, params.shape[-1]))
+    grad_latent = np.zeros((rows, latent.shape[-1] if latent is not None else 0))
+    for g in reversed(circuit.gates):
+        if g[0] not in (RY, DATA):
+            # CNOT and Paulis undo themselves; on real rows Y is XZ, whose
+            # square is -1, and that sign reaches psi and lam alike
+            _apply_gate(both, n, g, params, latent)
+            continue
+        # dRY(t)/dt = (-iY/2) RY(t) with -iY real, so the derivative term is
+        # <lam|(-iY)|psi> on the state after the gate (the 1/2 cancels the 2
+        # of 2 Re<.>); only then is the gate un-applied from both states
+        pv = _qubit_view(psi, n, g[1])
+        lv = _qubit_view(lam, n, g[1]).conj()
+        contrib = (np.einsum("...ij,...ij->...", lv[..., 1, :], pv[..., 0, :])
+                   - np.einsum("...ij,...ij->...", lv[..., 0, :], pv[..., 1, :])).real
+        if g[0] == RY:
+            grad_params[:, g[2]] += contrib
+            angle = params[..., g[2]]
+        else:
+            grad_latent[:, g[2]] += contrib
+            angle = latent[..., g[2]]
+        _ry(both, n, g[1], -angle)
+    if batched:
+        return grad_params, grad_latent
+    return grad_params[0], grad_latent[0]
 
 
 def adjoint_gradient(circuit: GateList, params, latent=None, measured: int = 0,

@@ -9,15 +9,22 @@ encoders are always evaluated exactly; noise applies to the re-uploading
 circuit only. When the latent is longer than the circuit width, each encoding
 step applies stacked rotation passes, one per width-sized latent slice.
 
+A batch of B samples runs as real (B, 2^Q) arrays wherever the computation
+is exact: the inputs are amplitude-encoded into one array, each encoder runs
+its circuit once over all rows, and the noiseless re-uploading circuit runs
+once with one latent per row. Forward passes split very large batches into
+row chunks of bounded memory. The readout is one matmul.
+
 Gradients: analytic linear-layer terms chain with parameter-shift gradients of
 the noisy circuit (one shared Pauli trajectory, and one normal draw per +/-
 pair, as common random numbers) and an adjoint sweep through the exact
-encoders. The 1 + 2(P + K) shift rows of a sample (P circuit angles, K
-encoding-gate occurrences) run as one real-valued batch in which each shifted
-row starts at its own shifted gate from a copy of the unshifted state (see
-``qhead.grad``). With no noise attached the circuit gradient also uses the
-adjoint fast path; both routes agree to 1e-8 and are cross-checked in the
-tests.
+encoders, one batched sweep per encoder. Noisy samples run one at a time,
+each on its own trajectory and shot streams; the 1 + 2(P + K) shift rows of a
+sample (P circuit angles, K encoding-gate occurrences) run as one real-valued
+batch in which each shifted row starts at its own shifted gate from a copy of
+the unshifted state (see ``qhead.grad``). With no noise attached the circuit
+gradient is one batched adjoint sweep over all samples instead; both routes
+agree to 1e-8 and are cross-checked in the tests.
 """
 from __future__ import annotations
 
@@ -31,10 +38,10 @@ from . import seeding
 from .ansatz import RY, CircuitSpec, GateList, assemble_head_circuit, build_block, count_parameters, expand_encoding
 from .errors import ConfigurationError
 from .grad import (
+    _CHUNK_ELEMENTS,
     _batch_expectations,
     _shift_rows,
     adjoint_observable_gradients,
-    evaluate_expectation,
     lift_data_slots,
     parameter_shift_jacobian,
     run_gates,
@@ -45,8 +52,9 @@ from .simcore import (
     _z_expectation,
     _zero_amplitudes,
     amplitude_encode,
+    amplitude_encode_rows,
 )
-from .trainer import cross_entropy_loss
+from .trainer import softmax_cross_entropy_batch
 
 
 @dataclass(frozen=True)
@@ -179,14 +187,64 @@ def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
     return _PqcPlan(spec, expanded, lifted, occurrences, count_parameters(spec), latent_dim)
 
 
-def _pqc_value(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
-               noise: noise_mod.NoiseModel | None, rng_traj, rng_shot) -> float:
+def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
+    """Slices of ``rows`` holding at most ``_CHUNK_ELEMENTS`` amplitudes each.
+
+    Batched forward passes run chunk by chunk, so that evaluating a large
+    split holds a bounded amount of state. Rows are independent, so the
+    chunking changes no value.
+    """
+    step = max(1, _CHUNK_ELEMENTS >> num_qubits)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _check_theta(plan: _PqcPlan, theta_q: np.ndarray) -> None:
     if theta_q.shape != (plan.n_params,):
         raise ConfigurationError(
             f"circuit expects {plan.n_params} parameters, got shape {theta_q.shape}"
         )
+
+
+def _clean_states(plan: _PqcPlan, theta_q: np.ndarray, latents) -> np.ndarray:
+    """Noiseless final states, one real row per latent row of ``latents`` (B, L)."""
+    _check_theta(plan, theta_q)
+    latents = np.asarray(latents, dtype=np.float64)
+    if latents.ndim != 2 or latents.shape[1] != plan.latent_dim:
+        raise ConfigurationError(
+            f"expected latents of shape (rows, {plan.latent_dim}), got {latents.shape}"
+        )
+    amps = np.zeros((latents.shape[0], 1 << plan.spec.qubits))
+    amps[:, 0] = 1.0
+    return run_gates(amps, plan.expanded, theta_q, latents)
+
+
+def _clean_values(plan: _PqcPlan, theta_q: np.ndarray, latents) -> np.ndarray:
+    """Per-row noiseless z (B,), computed in row chunks."""
+    z = np.empty(len(latents))
+    for rows in _row_chunks(len(latents), plan.spec.qubits):
+        z[rows] = _z_expectation(_clean_states(plan, theta_q, latents[rows]),
+                                 plan.spec.qubits, 0)
+    return z
+
+
+def _clean_values_and_grads(plan: _PqcPlan, theta_q: np.ndarray, latents):
+    """Per-row z (B,), dz/dtheta_q (B, P) and dz/dlatent (B, L), noiseless.
+
+    One batched forward pass and one batched adjoint sweep over all rows.
+    """
+    states = _clean_states(plan, theta_q, latents)
+    z = _z_expectation(states, plan.spec.qubits, 0)
+    gtheta, glatent = adjoint_observable_gradients(
+        plan.expanded, theta_q, latents, measured=0, final=states
+    )
+    return z, gtheta, glatent
+
+
+def _pqc_value(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
+               noise: noise_mod.NoiseModel | None, rng_traj, rng_shot) -> float:
     if noise is None or noise.is_noiseless:
-        return evaluate_expectation(plan.expanded, theta_q, latent, 0)
+        return float(_clean_values(plan, theta_q, latent[None])[0])
+    _check_theta(plan, theta_q)
     run_list = plan.expanded
     if noise.p1q > 0 or noise.p2q > 0:
         if rng_traj is None:
@@ -205,14 +263,10 @@ def _pqc_value(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
 def _pqc_value_and_grads(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
                          noise: noise_mod.NoiseModel | None, rng_traj, rng_shot):
     """(z estimate, dz/dtheta_q, dz/dlatent) sharing one trajectory and CRN shots."""
-    if theta_q.shape != (plan.n_params,):
-        raise ConfigurationError(
-            f"circuit expects {plan.n_params} parameters, got shape {theta_q.shape}"
-        )
     if noise is None or noise.is_noiseless:
-        z = evaluate_expectation(plan.expanded, theta_q, latent, 0)
-        gtheta, glatent = adjoint_observable_gradients(plan.expanded, theta_q, latent, measured=0)
-        return z, gtheta, glatent
+        z, gtheta, glatent = _clean_values_and_grads(plan, theta_q, latent[None])
+        return float(z[0]), gtheta[0], glatent[0]
+    _check_theta(plan, theta_q)
 
     p, k = plan.n_params, plan.occurrences.size
     ext = np.concatenate([theta_q, latent[plan.occurrences]])
@@ -313,18 +367,29 @@ def init_head_params(encoder_config: EncoderConfig, spec: CircuitSpec,
 
 
 class QuantumEncoder:
-    """E parallel simulated encoders with trainable angles."""
+    """E parallel simulated encoders with trainable angles.
+
+    ``forward`` and ``backward`` take one input (d,) or a batch (B, d). A
+    batch is amplitude-encoded into real (B, 2^Qc) rows; each encoder runs
+    its circuit once over the rows (in row chunks, see ``_row_chunks``), and
+    its gradient is one batched adjoint sweep, summed over the rows.
+    """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator | None = None,
-                 theta: list[np.ndarray] | None = None, grad_method: str = "adjoint"):
+                 theta: list[np.ndarray] | None = None):
         self.config = config
-        self.grad_method = grad_method
         if theta is not None:
             if len(theta) != config.num_encoders:
                 raise ConfigurationError(
                     f"expected {config.num_encoders} parameter vectors, got {len(theta)}"
                 )
             self.theta = [np.asarray(t, dtype=np.float64) for t in theta]
+            for t in self.theta:
+                if t.shape != (config.params_per_encoder,):
+                    raise ConfigurationError(
+                        f"encoder expects {config.params_per_encoder} parameters, "
+                        f"got shape {t.shape}"
+                    )
         else:
             if rng is None:
                 raise ConfigurationError("either theta or an rng must be provided")
@@ -332,6 +397,7 @@ class QuantumEncoder:
                 rng.uniform(-math.pi, math.pi, config.params_per_encoder)
                 for _ in range(config.num_encoders)
             ]
+        self.circuit = encoder_circuit(config)
 
     @property
     def latent_dim(self) -> int:
@@ -341,15 +407,30 @@ class QuantumEncoder:
         return {f"encoder_{i}": t for i, t in enumerate(self.theta)}
 
     def forward(self, x) -> np.ndarray:
-        return multi_encoder_forward(x, self.theta, self.config)
+        """Latents (B, E*Qc) of a batch, or (E*Qc,) of a single input."""
+        x = np.asarray(x, dtype=np.float64)
+        X = x.reshape(-1, x.shape[-1])
+        q = self.config.encoder_qubits
+        latent = np.empty((len(X), self.latent_dim))
+        for rows in _row_chunks(len(X), q):
+            encoded = amplitude_encode_rows(X[rows], q)
+            for i, t in enumerate(self.theta):
+                amps = run_gates(encoded.copy(), self.circuit, t, None)
+                latent[rows, i * q : (i + 1) * q] = _all_z_expectations(amps, q)
+        return latent.reshape(x.shape[:-1] + (self.latent_dim,))
 
     def backward(self, x, dlatent) -> dict[str, np.ndarray]:
+        """Gradient of sum_b dlatent[b] . latent(x[b]) w.r.t. each encoder's angles."""
+        x = np.asarray(x, dtype=np.float64)
         q = self.config.encoder_qubits
+        encoded = amplitude_encode_rows(x.reshape(-1, x.shape[-1]), q)
+        dlatent = np.asarray(dlatent, dtype=np.float64).reshape(len(encoded), -1)
         grads = {}
         for i, t in enumerate(self.theta):
-            grads[f"encoder_{i}"] = encoder_backward(
-                x, t, self.config, dlatent[i * q : (i + 1) * q], method=self.grad_method
+            rows, _ = adjoint_observable_gradients(
+                self.circuit, t, z_weights=dlatent[:, i * q : (i + 1) * q], initial=encoded
             )
+            grads[f"encoder_{i}"] = rows.sum(axis=0)
         return grads
 
 
@@ -437,59 +518,65 @@ class HybridHead:
         shot = seeding.stream(noise.seed, seeding.SHOTS, *seed_path, sample_index)
         return traj, shot
 
-    def _sample_logits(self, x, noise, rng_traj, rng_shot):
-        latent = self.encoder.forward(x)
-        z = _pqc_value(self.plan, self.theta_q, latent, noise, rng_traj, rng_shot)
+    def _circuit(self, latent: np.ndarray, noise, seed_path, grads: bool):
+        """Per-row z (B,); with ``grads`` also dz/dtheta_q (B, P) and dz/dlatent (B, L).
+
+        Noiseless rows run as one batch. Noisy rows run one at a time, each
+        on its own trajectory and shot streams at seed path
+        ``(*seed_path, i)``.
+        """
+        if noise is None or noise.is_noiseless:
+            if grads:
+                return _clean_values_and_grads(self.plan, self.theta_q, latent)
+            return _clean_values(self.plan, self.theta_q, latent)
+        run = _pqc_value_and_grads if grads else _pqc_value
+        per_row = [
+            run(self.plan, self.theta_q, row, noise, *self._streams(noise, seed_path, i))
+            for i, row in enumerate(latent)
+        ]
+        if not grads:
+            return np.array(per_row)
+        z, gtheta, glatent = zip(*per_row)
+        return np.array(z), np.stack(gtheta), np.stack(glatent)
+
+    def _logits(self, latent: np.ndarray, z: np.ndarray):
+        """(B, classes) logits and the readout features concat(latent, z).
+
+        Without a linear layer the logits are (z, -z) and there are no features.
+        """
         if self.linear is None:
-            return np.array([z, -z])
-        return linear_logits(latent, z, self.linear)
+            return np.column_stack([z, -z]), None
+        features = np.column_stack([latent, z])
+        return features @ self.linear.T, features
 
     def predict_logits(self, X, noise=None, seed_path: tuple[int, ...] = ()) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        out = np.empty((len(X), self.num_classes))
-        for i, x in enumerate(X):
-            rng_traj, rng_shot = self._streams(noise, seed_path, i)
-            out[i] = self._sample_logits(x, noise, rng_traj, rng_shot)
-        return out
-
-    def _sample_loss_and_grads(self, x, label, noise, rng_traj, rng_shot):
-        latent = self.encoder.forward(x)
-        z, dz_dtheta, dz_dlatent = _pqc_value_and_grads(
-            self.plan, self.theta_q, latent, noise, rng_traj, rng_shot
-        )
-        grads: dict[str, np.ndarray] = {}
-        if self.linear is not None:
-            feat = np.append(latent, z)
-            logits = self.linear @ feat
-            loss, dlogits = cross_entropy_loss(logits, label)
-            grads["linear"] = np.outer(dlogits, feat)
-            dfeat = self.linear.T @ dlogits
-            dlatent_direct = dfeat[:-1]
-            dz = float(dfeat[-1])
-        else:
-            logits = np.array([z, -z])
-            loss, dlogits = cross_entropy_loss(logits, label)
-            dz = float(dlogits[0] - dlogits[1])
-            dlatent_direct = np.zeros(self.encoder.latent_dim)
-        grads["pqc"] = dz * dz_dtheta
-        dlatent = dlatent_direct + dz * dz_dlatent
-        grads.update(self.encoder.backward(x, dlatent))
-        return loss, grads
+        latent = self.encoder.forward(np.asarray(X, dtype=np.float64))
+        logits, _ = self._logits(latent, self._circuit(latent, noise, seed_path, grads=False))
+        return logits
 
     def batch_loss_and_gradients(self, X, y, noise=None,
                                  seed_path: tuple[int, ...] = ()):
         X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y)
-        totals = {k: np.zeros_like(v) for k, v in self.parameter_arrays().items()}
-        total_loss = 0.0
-        for i in range(len(X)):
-            rng_traj, rng_shot = self._streams(noise, seed_path, i)
-            loss, grads = self._sample_loss_and_grads(X[i], int(y[i]), noise, rng_traj, rng_shot)
-            total_loss += loss
-            for key, g in grads.items():
-                totals[key] += g
-        scale = 1.0 / max(len(X), 1)
-        return total_loss * scale, {k: v * scale for k, v in totals.items()}
+        if len(X) == 0:
+            return 0.0, {k: np.zeros_like(v) for k, v in self.parameter_arrays().items()}
+        latent = self.encoder.forward(X)
+        z, dz_dtheta, dz_dlatent = self._circuit(latent, noise, seed_path, grads=True)
+        logits, features = self._logits(latent, z)
+        losses, dlogits = softmax_cross_entropy_batch(logits, np.asarray(y))
+        scale = 1.0 / len(X)
+        grads: dict[str, np.ndarray] = {}
+        if features is None:
+            dz = dlogits[:, 0] - dlogits[:, 1]
+            dlatent = dz[:, None] * dz_dlatent
+        else:
+            grads["linear"] = (dlogits.T @ features) * scale
+            dfeatures = dlogits @ self.linear
+            dz = dfeatures[:, -1]
+            dlatent = dfeatures[:, :-1] + dz[:, None] * dz_dlatent
+        grads["pqc"] = (dz @ dz_dtheta) * scale
+        for key, g in self.encoder.backward(X, dlatent).items():
+            grads[key] = g * scale
+        return float(losses.sum()) * scale, {k: grads[k] for k in self.parameter_arrays()}
 
 
 def head_gradient(X, labels, params: HeadParams, encoder_config: EncoderConfig,

@@ -10,7 +10,8 @@ state dimension; any leading axes are independent batch entries, and rotation
 angles broadcast against them. The arrays are complex, or real where the
 caller only reads |amplitude|^2: Y on a real array applies XZ = -iY. The
 public functions wrap a single complex :class:`StateVector`, which is the
-shape the rest of the package exposes.
+shape the rest of the package exposes; the one batched exception is
+:func:`amplitude_encode_rows`, which loads many inputs as real (B, 2^Q) rows.
 """
 from __future__ import annotations
 
@@ -175,36 +176,63 @@ def apply_pauli(state: StateVector, qubit: int, which: str) -> StateVector:
     return state
 
 
+def _register_dim(num_qubits: int, length: int) -> int:
+    """2^Q, after checking the width and that ``length`` values fit in it."""
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ConfigurationError(
+            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
+        )
+    dim = 1 << num_qubits
+    if length > dim:
+        raise ConfigurationError(
+            f"vector of length {length} does not fit in {num_qubits} qubits (max {dim})"
+        )
+    return dim
+
+
+def _unit_vector(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` divided by its norm; non-finite and near-zero vectors are rejected."""
+    nrm = float(np.linalg.norm(x))
+    if not math.isfinite(nrm):
+        bad = np.flatnonzero(~np.isfinite(x))
+        where = f"index {bad[0]} holds {x[bad[0]]}" if bad.size else "its norm overflows"
+        raise DataError(f"{what} is not finite: {where}")
+    if nrm < DEGENERATE_NORM:
+        raise DegenerateInputError(
+            f"{what} has norm {nrm:.3e}, below {DEGENERATE_NORM:.0e}; refusing to normalize"
+        )
+    return x / nrm
+
+
 def amplitude_encode(x, num_qubits: int) -> StateVector:
     """Load a real vector as normalized amplitudes, zero-padded to 2^Q.
 
     The state is written directly (no preparation circuit). Vectors with norm
     below ``DEGENERATE_NORM`` are rejected rather than silently normalized.
     """
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ConfigurationError(
-            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ConfigurationError(f"expected a non-empty 1-D vector, got shape {x.shape}")
-    dim = 1 << num_qubits
-    if x.size > dim:
-        raise ConfigurationError(
-            f"vector of length {x.size} does not fit in {num_qubits} qubits (max {dim})"
-        )
-    nrm = float(np.linalg.norm(x))
-    if not math.isfinite(nrm):
-        bad = np.flatnonzero(~np.isfinite(x))
-        where = f"index {bad[0]} holds {x[bad[0]]}" if bad.size else "its norm overflows"
-        raise DataError(f"input vector is not finite: {where}")
-    if nrm < DEGENERATE_NORM:
-        raise DegenerateInputError(
-            f"input norm {nrm:.3e} is below {DEGENERATE_NORM:.0e}; refusing to normalize"
-        )
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[: x.size] = x / nrm
+    amps = np.zeros(_register_dim(num_qubits, x.size), dtype=np.complex128)
+    amps[: x.size] = _unit_vector(x, "input vector")
     return StateVector(num_qubits, amps)
+
+
+def amplitude_encode_rows(X, num_qubits: int) -> np.ndarray:
+    """Amplitude-encode every row of ``X`` (B, d) into one real (B, 2^Q) array.
+
+    Each row is divided by its own ``np.linalg.norm``, exactly as
+    :func:`amplitude_encode` does, so row b equals the real part of
+    ``amplitude_encode(X[b])`` bit for bit (a row-wise ``norm(axis=1)``
+    rounds differently). The checks are the same, naming the row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ConfigurationError(f"expected a (rows, d) array with d >= 1, got shape {X.shape}")
+    amps = np.zeros((X.shape[0], _register_dim(num_qubits, X.shape[1])))
+    for b, x in enumerate(X):
+        amps[b, : x.size] = _unit_vector(x, f"input row {b}")
+    return amps
 
 
 def angle_encode(state: StateVector, angles) -> StateVector:

@@ -85,6 +85,13 @@ def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple
     """Row-wise cross-entropy losses and gradients for (B, k) logits."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
+    if labels.shape != logits.shape[:1]:
+        raise ConfigurationError(f"{labels.shape} labels for logits of shape {logits.shape}")
+    bad = (labels < 0) | (labels >= logits.shape[1])
+    if bad.any():
+        raise ConfigurationError(
+            f"label {labels[bad][0]} out of range for {logits.shape[1]} classes"
+        )
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=1)

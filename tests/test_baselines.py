@@ -154,6 +154,22 @@ class TestMlpEncoder:
                 flat[j] = orig
                 assert gflat[j] == pytest.approx((up - down) / (2 * h), abs=1e-6)
 
+    @pytest.mark.parametrize("config", [MlpConfig(0, 0), MlpConfig(1, 8)])
+    def test_batch_equals_rows(self, config):
+        rng = np.random.default_rng(16)
+        enc = MlpEncoder(6, 4, config, stream(9, PARAM_INIT))
+        X = rng.standard_normal((5, 6))
+        dlatent = rng.standard_normal((5, 4))
+        latent = enc.forward(X)
+        assert latent.shape == (5, 4)
+        grads = enc.backward(X, dlatent)
+        for key, arr in enc.parameter_arrays().items():
+            rows = sum(enc.backward(x, d)[key] for x, d in zip(X, dlatent))
+            assert grads[key].shape == arr.shape
+            np.testing.assert_allclose(grads[key], rows, rtol=0, atol=1e-12)
+        for x, row in zip(X, latent):
+            np.testing.assert_allclose(enc.forward(x), row, rtol=0, atol=1e-15)
+
     def test_batch_norm_rejected(self):
         with pytest.raises(ConfigurationError):
             MlpEncoder(6, 4, MlpConfig(1, 8, batch_norm=True), stream(0, PARAM_INIT))

@@ -1,0 +1,241 @@
+"""The batched head against a per-sample reference built from single complex rows.
+
+The reference runs every sample alone: the encoders through ``encoder_forward``
+and ``encoder_backward`` (complex128 states), the noiseless circuit through
+``evaluate_expectation`` and a one-row complex adjoint sweep, and the noisy
+circuit through ``_pqc_value`` / ``_pqc_value_and_grads`` on the sample's own
+trajectory and shot streams. Only the readout is the head's own formula, one
+matmul over the stacked features.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from qhead.ansatz import PAULI, CircuitSpec
+from qhead.baselines import MlpConfig, MlpEncoder
+from qhead.errors import ConfigurationError
+from qhead.grad import adjoint_observable_gradients, evaluate_expectation
+from qhead.head import (
+    EncoderConfig,
+    HybridHead,
+    _pqc_value,
+    _pqc_value_and_grads,
+    build_hybrid_head,
+    encoder_backward,
+    encoder_forward,
+)
+from qhead.noise import NoiseModel, sample_pauli_insertions
+from qhead.seeding import PARAM_INIT, SHOTS, TRAJECTORY, stream
+from qhead.simcore import zero_state
+from qhead.trainer import cross_entropy_loss, softmax_cross_entropy_batch
+
+SPEC = CircuitSpec(qubits=4, main_layers=1, reupload_count=2, reupload_layers=1)
+HEAVY_NOISE = dict(p1q=0.2, p2q=0.2, seed=11)
+SEED_PATH = (2, 3)
+
+
+def _quantum_head(num_encoders=1, final_linear=True, seed=5):
+    enc = EncoderConfig(num_encoders=num_encoders, encoder_qubits=4, encoder_layers=2)
+    return build_hybrid_head(enc, SPEC, final_linear=final_linear, seed=seed)
+
+
+def _mlp_head(seed=6):
+    rng = stream(seed, PARAM_INIT)
+    encoder = MlpEncoder(16, 4, MlpConfig(hidden_layers=1, hidden_dim=5), rng)
+    return HybridHead(encoder, SPEC, rng=rng)
+
+
+HEADS = {
+    "clean": (_quantum_head, None),
+    "noisy-exact": (_quantum_head, NoiseModel(shots=None, **HEAVY_NOISE)),
+    "noisy-500-shots": (_quantum_head, NoiseModel(shots=500, **HEAVY_NOISE)),
+    "two-encoders": (lambda: _quantum_head(num_encoders=2), None),
+    "two-encoders-noisy": (lambda: _quantum_head(num_encoders=2), NoiseModel(shots=500, **HEAVY_NOISE)),
+    "no-linear": (lambda: _quantum_head(final_linear=False), None),
+    "no-linear-noisy": (lambda: _quantum_head(final_linear=False), NoiseModel(shots=500, **HEAVY_NOISE)),
+    "mlp-encoder": (_mlp_head, None),
+    "mlp-encoder-noisy": (_mlp_head, NoiseModel(shots=None, **HEAVY_NOISE)),
+}
+
+
+def _streams(noise, i):
+    if noise is None:
+        return None, None
+    return (stream(noise.seed, TRAJECTORY, *SEED_PATH, i),
+            stream(noise.seed, SHOTS, *SEED_PATH, i))
+
+
+def _sample_latent(model, x):
+    encoder = model.encoder
+    if isinstance(encoder, MlpEncoder):
+        return encoder.forward(x)
+    return np.concatenate([encoder_forward(x, t, encoder.config) for t in encoder.theta])
+
+
+def _sample_circuit(model, latent, noise, i, grads):
+    plan = model.plan
+    if noise is not None:
+        run = _pqc_value_and_grads if grads else _pqc_value
+        return run(plan, model.theta_q, latent, noise, *_streams(noise, i))
+    z = evaluate_expectation(plan.expanded, model.theta_q, latent, 0)
+    if not grads:
+        return z
+    initial = zero_state(plan.spec.qubits).amplitudes
+    gtheta, glatent = adjoint_observable_gradients(plan.expanded, model.theta_q, latent,
+                                                   measured=0, initial=initial)
+    return z, gtheta, glatent
+
+
+def _readout(model, latents, z):
+    if model.linear is None:
+        return np.column_stack([z, -z]), None
+    features = np.column_stack([latents, z])
+    return features @ model.linear.T, features
+
+
+def _reference_logits(model, X, noise):
+    latents = np.stack([_sample_latent(model, x) for x in X])
+    z = np.array([_sample_circuit(model, lat, noise, i, False) for i, lat in enumerate(latents)])
+    return _readout(model, latents, z)[0], z
+
+
+def _reference_step(model, X, y, noise):
+    """Batch-mean loss and gradients, each sample's pieces computed alone."""
+    latents = np.stack([_sample_latent(model, x) for x in X])
+    per = [_sample_circuit(model, lat, noise, i, True) for i, lat in enumerate(latents)]
+    z = np.array([p[0] for p in per])
+    logits, features = _readout(model, latents, z)
+    totals = {k: np.zeros_like(v) for k, v in model.parameter_arrays().items()}
+    losses = []
+    for i, x in enumerate(X):
+        loss, dlogits = cross_entropy_loss(logits[i], int(y[i]))
+        losses.append(loss)
+        _, gtheta, glatent = per[i]
+        if features is None:
+            dz = dlogits[0] - dlogits[1]
+            dlatent = dz * glatent
+        else:
+            totals["linear"] += np.outer(dlogits, features[i])
+            dfeat = model.linear.T @ dlogits
+            dz = dfeat[-1]
+            dlatent = dfeat[:-1] + dz * glatent
+        totals["pqc"] += dz * gtheta
+        encoder = model.encoder
+        if isinstance(encoder, MlpEncoder):
+            for key, g in encoder.backward(x, dlatent).items():
+                totals[key] += g
+        else:
+            q = encoder.config.encoder_qubits
+            for e, theta in enumerate(encoder.theta):
+                totals[f"encoder_{e}"] += encoder_backward(
+                    x, theta, encoder.config, dlatent[e * q : (e + 1) * q]
+                )
+    grads = {k: v / len(X) for k, v in totals.items()}
+    return float(np.mean(losses)), grads, logits
+
+
+@pytest.mark.parametrize("batch", [1, 5, 16])
+@pytest.mark.parametrize("name", sorted(HEADS))
+def test_batched_head_matches_per_sample_reference(name, batch):
+    build, noise = HEADS[name]
+    model = build()
+    rng = np.random.default_rng(batch)
+    X = rng.standard_normal((batch, 16))
+    y = rng.integers(2, size=batch)
+
+    loss, grads = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=SEED_PATH)
+    ref_loss, ref_grads, ref_logits = _reference_step(model, X, y, noise)
+    assert list(grads) == list(model.parameter_arrays())
+    assert loss == pytest.approx(ref_loss, abs=1e-12)
+    for key in ref_grads:
+        np.testing.assert_allclose(grads[key], ref_grads[key], rtol=0, atol=1e-12)
+
+    logits = model.predict_logits(X, noise=noise, seed_path=SEED_PATH)
+    expected, _ = _reference_logits(model, X, noise)
+    np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+    if noise is not None and not isinstance(model.encoder, MlpEncoder):
+        # quantum latents are exact bits, and the noisy circuit runs per
+        # sample on unchanged streams (an MLP's batched matmul rounds
+        # differently from its one-row products)
+        np.testing.assert_array_equal(logits, expected)
+        losses, _ = softmax_cross_entropy_batch(ref_logits, y)
+        assert loss == float(losses.sum()) * (1.0 / batch)
+
+
+def test_noisy_heads_insert_y():
+    """The heavy-noise heads above do exercise Y insertions on real rows."""
+    model = _quantum_head()
+    noise = HEADS["noisy-exact"][1]
+    ys = 0
+    for i in range(5):
+        traj, _ = _streams(noise, i)
+        run_list = sample_pauli_insertions(model.plan.lifted, noise, traj)
+        ys += sum(g[0] == PAULI and g[2] == "Y" for g in run_list.gates)
+    assert ys > 0
+
+
+def test_noisy_circuit_values_are_bit_identical_per_sample():
+    model = _quantum_head(final_linear=False)
+    noise = HEADS["noisy-500-shots"][1]
+    X = np.random.default_rng(3).standard_normal((7, 16))
+    logits = model.predict_logits(X, noise=noise, seed_path=SEED_PATH)
+    _, z = _reference_logits(model, X, noise)
+    np.testing.assert_array_equal(logits[:, 0], z)
+
+
+def test_latents_and_clean_values_are_bit_identical_to_single_rows():
+    model = _quantum_head(num_encoders=2)
+    X = np.random.default_rng(4).standard_normal((9, 16))
+    logits_no_linear = HybridHead(model.encoder, SPEC, final_linear=False,
+                                  theta_q=model.theta_q).predict_logits(X)
+    latents = model.encoder.forward(X)
+    for i, x in enumerate(X):
+        np.testing.assert_array_equal(latents[i], _sample_latent(model, x))
+        z = evaluate_expectation(model.plan.expanded, model.theta_q, latents[i], 0)
+        assert logits_no_linear[i, 0] == z
+
+
+@pytest.mark.parametrize("noise", [None, HEADS["noisy-500-shots"][1]])
+def test_row_chunks_change_no_logit(noise, monkeypatch):
+    model = _quantum_head(num_encoders=2)
+    X = np.random.default_rng(10).standard_normal((7, 16))
+    whole = model.predict_logits(X, noise=noise, seed_path=SEED_PATH)
+    # two 4-qubit rows per chunk: chunks of 2, 2, 2 and 1 rows
+    monkeypatch.setattr("qhead.head._CHUNK_ELEMENTS", 2 << 4)
+    np.testing.assert_array_equal(model.predict_logits(X, noise=noise, seed_path=SEED_PATH), whole)
+
+
+@pytest.mark.parametrize("name", ["clean", "noisy-500-shots"])
+def test_empty_batch(name):
+    build, noise = HEADS[name]
+    model = build()
+    X = np.zeros((0, 16))
+    loss, grads = model.batch_loss_and_gradients(X, np.zeros(0, dtype=int), noise=noise)
+    assert loss == 0.0
+    for key, arr in model.parameter_arrays().items():
+        np.testing.assert_array_equal(grads[key], np.zeros_like(arr))
+    assert model.predict_logits(X, noise=noise).shape == (0, 2)
+
+
+def test_single_input_encoder_calls_keep_their_shapes():
+    model = _quantum_head(num_encoders=2)
+    x = np.random.default_rng(8).standard_normal(16)
+    latent = model.encoder.forward(x)
+    assert latent.shape == (8,)
+    np.testing.assert_array_equal(latent, model.encoder.forward(x[None])[0])
+    dlatent = np.linspace(-1, 1, 8)
+    single = model.encoder.backward(x, dlatent)
+    batched = model.encoder.backward(x[None], dlatent[None])
+    for key in single:
+        assert single[key].shape == model.encoder.parameter_arrays()[key].shape
+        np.testing.assert_array_equal(single[key], batched[key])
+
+
+def test_batched_step_keeps_out_of_range_labels_an_error():
+    model = _quantum_head()
+    X = np.random.default_rng(9).standard_normal((3, 16))
+    with pytest.raises(ConfigurationError, match="label -1"):
+        model.batch_loss_and_gradients(X, np.array([0, -1, 1]))
+    with pytest.raises(ConfigurationError, match="label 2"):
+        model.batch_loss_and_gradients(X, np.array([0, 2, 1]))

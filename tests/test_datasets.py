@@ -107,6 +107,20 @@ class TestCsvFormat:
         with pytest.raises(DataFormatError, match="line 3"):
             load_embeddings(path, "csv")
 
+    @pytest.mark.parametrize("num_classes", [None, 2])
+    def test_negative_label_rejected(self, tmp_path, num_classes):
+        path = tmp_path / "negative.csv"
+        path.write_text("label,f0,f1\n0,1.0,2.0\n-1,3.0,4.0\n")
+        with pytest.raises(DataError, match="label -1"):
+            load_embeddings(path, "csv", num_classes=num_classes)
+
+    def test_label_at_class_count_rejected(self, tmp_path):
+        path = tmp_path / "high.csv"
+        path.write_text("label,f0,f1\n0,1.0,2.0\n2,3.0,4.0\n")
+        assert load_embeddings(path, "csv", num_classes=3).labels.tolist() == [0, 2]
+        with pytest.raises(DataError, match="label 2 out of range for 2 classes"):
+            load_embeddings(path, "csv", num_classes=2)
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_embeddings(tmp_path / "x", "json")

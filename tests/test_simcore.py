@@ -11,6 +11,7 @@ from qhead.simcore import (
     StateVector,
     _pauli,
     amplitude_encode,
+    amplitude_encode_rows,
     angle_encode,
     apply_cnot,
     apply_pauli,
@@ -168,6 +169,27 @@ class TestAmplitudeEncode:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DataError, match="index 2"):
             amplitude_encode([0.5, 1.0, bad], 2)
+
+
+class TestAmplitudeEncodeRows:
+    def test_rows_equal_single_encodings_bit_for_bit(self):
+        X = np.random.default_rng(1).standard_normal((6, 768)) * np.logspace(-3, 3, 6)[:, None]
+        amps = amplitude_encode_rows(X, 10)
+        assert amps.dtype == np.float64 and amps.shape == (6, 1024)
+        for x, row in zip(X, amps):
+            np.testing.assert_array_equal(row, amplitude_encode(x, 10).amplitudes.real)
+
+    def test_errors_name_the_row(self):
+        X = np.ones((3, 4))
+        X[1, 2] = math.nan
+        with pytest.raises(DataError, match="row 1 .*index 2"):
+            amplitude_encode_rows(X, 2)
+        with pytest.raises(DegenerateInputError, match="row 2"):
+            amplitude_encode_rows(np.vstack([np.ones(4), np.ones(4), np.zeros(4)]), 2)
+        with pytest.raises(ConfigurationError):
+            amplitude_encode_rows(np.ones((2, 5)), 2)
+        with pytest.raises(ConfigurationError):
+            amplitude_encode_rows(np.ones(4), 2)
 
 
 class TestAngleEncode:

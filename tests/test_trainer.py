@@ -48,6 +48,11 @@ class TestCrossEntropy:
         with pytest.raises(ConfigurationError):
             cross_entropy_loss([0.0, 0.0], 2)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_batch_label_out_of_range(self, label):
+        with pytest.raises(ConfigurationError, match=f"label {label}"):
+            softmax_cross_entropy_batch(np.zeros((2, 3)), np.array([0, label]))
+
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
         logits = rng.standard_normal((5, 3))
