@@ -17,11 +17,13 @@ from |0...0> the states are real, because every gate is real up to a global
 phase: on real arrays Y is applied as XZ = -iY, and the dropped phase never
 reaches |amplitude|^2.
 
+Single circuit values (``evaluate_expectation``, ``trajectory_expectation``
+and the head's noisy one-sample value) share one run-and-measure helper,
+``_single_value``, on one real row; a caller's ``initial`` keeps its dtype.
+
 The adjoint sweep runs on a (B, 2^Q) batch of real rows, each with its own
 latent and observable weights, and takes each RY derivative as the real
-overlap <lambda|(-iY)|psi> before un-applying the gate. Single-state
-evaluation (``evaluate_expectation``, ``trajectory_expectation``) stays
-complex.
+overlap <lambda|(-iY)|psi> before un-applying the gate.
 """
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ from .simcore import (
     _qubit_view,
     _ry,
     _z_expectation,
-    _zero_amplitudes,
 )
 
 # cap on amplitudes held at once during batched evaluation (32 MB of float64)
@@ -75,12 +76,16 @@ def run_gates(amps: np.ndarray, circuit: GateList, params=None, latent=None) -> 
     return amps
 
 
-def _prepare(circuit: GateList, params, latent):
-    """Validate shapes and expand any encoding steps against ``latent``."""
+def _prepare(circuit: GateList, params, latent, measured: int | None = None):
+    """Validate shapes and ``measured``; expand any encoding steps against ``latent``."""
     if not 1 <= circuit.num_qubits <= MAX_QUBITS:
         raise ConfigurationError(
             f"register width must be in [1, {MAX_QUBITS}] for simulation, "
             f"got {circuit.num_qubits}"
+        )
+    if measured is not None and not 0 <= measured < circuit.num_qubits:
+        raise ConfigurationError(
+            f"measured qubit {measured} out of range for {circuit.num_qubits} qubits"
         )
     params = np.asarray(params if params is not None else [], dtype=np.float64)
     if params.ndim != 1:
@@ -221,6 +226,18 @@ def _paired_shift_values(circuit, params, latent, measured, delta, initial=None)
     return vals[1 : 1 + p], vals[1 + p :]
 
 
+def _single_value(circuit: GateList, params, latent, measured: int,
+                  initial: np.ndarray | None = None) -> float:
+    """<Z_measured> after running one row from real |0...0> (or a copy of ``initial``)."""
+    if initial is None:
+        amps = np.zeros(1 << circuit.num_qubits)
+        amps[0] = 1.0
+    else:
+        amps = initial.copy()
+    run_gates(amps, circuit, params, latent)
+    return float(_z_expectation(amps, circuit.num_qubits, measured))
+
+
 def evaluate_expectation(circuit: GateList, params, latent=None, measured: int = 0,
                          initial: np.ndarray | None = None) -> float:
     """Noiseless, infinite-shot <Z> on ``measured`` after running from |0...0>.
@@ -228,25 +245,17 @@ def evaluate_expectation(circuit: GateList, params, latent=None, measured: int =
     ``initial`` substitutes a caller-prepared starting state (e.g. an
     amplitude-encoded input) for |0...0>.
     """
-    circuit, params, latent = _prepare(circuit, params, latent)
-    if not 0 <= measured < circuit.num_qubits:
-        raise ConfigurationError(f"measured qubit {measured} out of range")
-    amps = _zero_amplitudes(circuit.num_qubits) if initial is None else initial.copy()
-    run_gates(amps, circuit, params, latent)
-    return float(_z_expectation(amps, circuit.num_qubits, measured))
+    circuit, params, latent = _prepare(circuit, params, latent, measured)
+    return _single_value(circuit, params, latent, measured, initial)
 
 
 def trajectory_expectation(circuit: GateList, params, latent=None, noise=None,
                            rng: np.random.Generator | None = None, measured: int = 0) -> float:
     """<Z> for one sampled Pauli-insertion trajectory (still infinite shots)."""
-    circuit, params, latent = _prepare(circuit, params, latent)
-    if noise is not None and (noise.p1q > 0 or noise.p2q > 0):
-        if rng is None:
-            raise ConfigurationError("an rng stream is required for gate-noise trajectories")
+    circuit, params, latent = _prepare(circuit, params, latent, measured)
+    if noise is not None:
         circuit = noise_mod.sample_pauli_insertions(circuit, noise, rng)
-    amps = _zero_amplitudes(circuit.num_qubits)
-    run_gates(amps, circuit, params, latent)
-    return float(_z_expectation(amps, circuit.num_qubits, measured))
+    return _single_value(circuit, params, latent, measured)
 
 
 def parameter_shift_gradient(circuit: GateList, params, latent=None, measured: int = 0,
@@ -258,20 +267,12 @@ def parameter_shift_gradient(circuit: GateList, params, latent=None, measured: i
     every shifted evaluation, and finite-shot sampling reuses one normal draw
     per +/- pair (common random numbers).
     """
-    circuit, params, latent = _prepare(circuit, params, latent)
-    run_list = circuit
-    noisy = noise is not None and not noise.is_noiseless
-    if noisy and (noise.p1q > 0 or noise.p2q > 0):
-        if rng is None:
-            raise ConfigurationError("an rng stream is required for noisy gradients")
-        run_list = noise_mod.sample_pauli_insertions(circuit, noise, rng)
-    plus, minus = _paired_shift_values(run_list, params, latent, measured, math.pi / 2, initial)
-    if noisy and noise.shots is not None and params.size:
-        if rng is None:
-            raise ConfigurationError("an rng stream is required for noisy gradients")
-        eps = rng.standard_normal(params.size)
-        plus = noise_mod.gaussian_shot_estimate(plus, noise.shots, eps)
-        minus = noise_mod.gaussian_shot_estimate(minus, noise.shots, eps)
+    circuit, params, latent = _prepare(circuit, params, latent, measured)
+    if noise is not None:
+        circuit = noise_mod.sample_pauli_insertions(circuit, noise, rng)
+    plus, minus = _paired_shift_values(circuit, params, latent, measured, math.pi / 2, initial)
+    if noise is not None and noise.shots is not None and params.size:
+        plus, minus = noise_mod.paired_shot_estimates(plus, minus, noise.shots, rng)
     return (plus - minus) / 2.0
 
 
@@ -280,7 +281,7 @@ def finite_difference_oracle(circuit: GateList, params, latent=None, measured: i
     """Central differences [E(theta+h) - E(theta-h)] / (2h), noiseless."""
     if h <= 0:
         raise ConfigurationError(f"step size must be positive, got {h}")
-    circuit, params, latent = _prepare(circuit, params, latent)
+    circuit, params, latent = _prepare(circuit, params, latent, measured)
     plus, minus = _paired_shift_values(circuit, params, latent, measured, h, initial)
     return (plus - minus) / (2.0 * h)
 
@@ -315,10 +316,10 @@ def adjoint_observable_gradients(circuit: GateList, params, latent=None,
     params = np.asarray(params if params is not None else [], dtype=np.float64)
     latent = None if latent is None else np.asarray(latent, dtype=np.float64)
     n = circuit.num_qubits
-    if z_weights is None:
-        z_weights = np.zeros(n)
-        z_weights[measured] = 1.0
-    z_weights = np.asarray(z_weights, dtype=np.float64)
+    circuit, _, _ = _prepare(circuit, _first_row(params), _first_row(latent),
+                             measured if z_weights is None else None)
+    z_weights = np.asarray(np.eye(n)[measured] if z_weights is None else z_weights,
+                           dtype=np.float64)
     if z_weights.ndim not in (1, 2) or z_weights.shape[-1] != n:
         raise ConfigurationError(
             f"z_weights must have shape ({n},) or (rows, {n}), got {z_weights.shape}"
@@ -330,7 +331,6 @@ def adjoint_observable_gradients(circuit: GateList, params, latent=None,
         raise ConfigurationError(f"row axes disagree in length: {sorted(row_counts)}")
     batched = bool(row_counts)
     rows = row_counts.pop() if batched else 1
-    circuit, _, _ = _prepare(circuit, _first_row(params), _first_row(latent))
     dim = 1 << n
     if states is not None and states.shape not in ((dim,), (rows, dim)):
         raise ConfigurationError(f"states must have shape ({dim},) or ({rows}, {dim}), "

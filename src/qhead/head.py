@@ -19,10 +19,12 @@ Gradients: analytic linear-layer terms chain with parameter-shift gradients of
 the noisy circuit (one shared Pauli trajectory, and one normal draw per +/-
 pair, as common random numbers) and an adjoint sweep through the exact
 encoders, one batched sweep per encoder. Noisy samples run one at a time,
-each on its own trajectory and shot streams; the 1 + 2(P + K) shift rows of a
-sample (P circuit angles, K encoding-gate occurrences) run as one real-valued
-batch in which each shifted row starts at its own shifted gate from a copy of
-the unshifted state (see ``qhead.grad``). With no noise attached the circuit
+each on its own trajectory and shot streams, sampled on the lifted circuit
+(each encoding-gate occurrence its own angle slot) for values and gradients
+alike. A noisy value is one real row; the 1 + 2(P + K) shift rows of a sample
+(P circuit angles, K encoding-gate occurrences) run as one real-valued batch
+in which each shifted row starts at its own shifted gate from a copy of the
+unshifted state (see ``qhead.grad``). With no noise attached the circuit
 gradient is one batched adjoint sweep over all samples instead; both routes
 agree to 1e-8 and are cross-checked in the tests.
 """
@@ -41,6 +43,7 @@ from .grad import (
     _CHUNK_ELEMENTS,
     _batch_expectations,
     _shift_rows,
+    _single_value,
     adjoint_observable_gradients,
     lift_data_slots,
     parameter_shift_jacobian,
@@ -50,7 +53,6 @@ from .simcore import (
     MAX_QUBITS,
     _all_z_expectations,
     _z_expectation,
-    _zero_amplitudes,
     amplitude_encode,
     amplitude_encode_rows,
 )
@@ -110,13 +112,18 @@ def encoder_circuit(config: EncoderConfig) -> GateList:
     return GateList(config.encoder_qubits, gates)
 
 
-def encoder_forward(x, theta_c, config: EncoderConfig) -> np.ndarray:
-    """Latent of one encoder: exact per-qubit <Z> (no shots, no gate noise)."""
+def _encoder_theta(theta_c, config: EncoderConfig) -> np.ndarray:
     theta_c = np.asarray(theta_c, dtype=np.float64)
     if theta_c.shape != (config.params_per_encoder,):
         raise ConfigurationError(
             f"encoder expects {config.params_per_encoder} parameters, got shape {theta_c.shape}"
         )
+    return theta_c
+
+
+def encoder_forward(x, theta_c, config: EncoderConfig) -> np.ndarray:
+    """Latent of one encoder: exact per-qubit <Z> (no shots, no gate noise)."""
+    theta_c = _encoder_theta(theta_c, config)
     state = amplitude_encode(x, config.encoder_qubits)
     run_gates(state.amplitudes, encoder_circuit(config), theta_c, None)
     return _all_z_expectations(state.amplitudes, config.encoder_qubits)
@@ -240,22 +247,26 @@ def _clean_values_and_grads(plan: _PqcPlan, theta_q: np.ndarray, latents):
     return z, gtheta, glatent
 
 
+def _noisy_run(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
+               noise: noise_mod.NoiseModel, rng_traj):
+    """One sampled trajectory of the lifted circuit and the angles it reads.
+
+    The lifted circuit reads each encoding-gate occurrence as its own slot,
+    so one angle vector ``concat(theta_q, latent[occurrences])`` serves the
+    value and every shifted row.
+    """
+    _check_theta(plan, theta_q)
+    run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
+    return run_list, np.concatenate([theta_q, latent[plan.occurrences]])
+
+
 def _pqc_value(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
                noise: noise_mod.NoiseModel | None, rng_traj, rng_shot) -> float:
     if noise is None or noise.is_noiseless:
         return float(_clean_values(plan, theta_q, latent[None])[0])
-    _check_theta(plan, theta_q)
-    run_list = plan.expanded
-    if noise.p1q > 0 or noise.p2q > 0:
-        if rng_traj is None:
-            raise ConfigurationError("an rng stream is required for gate-noise trajectories")
-        run_list = noise_mod.sample_pauli_insertions(plan.expanded, noise, rng_traj)
-    amps = _zero_amplitudes(plan.spec.qubits)
-    run_gates(amps, run_list, theta_q, latent)
-    z = float(_z_expectation(amps, plan.spec.qubits, 0))
+    run_list, ext = _noisy_run(plan, theta_q, latent, noise, rng_traj)
+    z = _single_value(run_list, ext, None, 0)
     if noise.shots is not None:
-        if rng_shot is None:
-            raise ConfigurationError("an rng stream is required for shot sampling")
         z = float(noise_mod.shot_sample_expectation(z, noise.shots, rng_shot).estimate)
     return z
 
@@ -266,32 +277,18 @@ def _pqc_value_and_grads(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray
     if noise is None or noise.is_noiseless:
         z, gtheta, glatent = _clean_values_and_grads(plan, theta_q, latent[None])
         return float(z[0]), gtheta[0], glatent[0]
-    _check_theta(plan, theta_q)
-
-    p, k = plan.n_params, plan.occurrences.size
-    ext = np.concatenate([theta_q, latent[plan.occurrences]])
-    run_list = plan.lifted
-    if noise.p1q > 0 or noise.p2q > 0:
-        if rng_traj is None:
-            raise ConfigurationError("an rng stream is required for gate-noise trajectories")
-        run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
-    total = p + k
+    run_list, ext = _noisy_run(plan, theta_q, latent, noise, rng_traj)
+    total = ext.size
     vals = _batch_expectations(run_list, _shift_rows(ext, math.pi / 2), None, 0)
+    z = float(vals[0])
+    plus, minus = vals[1 : 1 + total], vals[1 + total :]
     if noise.shots is not None:
-        if rng_shot is None:
-            raise ConfigurationError("an rng stream is required for shot sampling")
-        eps0 = rng_shot.standard_normal()
-        eps = rng_shot.standard_normal(total)
-        z = float(noise_mod.gaussian_shot_estimate(vals[0], noise.shots, eps0))
-        plus = noise_mod.gaussian_shot_estimate(vals[1 : 1 + total], noise.shots, eps)
-        minus = noise_mod.gaussian_shot_estimate(vals[1 + total :], noise.shots, eps)
-    else:
-        z = float(vals[0])
-        plus, minus = vals[1 : 1 + total], vals[1 + total :]
+        z = float(noise_mod.shot_sample_expectation(z, noise.shots, rng_shot).estimate)
+        plus, minus = noise_mod.paired_shot_estimates(plus, minus, noise.shots, rng_shot)
     g_ext = (plus - minus) / 2.0
-    gtheta = g_ext[:p]
+    gtheta = g_ext[: plan.n_params]
     glatent = np.zeros(plan.latent_dim)
-    np.add.at(glatent, plan.occurrences, g_ext[p:])
+    np.add.at(glatent, plan.occurrences, g_ext[plan.n_params :])
     return z, gtheta, glatent
 
 
@@ -349,17 +346,14 @@ def count_head_parameters(encoder_config: EncoderConfig, spec: CircuitSpec,
 def init_head_params(encoder_config: EncoderConfig, spec: CircuitSpec,
                      num_classes: int = 2, rng: np.random.Generator | None = None,
                      final_linear: bool = True) -> HeadParams:
-    """Angles uniform in [-pi, pi); linear weights small normal."""
+    """The initial values of a fresh :class:`HybridHead` drawn from ``rng``.
+
+    Angles are uniform in [-pi, pi); linear weights small normal.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
-    theta_c = [
-        rng.uniform(-math.pi, math.pi, encoder_config.params_per_encoder)
-        for _ in range(encoder_config.num_encoders)
-    ]
-    theta_q = rng.uniform(-math.pi, math.pi, count_parameters(spec))
-    linear = None
-    if final_linear:
-        linear = 0.1 * rng.standard_normal((num_classes, encoder_config.latent_dim + 1))
-    return HeadParams(theta_c=theta_c, theta_q=theta_q, linear=linear)
+    model = HybridHead(QuantumEncoder(encoder_config, rng), spec, num_classes=num_classes,
+                       final_linear=final_linear, rng=rng)
+    return HeadParams(theta_c=model.encoder.theta, theta_q=model.theta_q, linear=model.linear)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +377,7 @@ class QuantumEncoder:
                 raise ConfigurationError(
                     f"expected {config.num_encoders} parameter vectors, got {len(theta)}"
                 )
-            self.theta = [np.asarray(t, dtype=np.float64) for t in theta]
-            for t in self.theta:
-                if t.shape != (config.params_per_encoder,):
-                    raise ConfigurationError(
-                        f"encoder expects {config.params_per_encoder} parameters, "
-                        f"got shape {t.shape}"
-                    )
+            self.theta = [_encoder_theta(t, config) for t in theta]
         else:
             if rng is None:
                 raise ConfigurationError("either theta or an rng must be provided")
@@ -454,11 +442,7 @@ class HybridHead:
         self.plan = _plan_pqc(spec, encoder.latent_dim)
         if theta_q is not None:
             self.theta_q = np.asarray(theta_q, dtype=np.float64)
-            if self.theta_q.shape != (self.plan.n_params,):
-                raise ConfigurationError(
-                    f"circuit expects {self.plan.n_params} parameters, got "
-                    f"shape {self.theta_q.shape}"
-                )
+            _check_theta(self.plan, self.theta_q)
         else:
             if rng is None:
                 raise ConfigurationError("either theta_q or an rng must be provided")
@@ -510,13 +494,11 @@ class HybridHead:
                 )
             live[...] = incoming
 
-    def _streams(self, noise, seed_path, sample_index):
-        noisy = noise is not None and not noise.is_noiseless
-        if not noisy:
-            return None, None
-        traj = seeding.stream(noise.seed, seeding.TRAJECTORY, *seed_path, sample_index)
-        shot = seeding.stream(noise.seed, seeding.SHOTS, *seed_path, sample_index)
-        return traj, shot
+    @staticmethod
+    def _streams(noise, seed_path, sample_index):
+        """The trajectory and shot streams of one noisy sample."""
+        return (seeding.stream(noise.seed, seeding.TRAJECTORY, *seed_path, sample_index),
+                seeding.stream(noise.seed, seeding.SHOTS, *seed_path, sample_index))
 
     def _circuit(self, latent: np.ndarray, noise, seed_path, grads: bool):
         """Per-row z (B,); with ``grads`` also dz/dtheta_q (B, P) and dz/dlatent (B, L).

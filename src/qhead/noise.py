@@ -52,17 +52,25 @@ class ShotSample:
     mean_path: float
 
 
+def _require_rng(rng, what: str) -> np.random.Generator:
+    """``rng``, or a ConfigurationError when draws are due and there is none."""
+    if rng is None:
+        raise ConfigurationError(f"an rng stream is required for {what}")
+    return rng
+
+
 def sample_pauli_insertions(circuit: GateList, model: NoiseModel,
-                            rng: np.random.Generator) -> GateList:
+                            rng: np.random.Generator | None) -> GateList:
     """Draw one noise trajectory: random Pauli records after noisy gates.
 
     Single-qubit gates (trainable and encoding rotations) fire with p1q, CNOTs
     with p2q. Returns a new gate list; with both rates zero the input is
-    returned unchanged. Encoding steps must be expanded first so each
-    constituent rotation can receive its own insertion.
+    returned unchanged and ``rng`` may be None. Encoding steps must be
+    expanded first so each constituent rotation can receive its own insertion.
     """
     if model.p1q == 0.0 and model.p2q == 0.0:
         return circuit
+    rng = _require_rng(rng, "gate-noise trajectories")
     gates: list[tuple] = []
     for g in circuit.gates:
         if g[0] == ENCODE:
@@ -90,7 +98,18 @@ def gaussian_shot_estimate(z, shots: int, eps):
     return np.clip(z + np.asarray(eps) * sigma, -1.0, 1.0)
 
 
-def shot_sample_expectation(z, shots: int | None, rng: np.random.Generator) -> ShotSample:
+def paired_shot_estimates(plus, minus, shots: int, rng: np.random.Generator | None):
+    """Finite-shot estimates of each +/- pair, sharing one normal draw per pair.
+
+    The shared draw (common random numbers) keeps the shot noise of a shifted
+    pair correlated, so it largely cancels in their difference.
+    """
+    eps = _require_rng(rng, "shot sampling").standard_normal(len(plus))
+    return gaussian_shot_estimate(plus, shots, eps), gaussian_shot_estimate(minus, shots, eps)
+
+
+def shot_sample_expectation(z, shots: int | None,
+                            rng: np.random.Generator | None) -> ShotSample:
     """Sample a finite-shot estimate of <Z> = z; exact at z = +/-1 and S = inf."""
     z = np.asarray(z, dtype=np.float64)
     if np.any(np.abs(z) > 1.0 + 1e-9):
@@ -101,7 +120,7 @@ def shot_sample_expectation(z, shots: int | None, rng: np.random.Generator) -> S
         return ShotSample(out, out)
     if shots < 1:
         raise ConfigurationError(f"shots must be >= 1, got {shots}")
-    eps = rng.standard_normal(z.shape)
+    eps = _require_rng(rng, "shot sampling").standard_normal(z.shape)
     est = gaussian_shot_estimate(z, shots, eps)
     if z.ndim == 0:
         return ShotSample(float(est), float(z))

@@ -126,12 +126,6 @@ def _all_z_expectations(amps: np.ndarray, num_qubits: int) -> np.ndarray:
     )
 
 
-def _zero_amplitudes(num_qubits: int, lead: tuple[int, ...] = ()) -> np.ndarray:
-    amps = np.zeros((*lead, 1 << num_qubits), dtype=np.complex128)
-    amps[..., 0] = 1.0
-    return amps
-
-
 # ---------------------------------------------------------------------------
 # public single-state operations
 
@@ -149,7 +143,9 @@ def zero_state(num_qubits: int) -> StateVector:
         raise ConfigurationError(
             f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
         )
-    return StateVector(num_qubits, _zero_amplitudes(num_qubits))
+    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps[0] = 1.0
+    return StateVector(num_qubits, amps)
 
 
 def apply_ry(state: StateVector, qubit: int, theta: float) -> StateVector:

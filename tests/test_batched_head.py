@@ -15,20 +15,23 @@ import pytest
 from qhead.ansatz import PAULI, CircuitSpec
 from qhead.baselines import MlpConfig, MlpEncoder
 from qhead.errors import ConfigurationError
-from qhead.grad import adjoint_observable_gradients, evaluate_expectation
+from qhead.grad import adjoint_observable_gradients, evaluate_expectation, trajectory_expectation
 from qhead.head import (
     EncoderConfig,
     HybridHead,
+    _plan_pqc,
     _pqc_value,
     _pqc_value_and_grads,
     build_hybrid_head,
     encoder_backward,
     encoder_forward,
 )
-from qhead.noise import NoiseModel, sample_pauli_insertions
+from qhead.noise import NoiseModel, gaussian_shot_estimate, sample_pauli_insertions
 from qhead.seeding import PARAM_INIT, SHOTS, TRAJECTORY, stream
 from qhead.simcore import zero_state
 from qhead.trainer import cross_entropy_loss, softmax_cross_entropy_batch
+
+from oracles import dense_run, dense_z
 
 SPEC = CircuitSpec(qubits=4, main_layers=1, reupload_count=2, reupload_layers=1)
 HEAVY_NOISE = dict(p1q=0.2, p2q=0.2, seed=11)
@@ -172,6 +175,38 @@ def test_noisy_heads_insert_y():
         traj, _ = _streams(noise, i)
         run_list = sample_pauli_insertions(model.plan.lifted, noise, traj)
         ys += sum(g[0] == PAULI and g[2] == "Y" for g in run_list.gates)
+    assert ys > 0
+
+
+@pytest.mark.parametrize("shots", [None, 500])
+def test_noisy_values_match_the_dense_oracle_on_their_trajectory(shots):
+    """``_pqc_value`` and ``trajectory_expectation`` on real rows against complex
+    dense matrices run over the same sampled gate list, Pauli records included.
+
+    The reference samples the trajectory of ``plan.expanded`` from a fresh copy
+    of the stream ``_pqc_value`` samples ``plan.lifted`` from.
+    """
+    noise = NoiseModel(p1q=0.2, p2q=0.2, shots=shots, seed=13)
+    ys = 0
+    for q in (2, 3, 4):
+        spec = CircuitSpec(qubits=q, main_layers=1, reupload_count=2, reupload_layers=1)
+        plan = _plan_pqc(spec, q * (1 + q % 2))
+        rng = np.random.default_rng(q)
+        for i in range(8):
+            theta = rng.uniform(-np.pi, np.pi, plan.n_params)
+            latent = rng.uniform(-1, 1, plan.latent_dim)
+            run_list = sample_pauli_insertions(plan.expanded, noise, stream(13, TRAJECTORY, q, i))
+            ys += sum(g[0] == PAULI and g[2] == "Y" for g in run_list.gates)
+            want = dense_z(dense_run(run_list.gates, q, theta, latent), 0, q)
+            traj = trajectory_expectation(plan.expanded, theta, latent, noise,
+                                          stream(13, TRAJECTORY, q, i))
+            assert abs(traj - want) <= 1e-12
+            if shots is not None:
+                eps = stream(13, SHOTS, q, i).standard_normal()
+                want = float(gaussian_shot_estimate(want, shots, eps))
+            got = _pqc_value(plan, theta, latent, noise,
+                             stream(13, TRAJECTORY, q, i), stream(13, SHOTS, q, i))
+            assert abs(got - want) <= 1e-12
     assert ys > 0
 
 

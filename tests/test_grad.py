@@ -384,6 +384,24 @@ class TestTrajectoryExpectation:
         assert a == b
 
 
+_MEASURED_CALLS = {
+    "evaluate_expectation": lambda c, p, m: evaluate_expectation(c, p, measured=m),
+    "trajectory_expectation": lambda c, p, m: trajectory_expectation(c, p, measured=m),
+    "parameter_shift_gradient": lambda c, p, m: parameter_shift_gradient(c, p, measured=m),
+    "finite_difference_oracle": lambda c, p, m: finite_difference_oracle(c, p, measured=m),
+    "adjoint_gradient": lambda c, p, m: adjoint_gradient(c, p, measured=m),
+}
+
+
+@pytest.mark.parametrize("measured", [-1, 2])
+@pytest.mark.parametrize("name", sorted(_MEASURED_CALLS))
+def test_measured_qubit_outside_the_register_is_rejected(name, measured):
+    """-1 must not read the last qubit, and 2 of 2 qubits must not index past it."""
+    circuit = GateList(2, [(RY, 0, 0)])
+    with pytest.raises(ConfigurationError, match=f"measured qubit {measured} out of range"):
+        _MEASURED_CALLS[name](circuit, [0.1], measured)
+
+
 class TestBatchExpectations:
     """Row-batched evaluation: row r runs alone from its first differing gate."""
 

@@ -236,6 +236,32 @@ class TestParameterCounts:
             assert count_head_parameters(enc, spec, num_classes=3) == want
 
 
+@pytest.mark.parametrize("final_linear", [True, False])
+@pytest.mark.parametrize("num_encoders", [1, 2])
+def test_init_head_params_draws_the_class_models_values(num_encoders, final_linear):
+    enc = EncoderConfig(num_encoders=num_encoders, encoder_qubits=3, encoder_layers=2)
+    spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=2)
+    for seed in (0, 4):
+        params = init_head_params(enc, spec, rng=stream(seed, PARAM_INIT),
+                                  final_linear=final_linear)
+        arrays = build_hybrid_head(enc, spec, final_linear=final_linear,
+                                   seed=seed).parameter_arrays()
+        got = {f"encoder_{i}": t for i, t in enumerate(params.theta_c)}
+        got["pqc"] = params.theta_q
+        if params.linear is not None:
+            got["linear"] = params.linear
+        assert got.keys() == arrays.keys()
+        for key, value in arrays.items():
+            assert got[key].tobytes() == value.tobytes(), key
+
+
+def test_init_head_params_without_linear_needs_two_classes():
+    enc = EncoderConfig(num_encoders=1, encoder_qubits=3, encoder_layers=1)
+    spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=1)
+    with pytest.raises(ConfigurationError, match="requires 2 classes"):
+        init_head_params(enc, spec, num_classes=3, final_linear=False)
+
+
 class TestHeadForward:
     def test_no_linear_gives_antisymmetric_logits(self):
         enc = EncoderConfig(num_encoders=1, encoder_qubits=3, encoder_layers=1)
