@@ -100,38 +100,38 @@ class _BatchNorm:
         x_hat = (x - mean) * inv_std
         return self.gamma * x_hat + self.beta, (x_hat, inv_std)
 
-    def backward(self, dout: np.ndarray, cache) -> np.ndarray:
+    def backward(self, dout: np.ndarray, cache):
+        """(dx, dgamma, dbeta), the parameter gradients summed over rows."""
         x_hat, inv_std = cache
         b = len(dout)
-        dgamma = (dout * x_hat).sum(axis=0)
-        dbeta = dout.sum(axis=0)
         dx_hat = dout * self.gamma
         dx = (inv_std / b) * (
             b * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0)
         )
-        self._grads = {"bn_gamma": dgamma / b, "bn_beta": dbeta / b}
-        return dx
+        return dx, (dout * x_hat).sum(axis=0), dout.sum(axis=0)
 
 
-class MlpHead:
-    """Classification head: input -> [hidden, optional batch norm, ReLU] -> classes."""
+class _Mlp:
+    """MLP body: input -> [hidden, optional batch norm, ReLU] -> output.
 
-    def __init__(self, in_dim: int, num_classes: int, config: MlpConfig,
+    Weights are drawn from ``rng`` in a fixed order (w1, then w2), so a head
+    and an encoder of the same shapes draw the same values from one stream.
+    ``_backward`` returns the gradients summed over the rows of a batch.
+    """
+
+    def __init__(self, in_dim: int, out_dim: int, config: MlpConfig,
                  rng: np.random.Generator):
         self.config = config
-        self.num_classes = num_classes
         if config.hidden_layers == 0:
-            self.w1 = rng.standard_normal((in_dim, num_classes)) / math.sqrt(in_dim)
-            self.b1 = np.zeros(num_classes)
-            self.w2 = None
-            self.b2 = None
-            self.bn = None
+            self.w1 = rng.standard_normal((in_dim, out_dim)) / math.sqrt(in_dim)
+            self.b1 = np.zeros(out_dim)
+            self.w2 = self.b2 = self.bn = None
         else:
             h = config.hidden_dim
             self.w1 = rng.standard_normal((in_dim, h)) * math.sqrt(2.0 / in_dim)
             self.b1 = np.zeros(h)
-            self.w2 = rng.standard_normal((h, num_classes)) / math.sqrt(h)
-            self.b2 = np.zeros(num_classes)
+            self.w2 = rng.standard_normal((h, out_dim)) / math.sqrt(h)
+            self.b2 = np.zeros(out_dim)
             self.bn = _BatchNorm(h) if config.batch_norm else None
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
@@ -145,44 +145,53 @@ class MlpHead:
         return arrays
 
     def _forward(self, X: np.ndarray, training: bool):
+        """Output rows and the cache ``_backward`` reads."""
         pre = X @ self.w1 + self.b1
         if self.w2 is None:
-            return pre, None
+            return pre, (X, None, None, None)
         bn_cache = None
-        hidden = pre
         if self.bn is not None:
-            hidden, bn_cache = self.bn.forward(hidden, training)
-        relu_mask = hidden > 0
-        act = hidden * relu_mask
-        logits = act @ self.w2 + self.b2
-        return logits, (X, pre, bn_cache, relu_mask, act)
+            pre, bn_cache = self.bn.forward(pre, training)
+        relu_mask = pre > 0
+        act = pre * relu_mask
+        return act @ self.w2 + self.b2, (X, bn_cache, relu_mask, act)
+
+    def _backward(self, dout: np.ndarray, cache) -> dict[str, np.ndarray]:
+        """Gradients of sum_b dout[b] . output[b], keyed as in ``_Mlp.parameter_arrays``."""
+        X, bn_cache, relu_mask, act = cache
+        if self.w2 is None:
+            return {"w1": X.T @ dout, "b1": dout.sum(axis=0)}
+        grads = {"w2": act.T @ dout, "b2": dout.sum(axis=0)}
+        dhidden = (dout @ self.w2.T) * relu_mask
+        if self.bn is not None:
+            dhidden, grads["bn_gamma"], grads["bn_beta"] = self.bn.backward(dhidden, bn_cache)
+        grads["w1"] = X.T @ dhidden
+        grads["b1"] = dhidden.sum(axis=0)
+        return grads
+
+
+class MlpHead(_Mlp):
+    """Classification head: input -> [hidden, optional batch norm, ReLU] -> classes."""
+
+    def __init__(self, in_dim: int, num_classes: int, config: MlpConfig,
+                 rng: np.random.Generator):
+        super().__init__(in_dim, num_classes, config, rng)
+        self.num_classes = num_classes
 
     def predict_logits(self, X, noise=None, seed_path=()) -> np.ndarray:
         logits, _ = self._forward(np.asarray(X, dtype=np.float64), training=False)
         return logits
 
     def batch_loss_and_gradients(self, X, y, noise=None, seed_path=()):
-        X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y)
-        logits, cache = self._forward(X, training=True)
+        logits, cache = self._forward(np.asarray(X, dtype=np.float64), training=True)
         losses, dlogits = softmax_cross_entropy_batch(logits, y)
         b = len(y)
-        if self.w2 is None:
-            grads = {"w1": X.T @ dlogits / b, "b1": dlogits.mean(axis=0)}
-            return float(losses.mean()), grads
-        _, _, bn_cache, relu_mask, act = cache
-        grads = {"w2": act.T @ dlogits / b, "b2": dlogits.mean(axis=0)}
-        dact = dlogits @ self.w2.T
-        dhidden = dact * relu_mask
-        if self.bn is not None:
-            dhidden = self.bn.backward(dhidden, bn_cache)
-            grads.update(self.bn._grads)
-        grads["w1"] = X.T @ dhidden / b
-        grads["b1"] = dhidden.mean(axis=0)
+        grads = {k: g / b for k, g in self._backward(dlogits, cache).items()}
         return float(losses.mean()), grads
 
 
-class MlpEncoder:
+class MlpEncoder(_Mlp):
     """Classical drop-in for the quantum encoders: input -> [hidden ReLU] -> tanh latent.
 
     The tanh keeps the latent inside [-1, 1] so the downstream circuit sees the
@@ -197,55 +206,22 @@ class MlpEncoder:
                  rng: np.random.Generator):
         if config.batch_norm:
             raise ConfigurationError("batch norm is not supported inside the encoder stage")
-        self.config = config
-        self._latent_dim = latent_dim
-        if config.hidden_layers == 0:
-            self.w1 = rng.standard_normal((in_dim, latent_dim)) / math.sqrt(in_dim)
-            self.b1 = np.zeros(latent_dim)
-            self.w2 = None
-            self.b2 = None
-        else:
-            h = config.hidden_dim
-            self.w1 = rng.standard_normal((in_dim, h)) * math.sqrt(2.0 / in_dim)
-            self.b1 = np.zeros(h)
-            self.w2 = rng.standard_normal((h, latent_dim)) / math.sqrt(h)
-            self.b2 = np.zeros(latent_dim)
-
-    @property
-    def latent_dim(self) -> int:
-        return self._latent_dim
+        super().__init__(in_dim, latent_dim, config, rng)
+        self.latent_dim = latent_dim
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
-        arrays = {"enc_w1": self.w1, "enc_b1": self.b1}
-        if self.w2 is not None:
-            arrays["enc_w2"] = self.w2
-            arrays["enc_b2"] = self.b2
-        return arrays
-
-    def _forward(self, X: np.ndarray):
-        pre1 = X @ self.w1 + self.b1
-        if self.w2 is None:
-            return np.tanh(pre1), None, None
-        relu_mask = pre1 > 0
-        act = pre1 * relu_mask
-        return np.tanh(act @ self.w2 + self.b2), relu_mask, act
+        return {f"enc_{k}": v for k, v in super().parameter_arrays().items()}
 
     def forward(self, x) -> np.ndarray:
-        latent, _, _ = self._forward(np.asarray(x, dtype=np.float64))
-        return latent
+        pre, _ = self._forward(np.asarray(x, dtype=np.float64), training=False)
+        return np.tanh(pre)
 
     def backward(self, x, dlatent) -> dict[str, np.ndarray]:
         """Gradients of sum_b dlatent[b] . latent(x[b]), for (B, d) or (d,) input."""
-        X = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        latent, relu_mask, act = self._forward(X)
-        dpre_out = np.asarray(dlatent).reshape(latent.shape) * (1.0 - latent * latent)
-        if self.w2 is None:
-            return {"enc_w1": X.T @ dpre_out, "enc_b1": dpre_out.sum(axis=0)}
-        grads = {"enc_w2": act.T @ dpre_out, "enc_b2": dpre_out.sum(axis=0)}
-        dpre1 = (dpre_out @ self.w2.T) * relu_mask
-        grads["enc_w1"] = X.T @ dpre1
-        grads["enc_b1"] = dpre1.sum(axis=0)
-        return grads
+        pre, cache = self._forward(np.atleast_2d(np.asarray(x, dtype=np.float64)), training=True)
+        latent = np.tanh(pre)
+        dpre = np.asarray(dlatent).reshape(latent.shape) * (1.0 - latent * latent)
+        return {f"enc_{k}": g for k, g in self._backward(dpre, cache).items()}
 
 
 def logistic_train(dataset, config: TrainConfig, noise=None):

@@ -10,6 +10,7 @@ file excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import multiprocessing
 import sys
@@ -30,10 +31,16 @@ from .config import (
     sweep_axes,
 )
 from .datasets import load_embeddings, make_count_splits, make_benchmark_splits
-from .energy import EnergyConstants, crossover_curve, find_crossover
-from .errors import ConfigurationError, DataError, DataFormatError, DegenerateInputError
+from .energy import DEFAULT_CONSTANTS, EnergyConstants, crossover_curve, find_crossover
+from .errors import (
+    ConfigurationError,
+    DataError,
+    DataFormatError,
+    DegenerateInputError,
+    UnsupportedModeError,
+)
 from .head import HybridHead, QuantumEncoder
-from .trainer import count_model_parameters, cross_entropy_loss, evaluate, train
+from .trainer import count_model_parameters, cross_entropy_loss, evaluate, load_parameters, train
 
 _USAGE_ERROR = 2
 
@@ -145,7 +152,7 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(cfg)
     model = build_model(cfg, dataset.dim)
     arrays, _ = load_checkpoint(args.checkpoint)
-    model.load_parameter_arrays(arrays)
+    load_parameters(model, arrays)
     accuracy = evaluate(model, dataset, args.split, cfg.noise_model(),
                         seed_path=(seeding.TEST,))
     out_dir = Path(mapping.get("out_dir", "runs/experiment"))
@@ -284,27 +291,24 @@ def cmd_gradcheck(args) -> int:
     return 0 if passed else 1
 
 
+# each ``qhead energy`` flag sets one EnergyConstants field, with its default
+# taken from DEFAULT_CONSTANTS
+_ENERGY_FLAGS = {
+    "--qpu-watts": "qpu_watts_per_qubit",
+    "--t-1q": "t_1q_seconds",
+    "--t-2q": "t_2q_seconds",
+    "--shots": "shots",
+    "--gpu-watts": "gpu_watts",
+    "--gpu-flops": "gpu_flops",
+}
+
+
 def cmd_energy(args) -> int:
-    constants = EnergyConstants(
-        qpu_watts_per_qubit=args.qpu_watts,
-        t_1q_seconds=args.t_1q,
-        t_2q_seconds=args.t_2q,
-        shots=args.shots,
-        gpu_watts=args.gpu_watts,
-        gpu_flops=args.gpu_flops,
-    )
+    constants = EnergyConstants(**{f: getattr(args, f) for f in _ENERGY_FLAGS.values()})
     qubit_range = range(args.min_qubits, args.max_qubits + 1)
     crossover = find_crossover(constants, qubit_range)
     rows = crossover_curve(constants, qubit_range)
-    settings = {
-        "qpu_watts_per_qubit": constants.qpu_watts_per_qubit,
-        "t_1q_seconds": constants.t_1q_seconds,
-        "t_2q_seconds": constants.t_2q_seconds,
-        "shots": constants.shots,
-        "gpu_watts": constants.gpu_watts,
-        "gpu_flops": constants.gpu_flops,
-        "crossover_qubits": crossover,
-    }
+    settings = dict(dataclasses.asdict(constants), crossover_qubits=crossover)
     lines = [_config_comment_lines(settings), "qubits,e_qpu_kj,e_gpu_kj\n"]
     lines.extend(f"{q},{e_qpu!r},{e_gpu!r}\n" for q, e_qpu, e_gpu in rows)
     out = Path(args.out) if args.out else Path("energy.csv")
@@ -347,12 +351,9 @@ def main(argv=None) -> int:
 
     energy_p = sub.add_parser("energy", help="QPU/GPU energy curves and crossover")
     energy_p.add_argument("--out", default=None, help="curve CSV path")
-    energy_p.add_argument("--qpu-watts", type=float, default=300.0, dest="qpu_watts")
-    energy_p.add_argument("--t-1q", type=float, default=1e-4, dest="t_1q")
-    energy_p.add_argument("--t-2q", type=float, default=1e-5, dest="t_2q")
-    energy_p.add_argument("--shots", type=int, default=8000)
-    energy_p.add_argument("--gpu-watts", type=float, default=700.0, dest="gpu_watts")
-    energy_p.add_argument("--gpu-flops", type=float, default=3.4e13, dest="gpu_flops")
+    for flag, field in _ENERGY_FLAGS.items():
+        default = getattr(DEFAULT_CONSTANTS, field)
+        energy_p.add_argument(flag, type=type(default), default=default, dest=field)
     energy_p.add_argument("--min-qubits", type=int, default=2, dest="min_qubits")
     energy_p.add_argument("--max-qubits", type=int, default=60, dest="max_qubits")
 
@@ -370,7 +371,8 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except (ConfigurationError, DataError, DataFormatError, DegenerateInputError) as exc:
+    except (ConfigurationError, DataError, DataFormatError, DegenerateInputError,
+            UnsupportedModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
 

@@ -76,11 +76,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"split_mode: unknown value {self.split_mode!r}")
         if self.num_classes < 2:
             raise ConfigurationError(f"num_classes: must be >= 2, got {self.num_classes}")
-        if self.shots != math.inf:
-            if self.shots != int(self.shots) or self.shots < 1:
-                raise ConfigurationError(
-                    f"shots: must be a positive integer or inf, got {self.shots}"
-                )
+        if self.shots != math.inf and not (self.shots >= 1 and self.shots == int(self.shots)):
+            raise ConfigurationError(f"shots: must be a positive integer or inf, got {self.shots}")
         if not 0.0 <= self.error_rate_1q <= 1.0 or not 0.0 <= self.error_rate_2q <= 1.0:
             raise ConfigurationError("error_rate_1q/error_rate_2q: must be in [0, 1]")
         # construct the downstream pieces eagerly so bad values fail here,

@@ -118,6 +118,17 @@ def save_embeddings_csv(dataset: EmbeddingDataset, path) -> None:
             fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _bad_cell(fields: list[str], cells: list[str], lineno: int) -> str:
+    """Name the first cell of a CSV line that is not an integer label or a number."""
+    for name, cell in zip(fields, cells):
+        parse, kind = (int, "an integer") if name == "label" else (np.float32, "a number")
+        try:
+            parse(cell)
+        except ValueError:
+            return f"line {lineno}: {name} cell {cell!r} is not {kind}"
+    return f"line {lineno}: unreadable cells"
+
+
 def _load_csv(path, num_classes: int | None) -> EmbeddingDataset:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -138,8 +149,11 @@ def _load_csv(path, num_classes: int | None) -> EmbeddingDataset:
                 raise DataFormatError(
                     f"line {lineno} has {len(cells)} fields, expected {dim + 1}"
                 )
-            labels.append(int(cells[0]))
-            rows.append(np.array([np.float32(c) for c in cells[1:]], dtype=np.float32))
+            try:
+                labels.append(int(cells[0]))
+                rows.append(np.array([np.float32(c) for c in cells[1:]], dtype=np.float32))
+            except ValueError:
+                raise DataFormatError(_bad_cell(fields, cells, lineno)) from None
     labels = np.asarray(labels, dtype=np.int64)
     _check_labels(labels, num_classes)
     vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)
@@ -164,19 +178,6 @@ def load_embeddings(path, format: str = "binary",
     return dataset
 
 
-def _stratified_pick(labels: np.ndarray, per_class: dict[int, int],
-                     rng: np.random.Generator) -> dict[int, np.ndarray]:
-    picked = {}
-    for cls, want in per_class.items():
-        pool = np.flatnonzero(labels == cls)
-        if len(pool) < want:
-            raise DataError(
-                f"class {cls} has only {len(pool)} samples, need at least {want}"
-            )
-        picked[cls] = pool[rng.permutation(len(pool))[:want]]
-    return picked
-
-
 def make_benchmark_splits(dataset: EmbeddingDataset, seed: int) -> EmbeddingDataset:
     """256 samples per class for train+val (85/15, stratified); the rest is test.
 
@@ -184,47 +185,34 @@ def make_benchmark_splits(dataset: EmbeddingDataset, seed: int) -> EmbeddingData
     classes the sizes are 436 train / 76 val; every class present in the
     labels is drawn, and every remaining sample lands in the test split.
     """
-    take = 256
-    classes = [int(c) for c in np.unique(dataset.labels)]
-    picked = _stratified_pick(
-        dataset.labels, {c: take for c in classes}, seeding.stream(seed, seeding.DATA_SPLIT)
-    )
-    val_per_class = int(0.15 * take)  # 38
-    train_parts, val_parts = [], []
-    selected = []
-    for cls in classes:
-        idx = picked[cls]
-        val_parts.append(idx[:val_per_class])
-        train_parts.append(idx[val_per_class:])
-        selected.append(idx)
-    train_idx = np.sort(np.concatenate(train_parts))
-    val_idx = np.sort(np.concatenate(val_parts))
-    chosen = np.concatenate(selected)
-    mask = np.ones(len(dataset), dtype=bool)
-    mask[chosen] = False
-    test_idx = np.flatnonzero(mask)
-    return replace(dataset, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
+    return make_count_splits(dataset, 256 - 38, 38, seed)
 
 
 def make_count_splits(dataset: EmbeddingDataset, train_per_class: int,
                       val_per_class: int, seed: int) -> EmbeddingDataset:
-    """Stratified splits with explicit per-class counts; the rest is test."""
-    classes = np.unique(dataset.labels)
+    """Stratified splits with explicit per-class counts; the rest is test.
+
+    Each class, in label order, draws one permutation of its samples; the
+    first ``val_per_class`` of its picks go to val, the next
+    ``train_per_class`` to train.
+    """
+    for name, count in (("train_per_class", train_per_class), ("val_per_class", val_per_class)):
+        if count < 0:
+            raise ConfigurationError(f"{name}: must be >= 0, got {count}")
     want = train_per_class + val_per_class
-    picked = _stratified_pick(
-        dataset.labels, {int(c): want for c in classes}, seeding.stream(seed, seeding.DATA_SPLIT)
-    )
+    rng = seeding.stream(seed, seeding.DATA_SPLIT)
     train_parts, val_parts = [], []
-    for c in classes:
-        idx = picked[int(c)]
+    test = np.ones(len(dataset), dtype=bool)
+    for cls in np.unique(dataset.labels):
+        pool = np.flatnonzero(dataset.labels == cls)
+        if len(pool) < want:
+            raise DataError(f"class {cls} has only {len(pool)} samples, need at least {want}")
+        idx = pool[rng.permutation(len(pool))[:want]]
         val_parts.append(idx[:val_per_class])
         train_parts.append(idx[val_per_class:])
-    train_idx = np.sort(np.concatenate(train_parts))
-    val_idx = np.sort(np.concatenate(val_parts))
-    mask = np.ones(len(dataset), dtype=bool)
-    mask[np.concatenate([picked[int(c)] for c in classes])] = False
-    test_idx = np.flatnonzero(mask)
-    return replace(dataset, train_idx=train_idx, val_idx=val_idx, test_idx=test_idx)
+        test[idx] = False
+    return replace(dataset, train_idx=np.sort(np.concatenate(train_parts)),
+                   val_idx=np.sort(np.concatenate(val_parts)), test_idx=np.flatnonzero(test))
 
 
 def pool_to_dim(dataset: EmbeddingDataset, out_dim: int) -> EmbeddingDataset:

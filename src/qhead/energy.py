@@ -30,7 +30,7 @@ class EnergyConstants:
     def __post_init__(self):
         for name in ("qpu_watts_per_qubit", "t_1q_seconds", "t_2q_seconds",
                      "shots", "gpu_watts", "gpu_flops"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive")
 
 

@@ -30,6 +30,7 @@ agree to 1e-8 and are cross-checked in the tests.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ from .simcore import (
     amplitude_encode,
     amplitude_encode_rows,
 )
-from .trainer import softmax_cross_entropy_batch
+from .trainer import load_parameters, softmax_cross_entropy_batch
 
 
 @dataclass(frozen=True)
@@ -247,49 +248,38 @@ def _clean_values_and_grads(plan: _PqcPlan, theta_q: np.ndarray, latents):
     return z, gtheta, glatent
 
 
-def _noisy_run(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
-               noise: noise_mod.NoiseModel, rng_traj):
-    """One sampled trajectory of the lifted circuit and the angles it reads.
+def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
+                  noise: noise_mod.NoiseModel, rng_traj, rng_shot, grads: bool):
+    """z estimate of one noisy sample; with ``grads`` also dz/dtheta_q and dz/dlatent.
 
-    The lifted circuit reads each encoding-gate occurrence as its own slot,
-    so one angle vector ``concat(theta_q, latent[occurrences])`` serves the
-    value and every shifted row.
+    One trajectory of the lifted circuit, which reads each encoding-gate
+    occurrence as its own slot, so one angle vector
+    ``concat(theta_q, latent[occurrences])`` serves the value and every
+    shifted row; the +/- shot draws are paired as common random numbers.
     """
     _check_theta(plan, theta_q)
     run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
-    return run_list, np.concatenate([theta_q, latent[plan.occurrences]])
-
-
-def _pqc_value(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
-               noise: noise_mod.NoiseModel | None, rng_traj, rng_shot) -> float:
-    if noise is None or noise.is_noiseless:
-        return float(_clean_values(plan, theta_q, latent[None])[0])
-    run_list, ext = _noisy_run(plan, theta_q, latent, noise, rng_traj)
-    z = _single_value(run_list, ext, None, 0)
-    if noise.shots is not None:
-        z = float(noise_mod.shot_sample_expectation(z, noise.shots, rng_shot).estimate)
-    return z
-
-
-def _pqc_value_and_grads(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
-                         noise: noise_mod.NoiseModel | None, rng_traj, rng_shot):
-    """(z estimate, dz/dtheta_q, dz/dlatent) sharing one trajectory and CRN shots."""
-    if noise is None or noise.is_noiseless:
-        z, gtheta, glatent = _clean_values_and_grads(plan, theta_q, latent[None])
-        return float(z[0]), gtheta[0], glatent[0]
-    run_list, ext = _noisy_run(plan, theta_q, latent, noise, rng_traj)
-    total = ext.size
-    vals = _batch_expectations(run_list, _shift_rows(ext, math.pi / 2), None, 0)
+    ext = np.concatenate([theta_q, latent[plan.occurrences]])
+    if grads:
+        vals = _batch_expectations(run_list, _shift_rows(ext, math.pi / 2), None, 0)
+    else:
+        vals = [_single_value(run_list, ext, None, 0)]
     z = float(vals[0])
-    plus, minus = vals[1 : 1 + total], vals[1 + total :]
     if noise.shots is not None:
         z = float(noise_mod.shot_sample_expectation(z, noise.shots, rng_shot).estimate)
+    if not grads:
+        return z
+    plus, minus = vals[1 : 1 + ext.size], vals[1 + ext.size :]
+    if noise.shots is not None:
         plus, minus = noise_mod.paired_shot_estimates(plus, minus, noise.shots, rng_shot)
     g_ext = (plus - minus) / 2.0
-    gtheta = g_ext[: plan.n_params]
     glatent = np.zeros(plan.latent_dim)
     np.add.at(glatent, plan.occurrences, g_ext[plan.n_params :])
-    return z, gtheta, glatent
+    return z, g_ext[: plan.n_params], glatent
+
+
+_pqc_value = functools.partial(_noisy_sample, grads=False)
+_pqc_value_and_grads = functools.partial(_noisy_sample, grads=True)
 
 
 def pqc_forward(latent, theta_q, spec: CircuitSpec,
@@ -304,7 +294,9 @@ def pqc_forward(latent, theta_q, spec: CircuitSpec,
     latent = np.asarray(latent, dtype=np.float64)
     theta_q = np.asarray(theta_q, dtype=np.float64)
     plan = _plan_pqc(spec, latent.size)
-    return _pqc_value(plan, theta_q, latent, noise, rng, rng)
+    if noise is None or noise.is_noiseless:
+        return float(_clean_values(plan, theta_q, latent[None])[0])
+    return _noisy_sample(plan, theta_q, latent, noise, rng, rng, grads=False)
 
 
 # ---------------------------------------------------------------------------
@@ -480,19 +472,8 @@ class HybridHead:
         return arrays
 
     def load_parameter_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy values into the live parameter arrays (shapes must match)."""
-        own = self.parameter_arrays()
-        if set(own) != set(arrays):
-            raise ConfigurationError(
-                f"parameter names {sorted(arrays)} do not match model {sorted(own)}"
-            )
-        for key, live in own.items():
-            incoming = np.asarray(arrays[key], dtype=np.float64)
-            if incoming.shape != live.shape:
-                raise ConfigurationError(
-                    f"array {key!r} has shape {incoming.shape}, expected {live.shape}"
-                )
-            live[...] = incoming
+        """Copy values into the live parameter arrays (see ``trainer.load_parameters``)."""
+        load_parameters(self, arrays)
 
     @staticmethod
     def _streams(noise, seed_path, sample_index):
@@ -511,9 +492,9 @@ class HybridHead:
             if grads:
                 return _clean_values_and_grads(self.plan, self.theta_q, latent)
             return _clean_values(self.plan, self.theta_q, latent)
-        run = _pqc_value_and_grads if grads else _pqc_value
         per_row = [
-            run(self.plan, self.theta_q, row, noise, *self._streams(noise, seed_path, i))
+            _noisy_sample(self.plan, self.theta_q, row, noise,
+                          *self._streams(noise, seed_path, i), grads)
             for i, row in enumerate(latent)
         ]
         if not grads:

@@ -38,8 +38,14 @@ class TrainConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ConfigurationError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.weight_decay < 0.0:
-            raise ConfigurationError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigurationError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}"
+            )
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigurationError(
+                f"weight_decay must be >= 0 and finite, got {self.weight_decay}"
+            )
 
 
 @dataclass
@@ -186,8 +192,7 @@ def train(model, dataset, config: TrainConfig, noise=None, on_epoch=None):
             best_epoch = epoch
             best_snapshot = {k: v.copy() for k, v in params.items()}
 
-    for key, value in best_snapshot.items():
-        params[key][...] = value
+    load_parameters(model, best_snapshot)
     test_acc = evaluate(model, dataset, "test", noise, seed_path=(seeding.TEST,))
     report = TrainReport(
         epoch_loss=epoch_losses,
@@ -203,3 +208,22 @@ def train(model, dataset, config: TrainConfig, noise=None, on_epoch=None):
 def count_model_parameters(model) -> int:
     """Shared parameter-counting routine: total elements across named arrays."""
     return int(sum(arr.size for arr in model.parameter_arrays().values()))
+
+
+def load_parameters(model, arrays: dict[str, np.ndarray]) -> None:
+    """Copy named arrays into the model's live parameter arrays.
+
+    The names must match the model's exactly and every shape must agree.
+    """
+    own = model.parameter_arrays()
+    if set(own) != set(arrays):
+        raise ConfigurationError(
+            f"parameter names {sorted(arrays)} do not match model {sorted(own)}"
+        )
+    for key, live in own.items():
+        incoming = np.asarray(arrays[key], dtype=np.float64)
+        if incoming.shape != live.shape:
+            raise ConfigurationError(
+                f"array {key!r} has shape {incoming.shape}, expected {live.shape}"
+            )
+        live[...] = incoming

@@ -221,3 +221,13 @@ class TestLogisticBehavior:
             split, TrainConfig(learning_rate=0.05, epochs=30, weight_decay=0.5, seed=1)
         )
         assert np.linalg.norm(decayed.weights) < np.linalg.norm(plain.weights)
+
+@pytest.mark.parametrize("config", [MlpConfig(0, 0), MlpConfig(1, 8)])
+def test_head_and_encoder_draw_identical_weights(config):
+    head = MlpHead(6, 4, config, stream(3, PARAM_INIT))
+    enc = MlpEncoder(6, 4, config, stream(3, PARAM_INIT))
+    head_arrays = head.parameter_arrays()
+    enc_arrays = enc.parameter_arrays()
+    assert list(enc_arrays) == [f"enc_{k}" for k in head_arrays]
+    for key, value in head_arrays.items():
+        np.testing.assert_array_equal(enc_arrays[f"enc_{key}"], value)

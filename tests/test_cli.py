@@ -242,3 +242,56 @@ class TestEnergy:
         assert main(["energy", "--out", str(out), "--gpu-flops", "3.4e14"]) == 0
         printed = capsys.readouterr().out
         assert "crossover at 49 qubits" in printed or "crossover at 50 qubits" in printed
+
+
+class TestEvalEveryModelKind:
+    @pytest.mark.parametrize("overrides", [
+        {"model": "logistic"},
+        {"model": "mlp-head"},
+        {"model": "mlp-head", "mlp_hidden_layers": 1, "mlp_hidden_dim": 4},
+    ])
+    def test_classical_checkpoint_eval_matches_train_report(self, tmp_path, smoke_data,
+                                                            overrides):
+        cfg = _write_config(tmp_path, smoke_data, **overrides)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        out_eval = tmp_path / "eval"
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(out / "checkpoint.qhd1"), "--out", str(out_eval)]) == 0
+        eval_report = json.loads((out_eval / "eval_report.json").read_text())
+        assert eval_report["accuracy"] == report["test_accuracy"]
+
+    def test_batch_norm_head_checkpoint_is_refused(self, tmp_path, smoke_data, capsys):
+        # the checkpoint holds gamma and beta but no running statistics
+        cfg = _write_config(tmp_path, smoke_data, model="mlp-head", mlp_hidden_layers=1,
+                            mlp_hidden_dim=4, mlp_batch_norm="true")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(out / "checkpoint.qhd1"), "--out", str(tmp_path / "eval")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: batch norm")
+
+
+class TestEnergySettings:
+    def test_comment_lists_the_constants_in_use(self, tmp_path):
+        out = tmp_path / "energy.csv"
+        assert main(["energy", "--out", str(out), "--qpu-watts", "900", "--shots", "100"]) == 0
+        comments = [line for line in out.read_text().splitlines() if line.startswith("#")]
+        assert comments == [
+            "# crossover_qubits = 42",
+            "# gpu_flops = 34000000000000.0",
+            "# gpu_watts = 700.0",
+            "# qpu_watts_per_qubit = 900.0",
+            "# shots = 100",
+            "# t_1q_seconds = 0.0001",
+            "# t_2q_seconds = 1e-05",
+        ]
+
+    @pytest.mark.parametrize("flag", ["--gpu-flops", "--qpu-watts", "--t-1q"])
+    def test_nan_constant_exits_2(self, tmp_path, capsys, flag):
+        code = main(["energy", "--out", str(tmp_path / "energy.csv"), flag, "nan"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -119,3 +119,18 @@ class TestSweep:
 
     def test_no_axes_single_point(self):
         assert expand_sweep({"qubits": 4}) == [{"qubits": 4}]
+
+
+@pytest.mark.parametrize("key, value", [
+    ("shots", math.nan),
+    ("shots", -math.inf),
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("learning_rate", 0.0),
+    ("learning_rate", -0.01),
+    ("weight_decay", math.nan),
+    ("weight_decay", math.inf),
+])
+def test_non_finite_or_out_of_range_setting_names_its_field(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        config_from_mapping({key: value})

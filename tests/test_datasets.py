@@ -309,3 +309,32 @@ class TestPreprocessing:
         ds = EmbeddingDataset(np.ones((4, 3), dtype=np.float32), np.zeros(4, dtype=np.int64))
         with pytest.raises(ConfigurationError):
             pca_project(ds, 5)
+
+
+@pytest.mark.parametrize("row, cell", [("x,1.0,2.0", "label cell 'x'"),
+                                       ("1,1.0,abc", "f1 cell 'abc'")])
+def test_malformed_csv_cell_names_line_and_cell(tmp_path, row, cell):
+    path = tmp_path / "cells.csv"
+    path.write_text(f"label,f0,f1\n0,1.0,2.0\n{row}\n")
+    with pytest.raises(DataFormatError, match=f"line 3: {cell}"):
+        load_embeddings(path, "csv")
+
+
+@pytest.mark.parametrize("train, val", [(-1, 3), (3, -1), (-1, -3)])
+def test_negative_split_counts_name_their_field(train, val):
+    ds = synthetic_clusters(dim=4, n_per_class=20, separation=2.0, seed=1)
+    field = "train_per_class" if train < 0 else "val_per_class"
+    with pytest.raises(ConfigurationError, match=field):
+        make_count_splits(ds, train, val, seed=0)
+
+
+@pytest.mark.parametrize("num_classes", [2, 3])
+def test_benchmark_split_is_the_218_38_count_split(num_classes):
+    rng = np.random.default_rng(num_classes)
+    labels = rng.permutation(np.arange(num_classes * 300) % num_classes)
+    ds = EmbeddingDataset(rng.standard_normal((len(labels), 3)), labels)
+    for seed in (0, 4):
+        a = make_benchmark_splits(ds, seed)
+        b = make_count_splits(ds, 218, 38, seed)
+        for split in ("train", "val", "test"):
+            np.testing.assert_array_equal(a.split_indices(split), b.split_indices(split))

@@ -95,3 +95,11 @@ class TestCrossover:
 def test_constants_validated():
     with pytest.raises(ConfigurationError):
         EnergyConstants(gpu_flops=0.0)
+
+
+@pytest.mark.parametrize("field", ["qpu_watts_per_qubit", "t_1q_seconds", "t_2q_seconds",
+                                   "shots", "gpu_watts", "gpu_flops"])
+@pytest.mark.parametrize("value", [float("nan"), -1.0])
+def test_non_positive_or_nan_constant_names_its_field(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        EnergyConstants(**{field: value})

@@ -16,6 +16,7 @@ from qhead.trainer import (
     count_model_parameters,
     cross_entropy_loss,
     evaluate,
+    load_parameters,
     softmax_cross_entropy_batch,
     train,
 )
@@ -182,3 +183,29 @@ class TestTrainLoop:
     def test_count_model_parameters(self):
         model = LogisticModel(768)
         assert count_model_parameters(model) == 769
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan),
+    ("learning_rate", math.inf),
+    ("learning_rate", 0.0),
+    ("learning_rate", -1e-3),
+    ("weight_decay", math.nan),
+    ("weight_decay", math.inf),
+    ("weight_decay", -1.0),
+])
+def test_train_config_rejects_non_finite_and_out_of_range_rates(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_load_parameters_copies_in_place_and_rejects_mismatches():
+    model = LogisticModel(3)
+    weights = model.weights
+    load_parameters(model, {"weights": np.array([1.0, 2.0, 3.0]), "bias": np.array([0.5])})
+    assert model.weights is weights
+    np.testing.assert_array_equal(model.weights, [1.0, 2.0, 3.0])
+    with pytest.raises(ConfigurationError, match="do not match"):
+        load_parameters(model, {"weights": np.zeros(3)})
+    with pytest.raises(ConfigurationError, match="'weights' has shape"):
+        load_parameters(model, {"weights": np.zeros(4), "bias": np.zeros(1)})
