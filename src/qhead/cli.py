@@ -151,6 +151,11 @@ def cmd_eval(args) -> int:
     cfg = config_from_mapping(mapping)
     dataset = load_dataset(cfg)
     model = build_model(cfg, dataset.dim)
+    if isinstance(model, MlpHead) and model.bn is not None:
+        raise UnsupportedModeError(
+            "batch norm running statistics are not stored in checkpoints, "
+            "so this checkpoint cannot be evaluated"
+        )
     arrays, _ = load_checkpoint(args.checkpoint)
     load_parameters(model, arrays)
     accuracy = evaluate(model, dataset, args.split, cfg.noise_model(),

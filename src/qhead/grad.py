@@ -3,23 +3,26 @@
 Three gradient routes with different trade-offs:
 
 * parameter-shift: exact for RY-parameterized circuits, two shifted
-  evaluations per angle, and the only route that remains valid when a noise
-  trajectory or finite shots are attached;
-* adjoint reverse accumulation: one backward sweep, noiseless circuits only
-  (Jones & Gacon 2020, arXiv:2009.02823);
+  evaluations per angle, valid with a noise trajectory and finite shots
+  attached; it stays on explicit +/- rows as the independent reference;
+* adjoint reverse accumulation: one backward sweep over a unitary gate list
+  (Jones & Gacon 2020, arXiv:2009.02823); a sampled trajectory is one, as
+  its Pauli records are un-applied like any other gate;
 * central finite differences: O(h^2) oracle used for cross-checking.
 
 Shifted evaluations are batched on a (rows, 2^Q) amplitude array, chunked to
 bound peak memory, with the unshifted row first. Each row runs only from the
 first gate that reads an angle where it differs from that first row: the
-state before that gate is the first row's, and is copied from it. Starting
-from |0...0> the states are real, because every gate is real up to a global
-phase: on real arrays Y is applied as XZ = -iY, and the dropped phase never
-reaches |amplitude|^2.
+state before that gate is the first row's, and is copied from it. Where every
+row that differs from the first in a gate's column starts at that gate, the
+rows already running apply it with the first row's scalar angle and only the
+new rows with their own. Starting from |0...0> the states are real, because
+every gate is real up to a global phase: on real arrays Y is applied as
+XZ = -iY, and the dropped phase never reaches |amplitude|^2.
 
 Single circuit values (``evaluate_expectation``, ``trajectory_expectation``
-and the head's noisy one-sample value) share one run-and-measure helper,
-``_single_value``, on one real row; a caller's ``initial`` keeps its dtype.
+and the head's noisy one-sample value) share one run helper,
+``_single_state``, on one real row; a caller's ``initial`` keeps its dtype.
 
 The adjoint sweep runs on a (B, 2^Q) batch of real rows, each with its own
 latent and observable weights, and takes each RY derivative as the real
@@ -155,12 +158,31 @@ def _row_starts(circuit: GateList, rows: np.ndarray) -> np.ndarray:
     return starts
 
 
+def _shared_angle_gates(circuit: GateList, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per gate: may the rows started before it apply it with row 0's scalar angle?
+
+    True at an RY gate when every row that differs from row 0 in the gate's
+    column starts at that gate. The rows already running then read row 0's
+    angle there, and only the rows starting at the gate need their own. A
+    column read at two gates fails the test at its second gate, whose rows
+    keep their own angles.
+    """
+    shared = np.zeros(len(circuit.gates), dtype=bool)
+    ry = [(i, g[2]) for i, g in enumerate(circuit.gates) if g[0] == RY]
+    if ry:
+        at, cols = np.array(ry).T
+        differs = rows[:, cols] != rows[0, cols]
+        shared[at] = np.all(~differs | (starts[:, None] == at), axis=0)
+    return shared
+
+
 def _run_chunk(circuit: GateList, rows, starts, latent, initial) -> np.ndarray:
     """Final states of ``rows`` (row 0 first, then by ascending start gate).
 
     Row 0 runs from |0...0> (or ``initial``); each other row is copied from
     row 0 just before its start gate, so gates apply to the contiguous prefix
-    of rows already started.
+    of rows already started. Where ``_shared_angle_gates`` allows, the rows
+    started earlier take an RY with row 0's scalar angle (the same bits).
     """
     n = circuit.num_qubits
     dtype = np.float64 if initial is None else initial.dtype
@@ -171,12 +193,19 @@ def _run_chunk(circuit: GateList, rows, starts, latent, initial) -> np.ndarray:
     else:
         amps[0] = initial
     started = np.searchsorted(starts, np.arange(len(circuit.gates)), side="right")
+    shared = _shared_angle_gates(circuit, rows, starts)
     active = 1
-    for g, upto in zip(circuit.gates, started):
+    for g, upto, split in zip(circuit.gates, started, shared):
+        running = active
         if upto > active:
             amps[active:upto] = amps[0]
             active = upto
-        _apply_gate(amps[:active], n, g, rows[:active], latent)
+        if not split:
+            _apply_gate(amps[:active], n, g, rows[:active], latent)
+            continue
+        _ry(amps[:running], n, g[1], rows[0, g[2]])
+        if active > running:
+            _ry(amps[running:active], n, g[1], rows[running:active, g[2]])
     amps[active:] = amps[0]
     return amps
 
@@ -206,13 +235,13 @@ def _batch_expectations(circuit, rows, latent, measured, initial=None) -> np.nda
     return out
 
 
-def _shift_rows(base: np.ndarray, delta: float) -> np.ndarray:
-    """(1 + 2P, P) rows: ``base``, then +delta on each column, then -delta."""
+def _shift_rows(base: np.ndarray, delta: float, signs=(1.0, -1.0)) -> np.ndarray:
+    """(1 + len(signs) P, P) rows: ``base``, then sign * delta on each column, per sign."""
     p = base.size
-    rows = np.tile(base, (1 + 2 * p, 1))
+    rows = np.tile(base, (1 + len(signs) * p, 1))
     cols = np.arange(p)
-    rows[1 + cols, cols] += delta
-    rows[1 + p + cols, cols] -= delta
+    for k, sign in enumerate(signs):
+        rows[1 + k * p + cols, cols] += sign * delta
     return rows
 
 
@@ -226,15 +255,21 @@ def _paired_shift_values(circuit, params, latent, measured, delta, initial=None)
     return vals[1 : 1 + p], vals[1 + p :]
 
 
-def _single_value(circuit: GateList, params, latent, measured: int,
-                  initial: np.ndarray | None = None) -> float:
-    """<Z_measured> after running one row from real |0...0> (or a copy of ``initial``)."""
+def _single_state(circuit: GateList, params, latent,
+                  initial: np.ndarray | None = None) -> np.ndarray:
+    """Final state of one row run from real |0...0> (or a copy of ``initial``)."""
     if initial is None:
         amps = np.zeros(1 << circuit.num_qubits)
         amps[0] = 1.0
     else:
         amps = initial.copy()
-    run_gates(amps, circuit, params, latent)
+    return run_gates(amps, circuit, params, latent)
+
+
+def _single_value(circuit: GateList, params, latent, measured: int,
+                  initial: np.ndarray | None = None) -> float:
+    """<Z_measured> at the end of ``_single_state``."""
+    amps = _single_state(circuit, params, latent, initial)
     return float(_z_expectation(amps, circuit.num_qubits, measured))
 
 
@@ -303,7 +338,8 @@ def adjoint_observable_gradients(circuit: GateList, params, latent=None,
     """One reverse sweep for E = <psi| O |psi> with O = sum_j w_j Z_j.
 
     Returns (gradient wrt params, gradient wrt latent). ``z_weights`` defaults
-    to the indicator of ``measured``. Noiseless circuits only.
+    to the indicator of ``measured``. The gate list must be unitary: a
+    noiseless circuit, or one sampled trajectory with its Pauli records.
 
     Any of ``params`` (B, P), ``latent`` (B, L), ``z_weights`` (B, Q) and
     ``initial`` or ``final`` (B, 2^Q) may carry a leading axis of B rows; a

@@ -15,18 +15,21 @@ its circuit once over all rows, and the noiseless re-uploading circuit runs
 once with one latent per row. Forward passes split very large batches into
 row chunks of bounded memory. The readout is one matmul.
 
-Gradients: analytic linear-layer terms chain with parameter-shift gradients of
-the noisy circuit (one shared Pauli trajectory, and one normal draw per +/-
-pair, as common random numbers) and an adjoint sweep through the exact
-encoders, one batched sweep per encoder. Noisy samples run one at a time,
-each on its own trajectory and shot streams, sampled on the lifted circuit
-(each encoding-gate occurrence its own angle slot) for values and gradients
-alike. A noisy value is one real row; the 1 + 2(P + K) shift rows of a sample
-(P circuit angles, K encoding-gate occurrences) run as one real-valued batch
-in which each shifted row starts at its own shifted gate from a copy of the
-unshifted state (see ``qhead.grad``). With no noise attached the circuit
-gradient is one batched adjoint sweep over all samples instead; both routes
-agree to 1e-8 and are cross-checked in the tests.
+Gradients: analytic linear-layer terms chain with gradients of the noisy
+circuit and an adjoint sweep through the exact encoders, one batched sweep
+per encoder. Noisy samples run one at a time, each on its own trajectory and
+shot streams, sampled on the lifted circuit (each encoding-gate occurrence
+its own angle slot, read by exactly one RY gate) for values and gradients
+alike. A noisy sample runs its unshifted row once, as one real row, and one
+adjoint sweep over that trajectory from its final state gives the exact
+derivatives. At infinite shots those are the gradient. At finite shots the
++/- pi/2 values a_j +/- c_j are sampled in pairs sharing one normal draw
+(common random numbers); a_j comes from P + K rows shifted by pi (P circuit
+angles, K encoding-gate occurrences), run as one real-valued batch in which
+each row starts at its own shifted gate from a copy of the unshifted state
+(see ``qhead.grad``). With no noise attached the circuit gradient is one
+batched adjoint sweep over all samples instead. The tests check both routes
+against hand-built +/- pi/2 rows and the parameter-shift rule.
 """
 from __future__ import annotations
 
@@ -44,7 +47,7 @@ from .grad import (
     _CHUNK_ELEMENTS,
     _batch_expectations,
     _shift_rows,
-    _single_value,
+    _single_state,
     adjoint_observable_gradients,
     lift_data_slots,
     parameter_shift_jacobian,
@@ -192,7 +195,17 @@ def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
         )
     expanded = expand_encoding(assemble_head_circuit(spec), latent_dim // spec.qubits)
     lifted, occurrences = lift_data_slots(expanded)
-    return _PqcPlan(spec, expanded, lifted, occurrences, count_parameters(spec), latent_dim)
+    n_params = count_parameters(spec)
+    # the noisy gradient's one-sweep identity needs each slot read by one RY
+    reads = np.bincount([g[2] for g in lifted.gates if g[0] == RY],
+                        minlength=n_params + occurrences.size)
+    if np.any(reads != 1):
+        slot = int(np.flatnonzero(reads != 1)[0])
+        raise ConfigurationError(
+            f"lifted circuit reads slot {slot} at {reads[slot]} RY gates; "
+            f"every slot must be read by exactly one"
+        )
+    return _PqcPlan(spec, expanded, lifted, occurrences, n_params, latent_dim)
 
 
 def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
@@ -252,27 +265,33 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
                   noise: noise_mod.NoiseModel, rng_traj, rng_shot, grads: bool):
     """z estimate of one noisy sample; with ``grads`` also dz/dtheta_q and dz/dlatent.
 
-    One trajectory of the lifted circuit, which reads each encoding-gate
-    occurrence as its own slot, so one angle vector
-    ``concat(theta_q, latent[occurrences])`` serves the value and every
-    shifted row; the +/- shot draws are paired as common random numbers.
+    One trajectory of the lifted circuit, which reads each slot of
+    ``ext = concat(theta_q, latent[occurrences])`` at exactly one RY gate
+    (checked by ``_plan_pqc``). On that trajectory E(ext_j + s) is
+    a_j + b_j cos s + c_j sin s, so E(ext_j +/- pi/2) = a_j +/- c_j with
+    c = dE/d(ext). The unshifted row runs once, and one adjoint sweep from
+    its final state gives c. At finite shots the +/- pi/2 values are sampled
+    as common-random-number pairs, with a_j = [E + E(ext_j + pi)] / 2 from
+    P + K rows shifted by pi; at infinite shots the gradient is c.
     """
     _check_theta(plan, theta_q)
     run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
     ext = np.concatenate([theta_q, latent[plan.occurrences]])
-    if grads:
-        vals = _batch_expectations(run_list, _shift_rows(ext, math.pi / 2), None, 0)
-    else:
-        vals = [_single_value(run_list, ext, None, 0)]
-    z = float(vals[0])
+    final = _single_state(run_list, ext, None)
+    value = float(_z_expectation(final, plan.spec.qubits, 0))
+    z = value
     if noise.shots is not None:
-        z = float(noise_mod.shot_sample_expectation(z, noise.shots, rng_shot).estimate)
+        z = float(noise_mod.shot_sample_expectation(value, noise.shots, rng_shot).estimate)
     if not grads:
         return z
-    plus, minus = vals[1 : 1 + ext.size], vals[1 + ext.size :]
+    g_ext, _ = adjoint_observable_gradients(run_list, ext, measured=0, final=final)
     if noise.shots is not None:
-        plus, minus = noise_mod.paired_shot_estimates(plus, minus, noise.shots, rng_shot)
-    g_ext = (plus - minus) / 2.0
+        half_turns = _batch_expectations(run_list, _shift_rows(ext, math.pi, signs=(1.0,)),
+                                         None, 0)
+        mid = (value + half_turns[1:]) / 2.0
+        plus, minus = noise_mod.paired_shot_estimates(mid + g_ext, mid - g_ext,
+                                                      noise.shots, rng_shot)
+        g_ext = (plus - minus) / 2.0
     glatent = np.zeros(plan.latent_dim)
     np.add.at(glatent, plan.occurrences, g_ext[plan.n_params :])
     return z, g_ext[: plan.n_params], glatent

@@ -72,19 +72,12 @@ class TrainReport:
 
 
 def cross_entropy_loss(logits, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy and its gradient w.r.t. the logits."""
+    """Softmax cross-entropy and its gradient w.r.t. the logits, for one row."""
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1 or logits.size < 2:
         raise ConfigurationError(f"logits must be a vector of >= 2 values, got {logits.shape}")
-    if not 0 <= label < logits.size:
-        raise ConfigurationError(f"label {label} out of range for {logits.size} classes")
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
-    loss = -float(shifted[label] - math.log(exp.sum()))
-    grad = probs.copy()
-    grad[label] -= 1.0
-    return loss, grad
+    losses, grads = softmax_cross_entropy_batch(logits[None], np.array([label]))
+    return float(losses[0]), grads[0]
 
 
 def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

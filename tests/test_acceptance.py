@@ -128,19 +128,19 @@ def _head_fd_deviation(model, X, y, h=1e-5):
     return worst
 
 
-def _noisy_shift_deviation(model, latent, trial):
-    """Gap between the noisy shift path and its shift rows run one at a time.
+def _noisy_shift_deviation(model, latent, noise, trial, *path):
+    """Gap between the noisy gradient path and its shift rows run one at a time.
 
-    The reference builds each row by hand and runs it alone from |0...0> in
-    complex128, under the same trajectory and the same shot draws. Also
-    returns the number of Y insertions in the trajectory.
+    The reference builds each +/- pi/2 row by hand and runs it alone from
+    |0...0> in complex128, under the same trajectory and, at finite shots,
+    the same shot draws, from the streams ``(trial, TRAJECTORY|SHOTS, *path)``.
+    Also returns the number of Y insertions in the trajectory.
     """
     plan = model.plan
-    noise = NoiseModel(p1q=0.2, p2q=0.2, shots=1000)
     got = _pqc_value_and_grads(plan, model.theta_q, latent, noise,
-                               stream(trial, TRAJECTORY), stream(trial, SHOTS))
+                               stream(trial, TRAJECTORY, *path), stream(trial, SHOTS, *path))
 
-    run_list = sample_pauli_insertions(plan.lifted, noise, stream(trial, TRAJECTORY))
+    run_list = sample_pauli_insertions(plan.lifted, noise, stream(trial, TRAJECTORY, *path))
     ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
     total = ext.size
     rows = [ext]
@@ -155,11 +155,14 @@ def _noisy_shift_deviation(model, latent, trial):
         run_gates(sv.amplitudes, run_list, row)
         vals.append(z_expectation(sv, 0))
     vals = np.array(vals)
-    shot = stream(trial, SHOTS)
-    z = gaussian_shot_estimate(vals[0], noise.shots, shot.standard_normal())
-    eps = shot.standard_normal(total)
-    g = (gaussian_shot_estimate(vals[1 : 1 + total], noise.shots, eps)
-         - gaussian_shot_estimate(vals[1 + total :], noise.shots, eps)) / 2.0
+    z, plus, minus = vals[0], vals[1 : 1 + total], vals[1 + total :]
+    if noise.shots is not None:
+        shot = stream(trial, SHOTS, *path)
+        z = gaussian_shot_estimate(z, noise.shots, shot.standard_normal())
+        eps = shot.standard_normal(total)
+        plus = gaussian_shot_estimate(plus, noise.shots, eps)
+        minus = gaussian_shot_estimate(minus, noise.shots, eps)
+    g = (plus - minus) / 2.0
     glatent = np.zeros(latent.size)
     np.add.at(glatent, plan.occurrences, g[plan.n_params :])
     deviation = max(abs(got[0] - float(z)),
@@ -174,16 +177,25 @@ def test_criterion_1_gradient_correctness():
     worst_fd = 0.0
     worst_routes = 0.0
     worst_rows = 0.0
+    worst_sweep = 0.0
     y_insertions = 0
+    sweep_y_insertions = 0
     for trial in range(50):
         model, encoder, spec = _random_head(rng)
         dim = 1 << encoder.encoder_qubits
         X = rng.standard_normal((2, dim))
         y = rng.integers(2, size=2)
         worst_fd = max(worst_fd, _head_fd_deviation(model, X, y))
-        deviation, ys = _noisy_shift_deviation(model, model.encoder.forward(X[0]), trial)
+        latent = model.encoder.forward(X[0])
+        deviation, ys = _noisy_shift_deviation(
+            model, latent, NoiseModel(p1q=0.2, p2q=0.2, shots=1000), trial)
         worst_rows = max(worst_rows, deviation)
         y_insertions += ys
+        # infinite shots: the gradient is one adjoint sweep over the trajectory
+        deviation, ys = _noisy_shift_deviation(
+            model, latent, NoiseModel(p1q=0.2, p2q=0.2), trial, 1)
+        worst_sweep = max(worst_sweep, deviation)
+        sweep_y_insertions += ys
 
         circuit = expand_encoding(
             assemble_head_circuit(spec), encoder.latent_dim // spec.qubits
@@ -198,10 +210,12 @@ def test_criterion_1_gradient_correctness():
     assert worst_fd < 1e-4
     assert worst_routes < 1e-8
     assert worst_rows < 1e-12 and y_insertions > 0
+    assert worst_sweep < 1e-12 and sweep_y_insertions > 0
     assert elapsed < 300.0
     _report(1, f"50 random heads: end-to-end FD deviation {worst_fd:.2e} < 1e-4, "
                f"shift-vs-adjoint {worst_routes:.2e} < 1e-8, noisy shift rows vs "
-               f"one-row reference {worst_rows:.2e} < 1e-12, {elapsed:.0f}s")
+               f"one-row reference {worst_rows:.2e} < 1e-12 (1000 shots), "
+               f"{worst_sweep:.2e} < 1e-12 (infinite shots), {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

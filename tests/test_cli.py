@@ -272,7 +272,9 @@ class TestEvalEveryModelKind:
         code = main(["eval", "--config", str(cfg), "--checkpoint",
                      str(out / "checkpoint.qhd1"), "--out", str(tmp_path / "eval")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: batch norm")
+        err = capsys.readouterr().err
+        assert err.startswith("error: batch norm")
+        assert "not stored in checkpoints" in err and "training batch" not in err
 
 
 class TestEnergySettings:

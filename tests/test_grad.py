@@ -519,3 +519,77 @@ class TestBatchExpectations:
             monkeypatch.setattr(grad_mod, kernel, counted)
         _batch_expectations(circuit, rows, latent, 0)
         assert sum(applied) == want < rows.shape[0] * n_gates
+
+
+class TestSharedAngleSplit:
+    """RY applied with row 0's scalar angle to the rows started before it.
+
+    The split must give the same bits and the same gate-row count as the
+    per-row path, which every gate takes when ``_shared_angle_gates`` is all
+    False.
+    """
+
+    @staticmethod
+    def _split_and_per_row(monkeypatch, run):
+        """``run()`` with the split, then on the per-row path.
+
+        Each result comes with its gate-row count and its number of RY
+        calls that received one scalar angle.
+        """
+        counts = {}
+        for kernel in ("_ry", "_cnot", "_pauli"):
+            original = getattr(grad_mod, kernel)
+
+            def counted(amps, n, *args, original=original, kernel=kernel):
+                counts["rows"] += amps.shape[0]
+                counts["scalar"] += kernel == "_ry" and np.ndim(args[1]) == 0
+                return original(amps, n, *args)
+
+            monkeypatch.setattr(grad_mod, kernel, counted)
+        out = []
+        for per_row in (False, True):
+            if per_row:
+                monkeypatch.setattr(grad_mod, "_shared_angle_gates",
+                                    lambda c, rows, starts: np.zeros(len(c.gates), dtype=bool))
+            counts.update(rows=0, scalar=0)
+            out.append((run(), dict(counts)))
+        return out
+
+    def test_rows_differing_in_two_columns(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        circuit, p, latent = TestBatchExpectations._circuit(rng)
+        rows = np.tile(rng.uniform(-3, 3, p), (12, 1))
+        for r in range(1, 12):
+            cols = rng.choice(p, size=2, replace=False)
+            rows[r, cols] += rng.uniform(-1, 1, 2)
+        (split, c_split), (per_row, c_per_row) = self._split_and_per_row(
+            monkeypatch, lambda: _batch_expectations(circuit, rows, latent, 0))
+        np.testing.assert_array_equal(split, per_row)
+        assert c_split["rows"] == c_per_row["rows"]
+        assert c_split["scalar"] > c_per_row["scalar"]
+        # a row that differs in two columns keeps its own angle at the later one
+        starts = grad_mod._row_starts(circuit, rows)
+        order = np.concatenate(([0], 1 + np.argsort(starts[1:], kind="stable")))
+        shared = grad_mod._shared_angle_gates(circuit, rows[order], starts[order])
+        assert not shared.all()
+        np.testing.assert_allclose(split, TestBatchExpectations._reference(circuit, rows, latent),
+                                   rtol=0, atol=1e-12)
+
+    def test_column_read_at_two_gates(self, monkeypatch):
+        # slot 0 is read at gates 0 and 3; its shifted rows start at gate 0
+        circuit = GateList(3, [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1), (RY, 2, 0),
+                               (PAULI, 2, "Y"), (CNOT, 2, 0), (RY, 0, 2), (CNOT, 1, 2)])
+        params = np.array([0.4, -1.1, 2.3])
+        rows = _shift_rows(params, math.pi / 2)
+        starts = grad_mod._row_starts(circuit, rows)
+        order = np.concatenate(([0], 1 + np.argsort(starts[1:], kind="stable")))
+        shared = grad_mod._shared_angle_gates(circuit, rows[order], starts[order])
+        np.testing.assert_array_equal(shared, [True, False, True, False, False, False, True, False])
+        for measured in (0, 2):
+            (split, c_split), (per_row, c_per_row) = self._split_and_per_row(
+                monkeypatch, lambda: parameter_shift_gradient(circuit, params, measured=measured))
+            monkeypatch.undo()
+            np.testing.assert_array_equal(split, per_row)
+            assert c_split["rows"] == c_per_row["rows"]
+            want = TestBatchExpectations._reference(circuit, rows, measured=measured)
+            np.testing.assert_allclose(split, (want[1:4] - want[4:]) / 2.0, rtol=0, atol=1e-12)

@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import qhead.head as head_mod
 import qhead.simcore as simcore
-from qhead.ansatz import CircuitSpec, count_parameters, expand_encoding, assemble_head_circuit
+from qhead.ansatz import RY, CircuitSpec, GateList, count_parameters, expand_encoding, assemble_head_circuit
 from qhead.checkpoint import load_checkpoint, save_checkpoint
 from qhead.errors import ConfigurationError, DegenerateInputError
 from qhead.grad import evaluate_expectation
@@ -173,6 +174,25 @@ class TestPqcForward:
         spec = CircuitSpec(qubits=2, main_layers=1, reupload_count=0)
         with pytest.raises(ConfigurationError):
             pqc_forward(np.zeros(2), np.zeros(2), spec, NoiseModel(0, 0, 100), None)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("repeat", "slot 0 at 2 RY gates"),
+        ("drop", "at 0 RY gates"),
+    ])
+    def test_plan_needs_each_lifted_slot_read_by_one_gate(self, monkeypatch, edit, message):
+        # the noisy gradient's sweep identity holds only for a slot read once
+        spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=1, reupload_layers=1)
+        honest = assemble_head_circuit(spec)
+        gates = list(honest.gates)
+        if edit == "repeat":
+            gates.insert(0, next(g for g in gates if g[0] == RY and g[2] == 0))
+        else:
+            last = count_parameters(spec) - 1
+            gates.remove(next(g for g in gates if g[0] == RY and g[2] == last))
+        monkeypatch.setattr(head_mod, "assemble_head_circuit",
+                            lambda spec: GateList(honest.num_qubits, gates))
+        with pytest.raises(ConfigurationError, match=message):
+            head_mod._plan_pqc(spec, 3)
 
 
 class TestLinearLogits:
