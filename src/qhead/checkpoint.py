@@ -15,6 +15,7 @@ checkpoint is self-describing.
 """
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -87,7 +88,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
         shapes.append((name, dims))
     arrays: dict[str, np.ndarray] = {}
     for name, dims in shapes:
-        count = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        count = math.prod(dims)  # exact: a fixed-width product can wrap
         raw = rd.take(8 * count, f"data of {name!r}")
         arrays[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     if rd.pos != len(rd.blob):

@@ -197,6 +197,8 @@ def _sweep_point(task):
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be at least 1, got {args.jobs}")
     mapping = _resolved_mapping(args)
     base_dir = Path(mapping.get("out_dir", "runs/sweep"))
     base_dir.mkdir(parents=True, exist_ok=True)
@@ -204,8 +206,9 @@ def cmd_sweep(args) -> int:
     if not points:
         raise ConfigurationError("sweep grid is empty")
     tasks = [(i, point, str(base_dir)) for i, point in enumerate(points)]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_sweep_point, tasks)
     else:
         results = [_sweep_point(task) for task in tasks]

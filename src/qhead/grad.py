@@ -11,18 +11,18 @@ Three gradient routes with different trade-offs:
 * central finite differences: O(h^2) oracle used for cross-checking.
 
 Shifted evaluations are batched on a (rows, 2^Q) amplitude array, chunked to
-bound peak memory, with the unshifted row first. Each row runs only from the
-first gate that reads an angle where it differs from that first row: the
-state before that gate is the first row's, and is copied from it. Where every
-row that differs from the first in a gate's column starts at that gate, the
-rows already running apply it with the first row's scalar angle and only the
-new rows with their own. Starting from |0...0> the states are real, because
-every gate is real up to a global phase: on real arrays Y is applied as
-XZ = -iY, and the dropped phase never reaches |amplitude|^2.
+bound peak memory, with the unshifted row first. Every other row differs from
+that first row in one column at most, as ``_shift_rows`` builds them, and runs
+only from the first gate reading that column: its state before that gate is
+the first row's, and is copied from it. At each RY gate the rows shifted in
+the gate's column take their own angles and every other row takes the first
+row's scalar angle. Starting from |0...0> the states are real, because every
+gate is real up to a global phase: on real arrays Y is applied as XZ = -iY,
+and the dropped phase never reaches |amplitude|^2.
 
-Single circuit values (``evaluate_expectation``, ``trajectory_expectation``
-and the head's noisy one-sample value) share one run helper,
-``_single_state``, on one real row; a caller's ``initial`` keeps its dtype.
+Single circuit values (``evaluate_expectation`` and
+``trajectory_expectation``) run one real row through ``_single_value``; a
+caller's ``initial`` keeps its dtype.
 
 The adjoint sweep runs on a (B, 2^Q) batch of real rows, each with its own
 latent and observable weights, and takes each RY derivative as the real
@@ -141,48 +141,37 @@ def lift_data_slots(circuit: GateList) -> tuple[GateList, np.ndarray]:
     return GateList(circuit.num_qubits, gates), np.asarray(occurrences, dtype=np.intp)
 
 
-def _row_starts(circuit: GateList, rows: np.ndarray) -> np.ndarray:
-    """Index of the first gate reading a column where each row differs from row 0.
+def _row_starts(circuit: GateList, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the gate it starts at; per column, the first RY gate reading it.
 
-    Every gate before that index reads the same angles as row 0, so the row's
-    state there is row 0's. Rows that never differ get ``len(circuit.gates)``.
+    Each row may differ from row 0 in one column at most (``_shift_rows``
+    builds such rows), and starts at that column's first read: every gate
+    before it reads row 0's angles, so the row's state there is row 0's.
+    Row 0 starts at 0; a row that never differs, or differs only in an
+    unread column, starts at ``len(circuit.gates)``.
     """
     n_gates = len(circuit.gates)
+    differs = rows != rows[0]
+    if np.any(np.count_nonzero(differs, axis=1) > 1):
+        raise ConfigurationError("a shifted row differs from row 0 in more than one column")
     first_read = np.full(rows.shape[1], n_gates)
     for i in reversed(range(n_gates)):
         g = circuit.gates[i]
         if g[0] == RY:
             first_read[g[2]] = i
-    starts = np.where(rows != rows[0], first_read, n_gates).min(axis=1, initial=n_gates)
+    starts = np.where(differs, first_read, n_gates).min(axis=1, initial=n_gates)
     starts[0] = 0
-    return starts
+    return starts, first_read
 
 
-def _shared_angle_gates(circuit: GateList, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per gate: may the rows started before it apply it with row 0's scalar angle?
-
-    True at an RY gate when every row that differs from row 0 in the gate's
-    column starts at that gate. The rows already running then read row 0's
-    angle there, and only the rows starting at the gate need their own. A
-    column read at two gates fails the test at its second gate, whose rows
-    keep their own angles.
-    """
-    shared = np.zeros(len(circuit.gates), dtype=bool)
-    ry = [(i, g[2]) for i, g in enumerate(circuit.gates) if g[0] == RY]
-    if ry:
-        at, cols = np.array(ry).T
-        differs = rows[:, cols] != rows[0, cols]
-        shared[at] = np.all(~differs | (starts[:, None] == at), axis=0)
-    return shared
-
-
-def _run_chunk(circuit: GateList, rows, starts, latent, initial) -> np.ndarray:
+def _run_chunk(circuit: GateList, rows, starts, first_read, latent, initial) -> np.ndarray:
     """Final states of ``rows`` (row 0 first, then by ascending start gate).
 
     Row 0 runs from |0...0> (or ``initial``); each other row is copied from
     row 0 just before its start gate, so gates apply to the contiguous prefix
-    of rows already started. Where ``_shared_angle_gates`` allows, the rows
-    started earlier take an RY with row 0's scalar angle (the same bits).
+    of rows already started. At an RY gate the rows shifted in its column
+    all started at that column's first read, so they form one block, which
+    takes its own angles; every other row takes row 0's scalar angle.
     """
     n = circuit.num_qubits
     dtype = np.float64 if initial is None else initial.dtype
@@ -192,20 +181,26 @@ def _run_chunk(circuit: GateList, rows, starts, latent, initial) -> np.ndarray:
         amps[0, 0] = 1.0
     else:
         amps[0] = initial
-    started = np.searchsorted(starts, np.arange(len(circuit.gates)), side="right")
-    shared = _shared_angle_gates(circuit, rows, starts)
+    gates = circuit.gates
+    started = np.searchsorted(starts, np.arange(len(gates)), side="right")
+    read_at = [first_read[g[2]] if g[0] == RY else 0 for g in gates]
+    # row 0 also starts at gate 0, but is never part of a block
+    block_lo = np.maximum(1, np.searchsorted(starts, read_at, side="left"))
+    block_hi = np.searchsorted(starts, read_at, side="right")
     active = 1
-    for g, upto, split in zip(circuit.gates, started, shared):
-        running = active
+    for g, upto, lo, hi in zip(gates, started, block_lo, block_hi):
         if upto > active:
             amps[active:upto] = amps[0]
             active = upto
-        if not split:
-            _apply_gate(amps[:active], n, g, rows[:active], latent)
+        if g[0] != RY:
+            _apply_gate(amps[:active], n, g, None, latent)
             continue
-        _ry(amps[:running], n, g[1], rows[0, g[2]])
-        if active > running:
-            _ry(amps[running:active], n, g[1], rows[running:active, g[2]])
+        angle = rows[0, g[2]]
+        _ry(amps[:lo], n, g[1], angle)
+        if hi > lo:
+            _ry(amps[lo:hi], n, g[1], rows[lo:hi, g[2]])
+        if active > hi:
+            _ry(amps[hi:active], n, g[1], angle)
     amps[active:] = amps[0]
     return amps
 
@@ -214,20 +209,21 @@ def _batch_expectations(circuit, rows, latent, measured, initial=None) -> np.nda
     """<Z_measured> for each parameter row; rows shape (R, P), one shared latent.
 
     With ``measured=None`` returns every qubit's <Z>, shape (R, num_qubits).
-    Rows share the prefix of gates that read equal angles with row 0 (see
+    Each row differs from row 0 in one column at most, or ``ConfigurationError``
+    is raised, and shares row 0's gates up to that column's first read (see
     ``_row_starts``). Without ``initial`` the states are real: every gate is
     real up to a global phase, which ``_pauli`` drops for Y on real arrays.
     Rows run in chunks that each repeat row 0, bounding peak memory.
     """
     n = circuit.num_qubits
-    starts = _row_starts(circuit, rows)
+    starts, first_read = _row_starts(circuit, rows)
     order = 1 + np.argsort(starts[1:], kind="stable")
     per_chunk = max(1, _CHUNK_ELEMENTS // (1 << n) - 1)
     chunks = [order[lo : lo + per_chunk] for lo in range(0, order.size, per_chunk)] or [order]
     out = np.empty((rows.shape[0],) if measured is not None else (rows.shape[0], n))
     for chunk in chunks:
         idx = np.concatenate(([0], chunk))
-        amps = _run_chunk(circuit, rows[idx], starts[idx], latent, initial)
+        amps = _run_chunk(circuit, rows[idx], starts[idx], first_read, latent, initial)
         if measured is None:
             out[idx] = _all_z_expectations(amps, n)
         else:
@@ -255,21 +251,15 @@ def _paired_shift_values(circuit, params, latent, measured, delta, initial=None)
     return vals[1 : 1 + p], vals[1 + p :]
 
 
-def _single_state(circuit: GateList, params, latent,
-                  initial: np.ndarray | None = None) -> np.ndarray:
-    """Final state of one row run from real |0...0> (or a copy of ``initial``)."""
+def _single_value(circuit: GateList, params, latent, measured: int,
+                  initial: np.ndarray | None = None) -> float:
+    """<Z_measured> of one row run from real |0...0> (or a copy of ``initial``)."""
     if initial is None:
         amps = np.zeros(1 << circuit.num_qubits)
         amps[0] = 1.0
     else:
         amps = initial.copy()
-    return run_gates(amps, circuit, params, latent)
-
-
-def _single_value(circuit: GateList, params, latent, measured: int,
-                  initial: np.ndarray | None = None) -> float:
-    """<Z_measured> at the end of ``_single_state``."""
-    amps = _single_state(circuit, params, latent, initial)
+    run_gates(amps, circuit, params, latent)
     return float(_z_expectation(amps, circuit.num_qubits, measured))
 
 

@@ -10,26 +10,25 @@ circuit only. When the latent is longer than the circuit width, each encoding
 step applies stacked rotation passes, one per width-sized latent slice.
 
 A batch of B samples runs as real (B, 2^Q) arrays wherever the computation
-is exact: the inputs are amplitude-encoded into one array, each encoder runs
-its circuit once over all rows, and the noiseless re-uploading circuit runs
-once with one latent per row. Forward passes split very large batches into
-row chunks of bounded memory. The readout is one matmul.
+is exact: the inputs are amplitude-encoded into one array, and each encoder
+runs its circuit once over all rows. Forward passes split very large batches
+into row chunks of bounded memory. The readout is one matmul.
 
-Gradients: analytic linear-layer terms chain with gradients of the noisy
-circuit and an adjoint sweep through the exact encoders, one batched sweep
-per encoder. Noisy samples run one at a time, each on its own trajectory and
-shot streams, sampled on the lifted circuit (each encoding-gate occurrence
-its own angle slot, read by exactly one RY gate) for values and gradients
-alike. A noisy sample runs its unshifted row once, as one real row, and one
-adjoint sweep over that trajectory from its final state gives the exact
-derivatives. At infinite shots those are the gradient. At finite shots the
+The re-uploading circuit has one run-and-sweep routine, ``_run_rows``: B
+rows run from real |0...0> and, for gradients, one adjoint sweep from their
+final states. Noiseless batches call it once on the expanded circuit, with
+one latent per row. Noisy samples call it one at a time, as one row, on
+their own trajectory of the lifted circuit (each encoding-gate occurrence
+its own angle slot, read by exactly one RY gate), sampled from their own
+trajectory and shot streams. On that trajectory the sweep's derivatives are
+exact, and at infinite shots they are the gradient. At finite shots the
 +/- pi/2 values a_j +/- c_j are sampled in pairs sharing one normal draw
 (common random numbers); a_j comes from P + K rows shifted by pi (P circuit
 angles, K encoding-gate occurrences), run as one real-valued batch in which
 each row starts at its own shifted gate from a copy of the unshifted state
-(see ``qhead.grad``). With no noise attached the circuit gradient is one
-batched adjoint sweep over all samples instead. The tests check both routes
-against hand-built +/- pi/2 rows and the parameter-shift rule.
+(see ``qhead.grad``). The encoders' gradient is one batched adjoint sweep
+per encoder. The tests check both circuit routes against hand-built
++/- pi/2 rows and the parameter-shift rule.
 """
 from __future__ import annotations
 
@@ -47,7 +46,6 @@ from .grad import (
     _CHUNK_ELEMENTS,
     _batch_expectations,
     _shift_rows,
-    _single_state,
     adjoint_observable_gradients,
     lift_data_slots,
     parameter_shift_jacobian,
@@ -226,39 +224,21 @@ def _check_theta(plan: _PqcPlan, theta_q: np.ndarray) -> None:
         )
 
 
-def _clean_states(plan: _PqcPlan, theta_q: np.ndarray, latents) -> np.ndarray:
-    """Noiseless final states, one real row per latent row of ``latents`` (B, L)."""
-    _check_theta(plan, theta_q)
-    latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[1] != plan.latent_dim:
-        raise ConfigurationError(
-            f"expected latents of shape (rows, {plan.latent_dim}), got {latents.shape}"
-        )
-    amps = np.zeros((latents.shape[0], 1 << plan.spec.qubits))
-    amps[:, 0] = 1.0
-    return run_gates(amps, plan.expanded, theta_q, latents)
+def _run_rows(circuit: GateList, params, latents, grads: bool) -> tuple:
+    """(z,) on qubit 0 of B rows run from real |0...0>; with ``grads`` also the gradients.
 
-
-def _clean_values(plan: _PqcPlan, theta_q: np.ndarray, latents) -> np.ndarray:
-    """Per-row noiseless z (B,), computed in row chunks."""
-    z = np.empty(len(latents))
-    for rows in _row_chunks(len(latents), plan.spec.qubits):
-        z[rows] = _z_expectation(_clean_states(plan, theta_q, latents[rows]),
-                                 plan.spec.qubits, 0)
-    return z
-
-
-def _clean_values_and_grads(plan: _PqcPlan, theta_q: np.ndarray, latents):
-    """Per-row z (B,), dz/dtheta_q (B, P) and dz/dlatent (B, L), noiseless.
-
-    One batched forward pass and one batched adjoint sweep over all rows.
+    ``params`` (P,) or (B, P) and ``latents`` (B, L) or None; B is the length
+    of ``latents``, or of ``params`` without them. With ``grads`` the result
+    is (z, dz/dparams (B, P), dz/dlatents (B, L)), from one adjoint sweep
+    that starts at the rows' final states.
     """
-    states = _clean_states(plan, theta_q, latents)
-    z = _z_expectation(states, plan.spec.qubits, 0)
-    gtheta, glatent = adjoint_observable_gradients(
-        plan.expanded, theta_q, latents, measured=0, final=states
-    )
-    return z, gtheta, glatent
+    amps = np.zeros((len(params if latents is None else latents), 1 << circuit.num_qubits))
+    amps[:, 0] = 1.0
+    run_gates(amps, circuit, params, latents)
+    z = _z_expectation(amps, circuit.num_qubits, 0)
+    if not grads:
+        return (z,)
+    return (z, *adjoint_observable_gradients(circuit, params, latents, measured=0, final=amps))
 
 
 def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
@@ -277,14 +257,14 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
     _check_theta(plan, theta_q)
     run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
     ext = np.concatenate([theta_q, latent[plan.occurrences]])
-    final = _single_state(run_list, ext, None)
-    value = float(_z_expectation(final, plan.spec.qubits, 0))
+    run = _run_rows(run_list, ext[None], None, grads)
+    value = float(run[0][0])
     z = value
     if noise.shots is not None:
         z = float(noise_mod.shot_sample_expectation(value, noise.shots, rng_shot).estimate)
     if not grads:
         return z
-    g_ext, _ = adjoint_observable_gradients(run_list, ext, measured=0, final=final)
+    g_ext = run[1][0]
     if noise.shots is not None:
         half_turns = _batch_expectations(run_list, _shift_rows(ext, math.pi, signs=(1.0,)),
                                          None, 0)
@@ -312,9 +292,12 @@ def pqc_forward(latent, theta_q, spec: CircuitSpec,
     """
     latent = np.asarray(latent, dtype=np.float64)
     theta_q = np.asarray(theta_q, dtype=np.float64)
+    if latent.ndim != 1:
+        raise ConfigurationError(f"latent must be a 1-D vector, got shape {latent.shape}")
     plan = _plan_pqc(spec, latent.size)
     if noise is None or noise.is_noiseless:
-        return float(_clean_values(plan, theta_q, latent[None])[0])
+        _check_theta(plan, theta_q)
+        return float(_run_rows(plan.expanded, theta_q, latent[None], grads=False)[0][0])
     return _noisy_sample(plan, theta_q, latent, noise, rng, rng, grads=False)
 
 
@@ -507,10 +490,16 @@ class HybridHead:
         on its own trajectory and shot streams at seed path
         ``(*seed_path, i)``.
         """
+        if latent.shape[1:] != (self.plan.latent_dim,):
+            raise ConfigurationError(f"expected latents of shape (rows, {self.plan.latent_dim}) "
+                                     f"from the encoder, got {latent.shape}")
         if noise is None or noise.is_noiseless:
             if grads:
-                return _clean_values_and_grads(self.plan, self.theta_q, latent)
-            return _clean_values(self.plan, self.theta_q, latent)
+                return _run_rows(self.plan.expanded, self.theta_q, latent, grads=True)
+            z = np.empty(len(latent))
+            for rows in _row_chunks(len(latent), self.spec.qubits):
+                z[rows] = _run_rows(self.plan.expanded, self.theta_q, latent[rows], False)[0]
+            return z
         per_row = [
             _noisy_sample(self.plan, self.theta_q, row, noise,
                           *self._streams(noise, seed_path, i), grads)

@@ -19,6 +19,7 @@ from qhead.grad import adjoint_observable_gradients, evaluate_expectation, traje
 from qhead.head import (
     EncoderConfig,
     HybridHead,
+    _noisy_sample,
     _plan_pqc,
     _pqc_value,
     _pqc_value_and_grads,
@@ -274,3 +275,49 @@ def test_batched_step_keeps_out_of_range_labels_an_error():
         model.batch_loss_and_gradients(X, np.array([0, -1, 1]))
     with pytest.raises(ConfigurationError, match="label 2"):
         model.batch_loss_and_gradients(X, np.array([0, 2, 1]))
+
+
+@pytest.mark.parametrize("final_linear", [True, False])
+@pytest.mark.parametrize("num_encoders", [1, 2])
+def test_noiseless_noisy_sample_matches_the_clean_route(num_encoders, final_linear, monkeypatch):
+    """Without noise, a noisy sample's one row and sweep give the clean batch's numbers.
+
+    The noisy route runs the lifted circuit, the clean route the expanded one;
+    dz/dlatent sums the lifted slots of each latent entry in another order.
+    """
+    model = _quantum_head(num_encoders=num_encoders, final_linear=final_linear)
+    X = np.random.default_rng(12).standard_normal((6, 16))
+    y = np.array([0, 1, 1, 0, 1, 0])
+    latents = model.encoder.forward(X)
+    z, gtheta, glatent = model._circuit(latents, None, SEED_PATH, grads=True)
+    noise = NoiseModel(0, 0, None)
+    for i, latent in enumerate(latents):
+        got = _noisy_sample(model.plan, model.theta_q, latent, noise, None, None, grads=True)
+        assert got[0] == z[i]
+        np.testing.assert_array_equal(got[1], gtheta[i])
+        np.testing.assert_allclose(got[2], glatent[i], rtol=0, atol=1e-15)
+        assert _noisy_sample(model.plan, model.theta_q, latent, noise, None, None,
+                             grads=False) == z[i]
+    clean_loss, clean_grads = model.batch_loss_and_gradients(X, y)
+    # the head takes the per-sample route for any model that is not noiseless
+    monkeypatch.setattr(NoiseModel, "is_noiseless", property(lambda self: False))
+    loss, grads = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=SEED_PATH)
+    assert loss == clean_loss
+    for key, g in clean_grads.items():
+        if key.startswith("encoder_"):
+            np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(grads[key], g)
+
+
+@pytest.mark.parametrize("name", ["clean", "noisy-exact", "no-linear", "no-linear-noisy"])
+def test_encoder_latents_of_another_width_are_rejected(name):
+    build, noise = HEADS[name]
+    model = build()
+    forward = model.encoder.forward
+    model.encoder.forward = lambda X: np.column_stack([forward(X), np.zeros(len(X))])
+    X = np.random.default_rng(13).standard_normal((3, 16))
+    with pytest.raises(ConfigurationError, match=r"latents of shape \(rows, 4\)"):
+        model.predict_logits(X, noise=noise)
+    with pytest.raises(ConfigurationError, match=r"latents of shape \(rows, 4\)"):
+        model.batch_loss_and_gradients(X, np.array([0, 1, 1]), noise=noise)

@@ -125,6 +125,14 @@ class TestEval:
         assert eval_report["accuracy"] == report["test_accuracy"]
 
 
+def test_eval_of_a_checkpoint_with_huge_dims_exits_2(tmp_path, smoke_data, capsys,
+                                                      wrapping_checkpoint):
+    cfg = _write_config(tmp_path, smoke_data)
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(wrapping_checkpoint),
+                 "--out", str(tmp_path / "eval")]) == 2
+    assert "truncated checkpoint" in capsys.readouterr().err
+
+
 class TestSweep:
     def test_grid_reports_and_summary(self, tmp_path, smoke_data):
         cfg = _write_config(tmp_path, smoke_data, qubits="[3, 4]",
@@ -175,6 +183,50 @@ class TestSweep:
         statuses = {row["point"]: row["status"] for row in report["points"]}
         assert statuses["point_000"] == "ok"  # qubits=3, first listed value
         assert statuses["point_001"].startswith("failed")  # qubits=2
+
+
+class _RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records its size, maps in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+class TestSweepJobs:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, tmp_path, smoke_data, capsys, monkeypatch, jobs):
+        monkeypatch.setattr("qhead.cli.multiprocessing.Pool", _RecordingPool)
+        _RecordingPool.sizes = []
+        cfg = _write_config(tmp_path, smoke_data, learning_rate="[0.01, 0.02]", epochs=1)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+        assert _RecordingPool.sizes == []
+
+    @pytest.mark.parametrize("rates, points, workers",
+                             [("[0.01, 0.02]", 2, [2]), ("0.01", 1, [])])
+    def test_at_most_one_worker_per_point(self, tmp_path, smoke_data, monkeypatch,
+                                          rates, points, workers):
+        monkeypatch.setattr("qhead.cli.multiprocessing.Pool", _RecordingPool)
+        _RecordingPool.sizes = []
+        cfg = _write_config(tmp_path, smoke_data, learning_rate=rates, epochs=1)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", "8"]) == 0
+        assert _RecordingPool.sizes == workers
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert [row["status"] for row in report["points"]] == ["ok"] * points
 
 
 class TestAblate:

@@ -449,8 +449,9 @@ class TestBatchExpectations:
         for r in range(1, 9):
             cols = rng.choice(p, size=3, replace=False)
             rows[r, cols] += rng.uniform(-1, 1, 3)
-        self._check(circuit, rows, latent)
-        self._check(circuit, rows, latent, measured=None)
+        for measured in (0, None):
+            with pytest.raises(ConfigurationError, match="more than one column"):
+                _batch_expectations(circuit, rows, latent, measured)
 
     def test_first_difference_read_late(self):
         rng = np.random.default_rng(5)
@@ -521,75 +522,109 @@ class TestBatchExpectations:
         assert sum(applied) == want < rows.shape[0] * n_gates
 
 
-class TestSharedAngleSplit:
-    """RY applied with row 0's scalar angle to the rows started before it.
+def _rows_alone(circuit, rows, latent=None, measured=0, initial=None):
+    """Each row run alone through ``run_gates`` on a float64 row (or a copy of ``initial``)."""
+    n = circuit.num_qubits
+    out = []
+    for row in rows:
+        if initial is None:
+            amps = np.zeros(1 << n)
+            amps[0] = 1.0
+        else:
+            amps = initial.copy()
+        run_gates(amps, circuit, row, latent)
+        qubits = range(n) if measured is None else [measured]
+        out.append([_z_expectation(amps, n, q) for q in qubits])
+    out = np.array(out)
+    return out if measured is None else out[:, 0]
 
-    The split must give the same bits and the same gate-row count as the
-    per-row path, which every gate takes when ``_shared_angle_gates`` is all
-    False.
+
+# slot 0 is read at gates 0 and 3; its shifted rows start at gate 0
+_SLOT_READ_TWICE = GateList(3, [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1), (RY, 2, 0),
+                                (PAULI, 2, "Y"), (CNOT, 2, 0), (RY, 0, 2), (CNOT, 1, 2)])
+
+
+class TestSharedAngleSplit:
+    """RY applied with row 0's scalar angle to every row not shifted in its column.
+
+    The rows shifted in the gate's column take their own angles; every row
+    keeps the bits it has when run alone.
     """
 
-    @staticmethod
-    def _split_and_per_row(monkeypatch, run):
-        """``run()`` with the split, then on the per-row path.
-
-        Each result comes with its gate-row count and its number of RY
-        calls that received one scalar angle.
-        """
-        counts = {}
-        for kernel in ("_ry", "_cnot", "_pauli"):
-            original = getattr(grad_mod, kernel)
-
-            def counted(amps, n, *args, original=original, kernel=kernel):
-                counts["rows"] += amps.shape[0]
-                counts["scalar"] += kernel == "_ry" and np.ndim(args[1]) == 0
-                return original(amps, n, *args)
-
-            monkeypatch.setattr(grad_mod, kernel, counted)
-        out = []
-        for per_row in (False, True):
-            if per_row:
-                monkeypatch.setattr(grad_mod, "_shared_angle_gates",
-                                    lambda c, rows, starts: np.zeros(len(c.gates), dtype=bool))
-            counts.update(rows=0, scalar=0)
-            out.append((run(), dict(counts)))
-        return out
-
-    def test_rows_differing_in_two_columns(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        circuit, p, latent = TestBatchExpectations._circuit(rng)
-        rows = np.tile(rng.uniform(-3, 3, p), (12, 1))
-        for r in range(1, 12):
-            cols = rng.choice(p, size=2, replace=False)
-            rows[r, cols] += rng.uniform(-1, 1, 2)
-        (split, c_split), (per_row, c_per_row) = self._split_and_per_row(
-            monkeypatch, lambda: _batch_expectations(circuit, rows, latent, 0))
-        np.testing.assert_array_equal(split, per_row)
-        assert c_split["rows"] == c_per_row["rows"]
-        assert c_split["scalar"] > c_per_row["scalar"]
-        # a row that differs in two columns keeps its own angle at the later one
-        starts = grad_mod._row_starts(circuit, rows)
-        order = np.concatenate(([0], 1 + np.argsort(starts[1:], kind="stable")))
-        shared = grad_mod._shared_angle_gates(circuit, rows[order], starts[order])
-        assert not shared.all()
-        np.testing.assert_allclose(split, TestBatchExpectations._reference(circuit, rows, latent),
-                                   rtol=0, atol=1e-12)
-
-    def test_column_read_at_two_gates(self, monkeypatch):
-        # slot 0 is read at gates 0 and 3; its shifted rows start at gate 0
-        circuit = GateList(3, [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1), (RY, 2, 0),
-                               (PAULI, 2, "Y"), (CNOT, 2, 0), (RY, 0, 2), (CNOT, 1, 2)])
+    def test_column_read_at_two_gates(self):
+        circuit = _SLOT_READ_TWICE
         params = np.array([0.4, -1.1, 2.3])
         rows = _shift_rows(params, math.pi / 2)
-        starts = grad_mod._row_starts(circuit, rows)
-        order = np.concatenate(([0], 1 + np.argsort(starts[1:], kind="stable")))
-        shared = grad_mod._shared_angle_gates(circuit, rows[order], starts[order])
-        np.testing.assert_array_equal(shared, [True, False, True, False, False, False, True, False])
         for measured in (0, 2):
-            (split, c_split), (per_row, c_per_row) = self._split_and_per_row(
-                monkeypatch, lambda: parameter_shift_gradient(circuit, params, measured=measured))
-            monkeypatch.undo()
-            np.testing.assert_array_equal(split, per_row)
-            assert c_split["rows"] == c_per_row["rows"]
+            got = parameter_shift_gradient(circuit, params, measured=measured)
+            alone = _rows_alone(circuit, rows, measured=measured)
+            np.testing.assert_array_equal(got, (alone[1:4] - alone[4:]) / 2.0)
             want = TestBatchExpectations._reference(circuit, rows, measured=measured)
-            np.testing.assert_allclose(split, (want[1:4] - want[4:]) / 2.0, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got, (want[1:4] - want[4:]) / 2.0, rtol=0, atol=1e-12)
+
+
+def _lifted_head_trajectory(rng):
+    """A lifted head circuit (no data records) on one sampled trajectory, and its slot count."""
+    spec = CircuitSpec(qubits=4, main_layers=2, reupload_count=2, reupload_layers=1)
+    lifted, occurrences = lift_data_slots(expand_encoding(assemble_head_circuit(spec), 2))
+    circuit = sample_pauli_insertions(lifted, NoiseModel(p1q=0.4, p2q=0.4), rng)
+    return circuit, count_parameters(spec) + occurrences.size
+
+
+class TestRowsRunAlone:
+    """Every row of ``_batch_expectations`` has the bits of that row run alone."""
+
+    @pytest.mark.parametrize("per_chunk", [None, 1, 2, 5])
+    def test_bits_match_rows_run_alone(self, per_chunk, monkeypatch):
+        rng = np.random.default_rng(12)
+        lifted, slots = _lifted_head_trajectory(rng)
+        expanded, p, latent = TestBatchExpectations._circuit(rng)
+        plain, _, _ = TestBatchExpectations._circuit(rng, paulis=False)
+        assert any(g[0] == PAULI and g[2] == "Y" for c in (lifted, expanded) for g in c.gates)
+        initial = amplitude_encode(rng.standard_normal(16), 4).amplitudes
+        assert np.iscomplexobj(initial)
+        cases = [
+            (lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi, signs=(1.0,)), None, None),
+            (lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi / 2), None, None),
+            (expanded, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent, None),
+            (plain, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent, initial),
+        ]
+        if per_chunk is not None:
+            # each chunk holds row 0 plus per_chunk others
+            monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << 4)
+        for circuit, rows, lat, init in cases:
+            for measured in (0, None):
+                got = _batch_expectations(circuit, rows, lat, measured, init)
+                np.testing.assert_array_equal(got, _rows_alone(circuit, rows, lat, measured, init))
+        params = np.array([0.4, -1.1, 2.3])
+        alone = _rows_alone(_SLOT_READ_TWICE, _shift_rows(params, math.pi / 2))
+        np.testing.assert_array_equal(parameter_shift_gradient(_SLOT_READ_TWICE, params),
+                                      (alone[1:4] - alone[4:]) / 2.0)
+
+    def test_row_angles_only_for_rows_shifted_in_the_gate_column(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        lifted, slots = _lifted_head_trajectory(rng)
+        calls = []
+        original = grad_mod._ry
+
+        def recorded(amps, n, qubit, theta):
+            calls.append((qubit, np.asarray(theta), amps.shape[0]))
+            return original(amps, n, qubit, theta)
+
+        monkeypatch.setattr(grad_mod, "_ry", recorded)
+        for circuit, rows in [(lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi / 2)),
+                              (_SLOT_READ_TWICE, _shift_rows(np.array([0.4, -1.1, 2.3]), 0.5))]:
+            calls.clear()
+            _batch_expectations(circuit, rows, None, 0)
+            per_row = [i for i, (_, theta, _) in enumerate(calls) if theta.ndim]
+            assert 0 < len(per_row) < len(calls)
+            for i in per_row:
+                # the call before is the same gate on the rows ahead of the block,
+                # with row 0's scalar angle: that angle names the gate's column
+                qubit, theta, n_rows = calls[i]
+                prev_qubit, prev_theta, _ = calls[i - 1]
+                assert prev_theta.ndim == 0 and prev_qubit == qubit
+                (col,) = np.flatnonzero(rows[0] == prev_theta)
+                assert theta.shape == (n_rows,)
+                assert np.all(theta != rows[0, col])
+                assert np.all(np.isin(theta, rows[1:, col]))

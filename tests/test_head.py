@@ -483,6 +483,13 @@ class TestCheckpointRoundTrip:
         with pytest.raises(DataFormatError, match="byte 0"):
             load_checkpoint(path)
 
+    def test_dims_whose_product_wraps_report_truncation(self, wrapping_checkpoint):
+        from qhead.errors import DataFormatError
+
+        with pytest.raises(DataFormatError, match="truncated checkpoint: needed "
+                                                  f"{8 * (2**32 - 1) ** 2} bytes"):
+            load_checkpoint(wrapping_checkpoint)
+
     def test_truncation_reports_lengths(self, tmp_path):
         path = tmp_path / "trunc.qhd1"
         save_checkpoint(path, {"a": np.arange(4.0)})
