@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import DataFormatError, decode_utf8
 
 MAGIC = b"QHD1"
 VERSION = 1
@@ -63,6 +63,10 @@ class _Reader:
         self.pos += count
         return out
 
+    def text(self, count: int, what: str) -> str:
+        start = self.pos
+        return decode_utf8(self.take(count, what), DataFormatError, what, start)
+
     def u16(self, what: str) -> int:
         return struct.unpack("<H", self.take(2, what))[0]
 
@@ -79,10 +83,10 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], str]:
     version = rd.u32("version")
     if version != VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version} at byte 4")
-    meta = rd.take(rd.u32("metadata length"), "metadata").decode("utf-8")
+    meta = rd.text(rd.u32("metadata length"), "metadata")
     shapes: list[tuple[str, tuple[int, ...]]] = []
     for _ in range(rd.u32("array count")):
-        name = rd.take(rd.u16("name length"), "array name").decode("utf-8")
+        name = rd.text(rd.u16("name length"), "array name")
         ndim = rd.u32("ndim")
         dims = tuple(rd.u32("dimension") for _ in range(ndim))
         shapes.append((name, dims))

@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (ConfigurationError, DataError, DataFormatError, DegenerateInputError,

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .ansatz import CircuitSpec
-from .errors import ConfigurationError
+from .errors import ConfigurationError, decode_utf8
 from .noise import NoiseModel
 from .trainer import TrainConfig
 
@@ -158,9 +159,6 @@ class ExperimentConfig:
             p1q=self.error_rate_1q, p2q=self.error_rate_2q, shots=shots, seed=self.seed
         )
 
-    def to_mapping(self) -> dict[str, Scalar]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -264,8 +262,7 @@ def config_from_mapping(mapping: dict[str, Scalar | list[Scalar]]) -> Experiment
 
 
 def load_config(path) -> dict[str, Scalar | list[Scalar]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_flat(fh.read())
+    return parse_flat(decode_utf8(Path(path).read_bytes(), ConfigurationError, path))
 
 
 def sweep_axes(mapping: dict[str, Scalar | list[Scalar]]) -> list[str]:

@@ -13,6 +13,7 @@ per sample; both encodings describe the identical in-memory dataset.
 """
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .errors import ConfigurationError, DataError, DataFormatError
+from .errors import ConfigurationError, DataError, DataFormatError, decode_utf8
 
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
@@ -130,7 +131,8 @@ def _bad_cell(fields: list[str], cells: list[str], lineno: int) -> str:
 
 
 def _load_csv(path, num_classes: int | None) -> EmbeddingDataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with io.StringIO(decode_utf8(Path(path).read_bytes(), DataFormatError, path),
+                     newline=None) as fh:
         header = fh.readline().strip()
         fields = header.split(",")
         dim = len(fields) - 1
@@ -199,6 +201,8 @@ def make_count_splits(dataset: EmbeddingDataset, train_per_class: int,
     for name, count in (("train_per_class", train_per_class), ("val_per_class", val_per_class)):
         if count < 0:
             raise ConfigurationError(f"{name}: must be >= 0, got {count}")
+    if len(dataset) == 0:
+        raise DataError("dataset has no samples")
     want = train_per_class + val_per_class
     rng = seeding.stream(seed, seeding.DATA_SPLIT)
     train_parts, val_parts = [], []

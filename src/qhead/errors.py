@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the UTF-8 decoder that raises them."""
 
 
 class ConfigurationError(ValueError):
@@ -19,3 +19,12 @@ class DataError(ValueError):
 
 class UnsupportedModeError(RuntimeError):
     """The requested evaluation mode is not available for this operation."""
+
+
+def decode_utf8(blob: bytes, error: type[ValueError], what, offset: int = 0) -> str:
+    """``blob`` as text; a non-UTF-8 byte raises ``error`` naming its line and file offset."""
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise error(f"{what}: line {line} is not UTF-8 (byte {offset + exc.start})") from None

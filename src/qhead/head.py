@@ -114,18 +114,13 @@ def encoder_circuit(config: EncoderConfig) -> GateList:
     return GateList(config.encoder_qubits, gates)
 
 
-def _encoder_theta(theta_c, config: EncoderConfig) -> np.ndarray:
+def encoder_forward(x, theta_c, config: EncoderConfig) -> np.ndarray:
+    """Latent of one encoder: exact per-qubit <Z> (no shots, no gate noise)."""
     theta_c = np.asarray(theta_c, dtype=np.float64)
     if theta_c.shape != (config.params_per_encoder,):
         raise ConfigurationError(
             f"encoder expects {config.params_per_encoder} parameters, got shape {theta_c.shape}"
         )
-    return theta_c
-
-
-def encoder_forward(x, theta_c, config: EncoderConfig) -> np.ndarray:
-    """Latent of one encoder: exact per-qubit <Z> (no shots, no gate noise)."""
-    theta_c = _encoder_theta(theta_c, config)
     state = amplitude_encode(x, config.encoder_qubits)
     run_gates(state.amplitudes, encoder_circuit(config), theta_c, None)
     return _all_z_expectations(state.amplitudes, config.encoder_qubits)
@@ -288,17 +283,15 @@ def pqc_forward(latent, theta_q, spec: CircuitSpec,
 
     Draws one gate-noise trajectory and then one shot sample from ``rng`` when
     the noise model calls for them; otherwise reduces exactly to the noiseless
-    expectation.
+    expectation (``noise`` None means noiseless).
     """
     latent = np.asarray(latent, dtype=np.float64)
     theta_q = np.asarray(theta_q, dtype=np.float64)
     if latent.ndim != 1:
         raise ConfigurationError(f"latent must be a 1-D vector, got shape {latent.shape}")
     plan = _plan_pqc(spec, latent.size)
-    if noise is None or noise.is_noiseless:
-        _check_theta(plan, theta_q)
-        return float(_run_rows(plan.expanded, theta_q, latent[None], grads=False)[0][0])
-    return _noisy_sample(plan, theta_q, latent, noise, rng, rng, grads=False)
+    return _noisy_sample(plan, theta_q, latent, noise or noise_mod.NoiseModel(), rng, rng,
+                         grads=False)
 
 
 # ---------------------------------------------------------------------------
@@ -355,30 +348,21 @@ def init_head_params(encoder_config: EncoderConfig, spec: CircuitSpec,
 
 
 class QuantumEncoder:
-    """E parallel simulated encoders with trainable angles.
+    """E parallel simulated encoders with trainable angles drawn from ``rng``.
 
+    Given values are copied in afterwards with ``trainer.load_parameters``.
     ``forward`` and ``backward`` take one input (d,) or a batch (B, d). A
     batch is amplitude-encoded into real (B, 2^Qc) rows; each encoder runs
     its circuit once over the rows (in row chunks, see ``_row_chunks``), and
     its gradient is one batched adjoint sweep, summed over the rows.
     """
 
-    def __init__(self, config: EncoderConfig, rng: np.random.Generator | None = None,
-                 theta: list[np.ndarray] | None = None):
+    def __init__(self, config: EncoderConfig, rng: np.random.Generator):
         self.config = config
-        if theta is not None:
-            if len(theta) != config.num_encoders:
-                raise ConfigurationError(
-                    f"expected {config.num_encoders} parameter vectors, got {len(theta)}"
-                )
-            self.theta = [_encoder_theta(t, config) for t in theta]
-        else:
-            if rng is None:
-                raise ConfigurationError("either theta or an rng must be provided")
-            self.theta = [
-                rng.uniform(-math.pi, math.pi, config.params_per_encoder)
-                for _ in range(config.num_encoders)
-            ]
+        self.theta = [
+            rng.uniform(-math.pi, math.pi, config.params_per_encoder)
+            for _ in range(config.num_encoders)
+        ]
         self.circuit = encoder_circuit(config)
 
     @property
@@ -421,12 +405,15 @@ class HybridHead:
 
     The encoder is pluggable: a :class:`QuantumEncoder` by default, or any
     object with ``latent_dim``, ``forward``, ``backward`` and
-    ``parameter_arrays`` (the MLP encoder ablation uses this).
+    ``parameter_arrays`` (the MLP encoder ablation uses this). The circuit
+    angles are ``theta_q`` when given, else drawn from ``rng``; the linear
+    weights are always drawn from ``rng``. Given values are copied in
+    afterwards with ``load_parameter_arrays``.
     """
 
     def __init__(self, encoder, spec: CircuitSpec, num_classes: int = 2,
                  final_linear: bool = True, rng: np.random.Generator | None = None,
-                 theta_q: np.ndarray | None = None, linear: np.ndarray | None = None):
+                 theta_q: np.ndarray | None = None):
         if not final_linear and num_classes != 2:
             raise ConfigurationError("dropping the final linear layer requires 2 classes")
         self.encoder = encoder
@@ -442,29 +429,11 @@ class HybridHead:
                 raise ConfigurationError("either theta_q or an rng must be provided")
             self.theta_q = rng.uniform(-math.pi, math.pi, self.plan.n_params)
         if final_linear:
-            if linear is not None:
-                self.linear = np.asarray(linear, dtype=np.float64)
-                if self.linear.shape != (num_classes, encoder.latent_dim + 1):
-                    raise ConfigurationError(
-                        f"linear weights must have shape "
-                        f"({num_classes}, {encoder.latent_dim + 1}), got {self.linear.shape}"
-                    )
-            else:
-                if rng is None:
-                    raise ConfigurationError("either linear weights or an rng must be provided")
-                self.linear = 0.1 * rng.standard_normal((num_classes, encoder.latent_dim + 1))
+            if rng is None:
+                raise ConfigurationError("the linear weights need an rng")
+            self.linear = 0.1 * rng.standard_normal((num_classes, encoder.latent_dim + 1))
         else:
             self.linear = None
-
-    @classmethod
-    def from_params(cls, params: HeadParams, encoder_config: EncoderConfig,
-                    spec: CircuitSpec, num_classes: int = 2) -> "HybridHead":
-        encoder = QuantumEncoder(encoder_config, theta=params.theta_c)
-        return cls(
-            encoder, spec, num_classes=num_classes,
-            final_linear=params.linear is not None,
-            theta_q=params.theta_q, linear=params.linear,
-        )
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         arrays = dict(self.encoder.parameter_arrays())
@@ -554,12 +523,16 @@ def head_gradient(X, labels, params: HeadParams, encoder_config: EncoderConfig,
                   spec: CircuitSpec, num_classes: int = 2, noise=None,
                   seed_path: tuple[int, ...] = ()):
     """Batch-mean loss and gradients in HeadParams shape (functional wrapper)."""
-    model = HybridHead.from_params(params, encoder_config, spec, num_classes)
+    model = build_hybrid_head(encoder_config, spec, num_classes,
+                              final_linear=params.linear is not None)
+    arrays = {f"encoder_{i}": t for i, t in enumerate(params.theta_c)}
+    arrays["pqc"] = params.theta_q
+    if params.linear is not None:
+        arrays["linear"] = params.linear
+    load_parameters(model, arrays)
     loss, grads = model.batch_loss_and_gradients(X, labels, noise=noise, seed_path=seed_path)
     theta_c = [grads[f"encoder_{i}"] for i in range(encoder_config.num_encoders)]
-    return loss, HeadParams(
-        theta_c=theta_c, theta_q=grads["pqc"], linear=grads.get("linear")
-    )
+    return loss, HeadParams(theta_c=theta_c, theta_q=grads["pqc"], linear=grads.get("linear"))
 
 
 def build_hybrid_head(encoder_config: EncoderConfig, spec: CircuitSpec,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -57,18 +57,8 @@ class TrainReport:
     test_accuracy: float
     parameter_count: int
 
-    def to_dict(self) -> dict:
-        return {
-            "epoch_loss": self.epoch_loss,
-            "val_accuracy": self.val_accuracy,
-            "best_epoch": self.best_epoch,
-            "best_val_accuracy": self.best_val_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "parameter_count": self.parameter_count,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def cross_entropy_loss(logits, label: int) -> tuple[float, np.ndarray]:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from qhead.cli import main
@@ -349,3 +350,60 @@ class TestEnergySettings:
         code = main(["energy", "--out", str(tmp_path / "energy.csv"), flag, "nan"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestUnreadableInputsExit2:
+    """Input files that cannot be read end in ``error: ...`` and exit 2, not a traceback."""
+
+    def _run(self, tmp_path, capsys, argv):
+        code = main(argv + ["--out", str(tmp_path / "out")])
+        return code, capsys.readouterr().err
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "config.txt"
+        cfg.write_bytes(b"qubits = 3\ndataset = caf\xe9.emb\n")
+        code, err = self._run(tmp_path, capsys, ["train", "--config", str(cfg)])
+        assert code == 2 and err.startswith("error: ") and "line 2 is not UTF-8" in err
+
+    def test_csv_dataset_that_is_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"label,f0\n0,1.0\n1,\xff\n")
+        cfg = _write_config(tmp_path, data, dataset_format="csv")
+        code, err = self._run(tmp_path, capsys, ["train", "--config", str(cfg)])
+        assert code == 2 and err.startswith("error: ") and "line 3 is not UTF-8" in err
+
+    @pytest.mark.parametrize("field, at", [("metadata", 13), ("array name", 18)])
+    def test_checkpoint_text_that_is_not_utf8(self, tmp_path, capsys, smoke_data, field, at):
+        from qhead.checkpoint import save_checkpoint
+
+        ckpt = tmp_path / "bad.qhd1"
+        save_checkpoint(ckpt, {"w": [1.0]}, meta="abc" if field == "metadata" else "")
+        blob = bytearray(ckpt.read_bytes())
+        blob[at] = 0xFF
+        ckpt.write_bytes(bytes(blob))
+        cfg = _write_config(tmp_path, smoke_data)
+        code, err = self._run(tmp_path, capsys,
+                              ["eval", "--config", str(cfg), "--checkpoint", str(ckpt)])
+        assert code == 2 and err.startswith("error: ")
+        assert f"{field}: line 1 is not UTF-8 (byte {at})" in err
+
+    def test_config_path_that_is_a_directory(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, ["train", "--config", str(tmp_path)])
+        assert code == 2 and err.startswith("error: ") and str(tmp_path) in err
+
+    def test_dataset_path_that_is_a_directory(self, tmp_path, capsys):
+        folder = tmp_path / "data"
+        folder.mkdir()
+        cfg = _write_config(tmp_path, folder)
+        code, err = self._run(tmp_path, capsys, ["train", "--config", str(cfg)])
+        assert code == 2 and err.startswith("error: ") and str(folder) in err
+
+    @pytest.mark.parametrize("split_mode", ["benchmark", "counts"])
+    def test_empty_dataset(self, tmp_path, capsys, split_mode):
+        from qhead.datasets import EmbeddingDataset
+
+        data = tmp_path / "empty.emb"
+        save_embeddings_binary(EmbeddingDataset(np.zeros((0, 8)), np.zeros(0)), data)
+        cfg = _write_config(tmp_path, data, split_mode=split_mode)
+        code, err = self._run(tmp_path, capsys, ["train", "--config", str(cfg)])
+        assert code == 2 and err == "error: dataset has no samples\n"

@@ -134,3 +134,12 @@ class TestSweep:
 def test_non_finite_or_out_of_range_setting_names_its_field(key, value):
     with pytest.raises(ConfigurationError, match=key):
         config_from_mapping({key: value})
+
+
+def test_config_byte_that_is_not_utf8_names_its_line(tmp_path):
+    from qhead.config import load_config
+
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"qubits = 3\n# caf\xe9\n")
+    with pytest.raises(ConfigurationError, match="line 2 is not UTF-8 \\(byte 16\\)"):
+        load_config(path)

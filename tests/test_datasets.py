@@ -338,3 +338,33 @@ def test_benchmark_split_is_the_218_38_count_split(num_classes):
         b = make_count_splits(ds, 218, 38, seed)
         for split in ("train", "val", "test"):
             np.testing.assert_array_equal(a.split_indices(split), b.split_indices(split))
+
+
+def test_csv_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"label,f0,f1\n0,1.0,2.0\n1,1.0,2\xe9\n")
+    with pytest.raises(DataFormatError, match="line 3 is not UTF-8"):
+        load_embeddings(path, "csv")
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+def test_csv_lines_may_end_in_crlf_or_cr(tmp_path, end):
+    ds = _tiny_dataset()
+    path = tmp_path / "ends.csv"
+    save_embeddings_csv(ds, path)
+    path.write_bytes(path.read_bytes().replace(b"\n", end))
+    back = load_embeddings(path, "csv")
+    np.testing.assert_array_equal(back.vectors, ds.vectors)
+    np.testing.assert_array_equal(back.labels, ds.labels)
+
+
+@pytest.mark.parametrize("split", [lambda ds: make_count_splits(ds, 0, 0, seed=0),
+                                   lambda ds: make_count_splits(ds, 2, 1, seed=0),
+                                   lambda ds: make_benchmark_splits(ds, seed=0)])
+def test_empty_dataset_cannot_be_split(tmp_path, split):
+    path = tmp_path / "empty.emb"
+    save_embeddings_binary(EmbeddingDataset(np.zeros((0, 3)), np.zeros(0)), path)
+    empty = load_embeddings(path, "binary")
+    assert len(empty) == 0
+    with pytest.raises(DataError, match="dataset has no samples"):
+        split(empty)

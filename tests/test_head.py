@@ -499,3 +499,76 @@ class TestCheckpointRoundTrip:
 
         with pytest.raises(DataFormatError, match="truncated"):
             load_checkpoint(path)
+
+
+def _named_arrays(params):
+    """HeadParams as the class model's named parameter arrays."""
+    arrays = {f"encoder_{i}": t for i, t in enumerate(params.theta_c)}
+    arrays["pqc"] = params.theta_q
+    if params.linear is not None:
+        arrays["linear"] = params.linear
+    return arrays
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(p1q=0.2, p2q=0.2, shots=500, seed=8)],
+                         ids=["noiseless", "noisy-500-shots"])
+@pytest.mark.parametrize("final_linear", [True, False])
+@pytest.mark.parametrize("num_encoders", [1, 2])
+def test_head_gradient_equals_the_class_model_loaded_with_the_same_arrays(
+        num_encoders, final_linear, noise):
+    enc = EncoderConfig(num_encoders=num_encoders, encoder_qubits=3, encoder_layers=2)
+    spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=2)
+    params = init_head_params(enc, spec, rng=stream(17, PARAM_INIT), final_linear=final_linear)
+    X = np.random.default_rng(18).standard_normal((5, 8))
+    y = np.array([0, 1, 1, 0, 1])
+    loss, grads = head_gradient(X, y, params, enc, spec, noise=noise, seed_path=(2, 1))
+    # a head drawn from another seed, so that only the loaded values can match
+    model = build_hybrid_head(enc, spec, final_linear=final_linear, seed=99)
+    model.load_parameter_arrays(_named_arrays(params))
+    want_loss, want = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=(2, 1))
+    assert loss == want_loss
+    got = _named_arrays(grads)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert got[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("change, message", [
+    ("one encoder vector too few", "parameter names"),
+    ("one encoder vector too many", "parameter names"),
+    ("encoder vector too long", "'encoder_1' has shape"),
+    ("theta_q too short", "'pqc' has shape"),
+    ("linear too narrow", "'linear' has shape"),
+    ("linear missing a class", "'linear' has shape"),
+])
+def test_head_gradient_rejects_params_that_do_not_fit_the_head(change, message):
+    from dataclasses import replace
+
+    enc = EncoderConfig(num_encoders=2, encoder_qubits=3, encoder_layers=1)
+    spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=1)
+    params = init_head_params(enc, spec, rng=stream(3, PARAM_INIT))
+    bad = {
+        "one encoder vector too few": replace(params, theta_c=params.theta_c[:1]),
+        "one encoder vector too many": replace(params, theta_c=params.theta_c * 2),
+        "encoder vector too long": replace(
+            params, theta_c=[params.theta_c[0], np.append(params.theta_c[1], 0.5)]),
+        "theta_q too short": replace(params, theta_q=params.theta_q[:-1]),
+        "linear too narrow": replace(params, linear=params.linear[:, :-1]),
+        "linear missing a class": replace(params, linear=params.linear[:1]),
+    }[change]
+    X = np.random.default_rng(41).standard_normal((2, 8))
+    with pytest.raises(ConfigurationError, match=message):
+        head_gradient(X, np.array([0, 1]), bad, enc, spec)
+
+
+@pytest.mark.parametrize("field, at", [("metadata", 13), ("array name", 18)])
+def test_checkpoint_text_that_is_not_utf8_names_its_byte(tmp_path, field, at):
+    from qhead.errors import DataFormatError
+
+    path = tmp_path / "bad.qhd1"
+    save_checkpoint(path, {"w": np.arange(3.0)}, meta="abc" if field == "metadata" else "")
+    blob = bytearray(path.read_bytes())
+    blob[at] = 0xFF
+    path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match=f"{field}: line 1 is not UTF-8 \\(byte {at}\\)"):
+        load_checkpoint(path)
