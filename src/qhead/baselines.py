@@ -224,19 +224,19 @@ class MlpEncoder(_Mlp):
         return {f"enc_{k}": g for k, g in self._backward(dpre, cache).items()}
 
 
-def logistic_train(dataset, config: TrainConfig, noise=None):
+def logistic_train(dataset, config: TrainConfig):
     """Train the 769-parameter logistic head; returns (model, report)."""
     model = LogisticModel(dataset.dim)
-    report, _ = train(model, dataset, config, noise=noise)
+    report, _ = train(model, dataset, config)
     return model, report
 
 
 def mlp_head_train(dataset, mlp_config: MlpConfig, config: TrainConfig,
-                   num_classes: int = 2, noise=None):
+                   num_classes: int = 2):
     """Train a classical MLP head on the raw embeddings; returns (model, report)."""
     from . import seeding
 
     rng = seeding.stream(config.seed, seeding.PARAM_INIT)
     model = MlpHead(dataset.dim, num_classes, mlp_config, rng)
-    report, _ = train(model, dataset, config, noise=noise)
+    report, _ = train(model, dataset, config)
     return model, report

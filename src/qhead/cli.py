@@ -177,12 +177,13 @@ def cmd_eval(args) -> int:
 def _sweep_point(task):
     index, point, base_dir = task
     out = Path(base_dir) / f"point_{index:03d}"
+    qubits = point.get("qubits", ExperimentConfig.qubits)
     try:
         payload = run_train(point, out)
         return {
             "point": f"point_{index:03d}",
             "status": "ok",
-            "qubits": point.get("qubits"),
+            "qubits": qubits,
             "best_val_accuracy": payload["best_val_accuracy"],
             "test_accuracy": payload["test_accuracy"],
         }
@@ -190,7 +191,7 @@ def _sweep_point(task):
         return {
             "point": f"point_{index:03d}",
             "status": f"failed: {exc}",
-            "qubits": point.get("qubits"),
+            "qubits": qubits,
             "best_val_accuracy": None,
             "test_accuracy": None,
         }
@@ -326,8 +327,8 @@ def cmd_energy(args) -> int:
     return 0
 
 
-def _add_common(parser, *, config_required=True):
-    parser.add_argument("--config", required=config_required, help="flat key = value config file")
+def _add_common(parser):
+    parser.add_argument("--config", required=True, help="flat key = value config file")
     parser.add_argument("--out", default=None, help="output directory override")
     parser.add_argument("--seed", type=int, default=None, help="root seed override")
 

@@ -235,21 +235,20 @@ def pool_to_dim(dataset: EmbeddingDataset, out_dim: int) -> EmbeddingDataset:
     return replace(dataset, vectors=pooled.astype(np.float32))
 
 
-def pca_project(dataset: EmbeddingDataset, out_dim: int,
-                fit_split: str | None = "train") -> EmbeddingDataset:
+def pca_project(dataset: EmbeddingDataset, out_dim: int) -> EmbeddingDataset:
     """Project vectors onto their top principal components (labels unused).
 
-    The components are fit on one split (default "train", falling back to all
-    vectors when the dataset has no splits) so evaluation data never shapes
-    the projection. This is the standard way to fit wide embeddings into a
-    small amplitude-encoding register without washing out their structure.
+    The components are fit on the train split (on all vectors when the
+    dataset has no splits) so evaluation data never shapes the projection.
+    This is the standard way to fit wide embeddings into a small
+    amplitude-encoding register without washing out their structure.
     """
     if out_dim < 1 or out_dim > dataset.dim:
         raise ConfigurationError(
             f"PCA target must be in [1, {dataset.dim}], got {out_dim}"
         )
-    if fit_split is not None and dataset.train_idx is not None:
-        fit_vectors = dataset.split_arrays(fit_split)[0]
+    if dataset.train_idx is not None:
+        fit_vectors = dataset.split_arrays("train")[0]
     else:
         fit_vectors = dataset.vectors
     fit = np.asarray(fit_vectors, dtype=np.float64)

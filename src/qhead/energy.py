@@ -49,35 +49,19 @@ def gpu_energy_kj(spec: CircuitSpec, constants: EnergyConstants = DEFAULT_CONSTA
     return flops / constants.gpu_flops * constants.gpu_watts / 1000.0
 
 
-def _family_spec(qubits: int, main_layers: int, reupload_count: int,
-                 reupload_layers: int) -> CircuitSpec:
-    return CircuitSpec(
-        qubits=qubits,
-        connectivity=1,
-        main_layers=main_layers,
-        reupload_count=reupload_count,
-        reupload_layers=reupload_layers,
-    )
-
-
-def crossover_curve(constants: EnergyConstants = DEFAULT_CONSTANTS,
-                    qubit_range=range(2, 61), main_layers: int = 2,
-                    reupload_count: int = 4, reupload_layers: int = 1):
-    """Rows of (qubits, e_qpu_kj, e_gpu_kj) over the scanned widths."""
+def crossover_curve(constants: EnergyConstants = DEFAULT_CONSTANTS, qubit_range=range(2, 61)):
+    """Rows of (qubits, e_qpu_kj, e_gpu_kj) for ``CircuitSpec(qubits=q)`` at each scanned q."""
     rows = []
     for q in qubit_range:
-        spec = _family_spec(q, main_layers, reupload_count, reupload_layers)
+        spec = CircuitSpec(qubits=q)
         rows.append((q, qpu_energy_kj(spec, constants), gpu_energy_kj(spec, constants)))
     return rows
 
 
 def find_crossover(constants: EnergyConstants = DEFAULT_CONSTANTS,
-                   qubit_range=range(2, 61), main_layers: int = 2,
-                   reupload_count: int = 4, reupload_layers: int = 1) -> int | None:
+                   qubit_range=range(2, 61)) -> int | None:
     """Smallest scanned qubit count where GPU energy meets or exceeds QPU energy."""
-    for q, e_qpu, e_gpu in crossover_curve(
-        constants, qubit_range, main_layers, reupload_count, reupload_layers
-    ):
+    for q, e_qpu, e_gpu in crossover_curve(constants, qubit_range):
         if e_gpu >= e_qpu:
             return q
     return None

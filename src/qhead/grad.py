@@ -3,8 +3,8 @@
 Three gradient routes with different trade-offs:
 
 * parameter-shift: exact for RY-parameterized circuits, two shifted
-  evaluations per angle, valid with a noise trajectory and finite shots
-  attached; it stays on explicit +/- rows as the independent reference;
+  evaluations per angle on explicit +/- rows: the noiseless, independent
+  reference (noisy gradients come from ``qhead.head``'s one-sweep route);
 * adjoint reverse accumulation: one backward sweep over a unitary gate list
   (Jones & Gacon 2020, arXiv:2009.02823); a sampled trajectory is one, as
   its Pauli records are un-applied like any other gate;
@@ -21,8 +21,7 @@ gate is real up to a global phase: on real arrays Y is applied as XZ = -iY,
 and the dropped phase never reaches |amplitude|^2.
 
 Single circuit values (``evaluate_expectation`` and
-``trajectory_expectation``) run one real row through ``_single_value``; a
-caller's ``initial`` keeps its dtype.
+``trajectory_expectation``) run one real row through ``_single_value``.
 
 The adjoint sweep runs on a (B, 2^Q) batch of real rows, each with its own
 latent and observable weights, and takes each RY derivative as the real
@@ -241,37 +240,25 @@ def _shift_rows(base: np.ndarray, delta: float, signs=(1.0, -1.0)) -> np.ndarray
     return rows
 
 
-def _paired_shift_values(circuit, params, latent, measured, delta, initial=None):
+def _paired_shift_values(circuit, params, latent, measured, delta):
     """E(theta_j + delta), E(theta_j - delta) for every parameter j."""
     p = params.size
-    if p == 0:
-        empty = np.zeros(0)
-        return empty, empty
-    vals = _batch_expectations(circuit, _shift_rows(params, delta), latent, measured, initial)
+    vals = _batch_expectations(circuit, _shift_rows(params, delta), latent, measured)
     return vals[1 : 1 + p], vals[1 + p :]
 
 
-def _single_value(circuit: GateList, params, latent, measured: int,
-                  initial: np.ndarray | None = None) -> float:
-    """<Z_measured> of one row run from real |0...0> (or a copy of ``initial``)."""
-    if initial is None:
-        amps = np.zeros(1 << circuit.num_qubits)
-        amps[0] = 1.0
-    else:
-        amps = initial.copy()
+def _single_value(circuit: GateList, params, latent, measured: int) -> float:
+    """<Z_measured> of one row run from real |0...0>."""
+    amps = np.zeros(1 << circuit.num_qubits)
+    amps[0] = 1.0
     run_gates(amps, circuit, params, latent)
     return float(_z_expectation(amps, circuit.num_qubits, measured))
 
 
-def evaluate_expectation(circuit: GateList, params, latent=None, measured: int = 0,
-                         initial: np.ndarray | None = None) -> float:
-    """Noiseless, infinite-shot <Z> on ``measured`` after running from |0...0>.
-
-    ``initial`` substitutes a caller-prepared starting state (e.g. an
-    amplitude-encoded input) for |0...0>.
-    """
+def evaluate_expectation(circuit: GateList, params, latent=None, measured: int = 0) -> float:
+    """Noiseless, infinite-shot <Z> on ``measured`` after running from |0...0>."""
     circuit, params, latent = _prepare(circuit, params, latent, measured)
-    return _single_value(circuit, params, latent, measured, initial)
+    return _single_value(circuit, params, latent, measured)
 
 
 def trajectory_expectation(circuit: GateList, params, latent=None, noise=None,
@@ -283,31 +270,21 @@ def trajectory_expectation(circuit: GateList, params, latent=None, noise=None,
     return _single_value(circuit, params, latent, measured)
 
 
-def parameter_shift_gradient(circuit: GateList, params, latent=None, measured: int = 0,
-                             noise=None, rng: np.random.Generator | None = None,
-                             initial: np.ndarray | None = None) -> np.ndarray:
-    """d<Z>/d(params) via [E(theta + pi/2) - E(theta - pi/2)] / 2 per angle.
-
-    With a noise model attached, one Pauli trajectory is drawn and shared by
-    every shifted evaluation, and finite-shot sampling reuses one normal draw
-    per +/- pair (common random numbers).
-    """
+def parameter_shift_gradient(circuit: GateList, params, latent=None,
+                             measured: int = 0) -> np.ndarray:
+    """Noiseless d<Z>/d(params) via [E(theta + pi/2) - E(theta - pi/2)] / 2 per angle."""
     circuit, params, latent = _prepare(circuit, params, latent, measured)
-    if noise is not None:
-        circuit = noise_mod.sample_pauli_insertions(circuit, noise, rng)
-    plus, minus = _paired_shift_values(circuit, params, latent, measured, math.pi / 2, initial)
-    if noise is not None and noise.shots is not None and params.size:
-        plus, minus = noise_mod.paired_shot_estimates(plus, minus, noise.shots, rng)
+    plus, minus = _paired_shift_values(circuit, params, latent, measured, math.pi / 2)
     return (plus - minus) / 2.0
 
 
 def finite_difference_oracle(circuit: GateList, params, latent=None, measured: int = 0,
-                             h: float = 1e-4, initial: np.ndarray | None = None) -> np.ndarray:
+                             h: float = 1e-4) -> np.ndarray:
     """Central differences [E(theta+h) - E(theta-h)] / (2h), noiseless."""
     if h <= 0:
         raise ConfigurationError(f"step size must be positive, got {h}")
     circuit, params, latent = _prepare(circuit, params, latent, measured)
-    plus, minus = _paired_shift_values(circuit, params, latent, measured, h, initial)
+    plus, minus = _paired_shift_values(circuit, params, latent, measured, h)
     return (plus - minus) / (2.0 * h)
 
 
@@ -405,13 +382,11 @@ def adjoint_observable_gradients(circuit: GateList, params, latent=None,
 
 
 def adjoint_gradient(circuit: GateList, params, latent=None, measured: int = 0,
-                     noise=None, initial: np.ndarray | None = None) -> np.ndarray:
+                     noise=None) -> np.ndarray:
     """Adjoint-mode d<Z>/d(params); matches the shift rule on noiseless circuits."""
     if noise is not None and not noise.is_noiseless:
         raise UnsupportedModeError("adjoint differentiation supports noiseless evaluation only")
-    grad_params, _ = adjoint_observable_gradients(
-        circuit, params, latent, measured=measured, initial=initial
-    )
+    grad_params, _ = adjoint_observable_gradients(circuit, params, latent, measured=measured)
     return grad_params
 
 
@@ -420,7 +395,5 @@ def parameter_shift_jacobian(circuit: GateList, params, latent=None,
     """d<Z_q>/d(theta_p) for every qubit q, shape (num_qubits, P). Noiseless."""
     circuit, params, latent = _prepare(circuit, params, latent)
     p = params.size
-    if p == 0:
-        return np.zeros((circuit.num_qubits, 0))
     vals = _batch_expectations(circuit, _shift_rows(params, math.pi / 2), latent, None, initial)
     return (vals[1 : 1 + p] - vals[1 + p :]).T / 2.0

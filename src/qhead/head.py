@@ -309,12 +309,11 @@ def linear_logits(latent, z_meas: float, weights: np.ndarray) -> np.ndarray:
     return weights @ np.append(latent, z_meas)
 
 
-def head_forward(x, params: HeadParams, encoder_config: EncoderConfig, spec: CircuitSpec,
-                 noise: noise_mod.NoiseModel | None = None,
-                 rng: np.random.Generator | None = None) -> np.ndarray:
-    """Class logits for one input; with no linear layer they are (z, -z)."""
+def head_forward(x, params: HeadParams, encoder_config: EncoderConfig,
+                 spec: CircuitSpec) -> np.ndarray:
+    """Noiseless class logits for one input; with no linear layer they are (z, -z)."""
     latent = multi_encoder_forward(x, params.theta_c, encoder_config)
-    z = pqc_forward(latent, params.theta_q, spec, noise, rng)
+    z = pqc_forward(latent, params.theta_q, spec)
     if params.linear is None:
         return np.array([z, -z])
     return linear_logits(latent, z, params.linear)

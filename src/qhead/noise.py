@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import CNOT, DATA, ENCODE, PAULI, RY, GateList, expand_encoding
+from .ansatz import CNOT, DATA, ENCODE, PAULI, RY, GateList
 from .errors import ConfigurationError
 
 _PAULI_LABELS = "IXYZ"
@@ -108,23 +108,19 @@ def paired_shot_estimates(plus, minus, shots: int, rng: np.random.Generator | No
     return gaussian_shot_estimate(plus, shots, eps), gaussian_shot_estimate(minus, shots, eps)
 
 
-def shot_sample_expectation(z, shots: int | None,
+def shot_sample_expectation(z: float, shots: int | None,
                             rng: np.random.Generator | None) -> ShotSample:
     """Sample a finite-shot estimate of <Z> = z; exact at z = +/-1 and S = inf."""
-    z = np.asarray(z, dtype=np.float64)
-    if np.any(np.abs(z) > 1.0 + 1e-9):
+    z = float(z)
+    if abs(z) > 1.0 + 1e-9:
         raise ConfigurationError(f"|z| must be <= 1, got {z!r}")
-    z = np.clip(z, -1.0, 1.0)
+    z = min(max(z, -1.0), 1.0)
     if shots is None:
-        out = z if z.ndim else float(z)
-        return ShotSample(out, out)
+        return ShotSample(z, z)
     if shots < 1:
         raise ConfigurationError(f"shots must be >= 1, got {shots}")
-    eps = _require_rng(rng, "shot sampling").standard_normal(z.shape)
-    est = gaussian_shot_estimate(z, shots, eps)
-    if z.ndim == 0:
-        return ShotSample(float(est), float(z))
-    return ShotSample(est, z)
+    eps = _require_rng(rng, "shot sampling").standard_normal()
+    return ShotSample(float(gaussian_shot_estimate(z, shots, eps)), z)
 
 
 def multinomial_oracle(p, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -202,35 +198,27 @@ def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float,
     return (1.0 - p) * rho + (p / len(terms)) * mixed
 
 
-def depolarizing_reference_expectation(circuit: GateList, params, latent=None,
+def depolarizing_reference_expectation(circuit: GateList, params,
                                        model: NoiseModel | None = None,
                                        measured: int = 0) -> float:
     """Exact <Z> under the depolarizing channel, by density-matrix evolution.
 
-    Restricted to <= 2 qubits; this is the reference the Monte-Carlo
-    trajectory average must converge to.
+    Restricted to <= 2 qubits and to RY, CNOT and Pauli records; this is the
+    reference the Monte-Carlo trajectory average must converge to.
     """
     n = circuit.num_qubits
     if n > 2:
         raise ConfigurationError(f"density-matrix reference supports <= 2 qubits, got {n}")
     params = np.asarray(params if params is not None else [], dtype=np.float64)
-    if latent is not None:
-        latent = np.asarray(latent, dtype=np.float64)
-    gates = circuit.gates
-    if any(g[0] == ENCODE for g in gates):
-        if latent is None or latent.size % n:
-            raise ConfigurationError("latent vector inconsistent with encoding steps")
-        gates = expand_encoding(circuit, latent.size // n).gates
     p1q = model.p1q if model is not None else 0.0
     p2q = model.p2q if model is not None else 0.0
 
     dim = 1 << n
     rho = np.zeros((dim, dim), dtype=np.complex128)
     rho[0, 0] = 1.0
-    for g in gates:
-        if g[0] in (RY, DATA):
-            theta = params[g[2]] if g[0] == RY else latent[g[2]]
-            u = _embed1(_ry_mat(theta), g[1], n)
+    for g in circuit.gates:
+        if g[0] == RY:
+            u = _embed1(_ry_mat(params[g[2]]), g[1], n)
             rho = u @ rho @ u.conj().T
             rho = _depolarize(rho, (g[1],), p1q, n)
         elif g[0] == CNOT:

@@ -34,18 +34,8 @@ class StateVector:
         self.num_qubits = num_qubits
         self.amplitudes = amplitudes
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def __repr__(self) -> str:
-        return f"StateVector(num_qubits={self.num_qubits})"
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,23 @@ class TestSweep:
             b["config"].pop("out_dir")
             assert a == b
 
+    def test_default_qubits_reported(self, tmp_path, smoke_data):
+        # a sweep config that leaves qubits unset reports the default width
+        cfg = _write_config(tmp_path, smoke_data, learning_rate="[0.01, 0.02]", epochs=1,
+                            train_per_class=4, val_per_class=2)
+        lines = cfg.read_text(encoding="utf-8").splitlines(keepends=True)
+        cfg.write_text("".join(line for line in lines if not line.startswith("qubits")),
+                       encoding="utf-8")
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert [row["qubits"] for row in report["points"]] == [10, 10]
+        summary = [
+            line for line in (out / "summary.csv").read_text().splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(summary) == 2 and summary[1].startswith("10,")
+
     def test_failures_recorded_and_sweep_continues(self, tmp_path, smoke_data):
         # second qubit value is invalid (connectivity >= qubits there)
         cfg = _write_config(tmp_path, smoke_data, qubits="[3, 2]", connectivity=2,

@@ -305,6 +305,16 @@ class TestPreprocessing:
             a.vectors[split.train_idx], b.vectors[split.train_idx], atol=1e-4
         )
 
+    def test_pca_without_splits_fits_all_vectors(self):
+        # the leading component of all vectors is the first axis; fit on the
+        # first two rows alone it would be the second
+        vectors = np.array([[0.0, 1.0], [0.0, -1.0], [4.0, 0.0], [-4.0, 0.0]],
+                           dtype=np.float32)
+        ds = EmbeddingDataset(vectors, np.array([0, 0, 1, 1]))
+        projected = pca_project(ds, 1)
+        np.testing.assert_allclose(np.abs(projected.vectors[:, 0]), [0.0, 0.0, 4.0, 4.0],
+                                   atol=1e-6)
+
     def test_pca_bounds(self):
         ds = EmbeddingDataset(np.ones((4, 3), dtype=np.float32), np.zeros(4, dtype=np.int64))
         with pytest.raises(ConfigurationError):

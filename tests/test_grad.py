@@ -139,6 +139,14 @@ class TestParameterShift:
         assert abs(b[0] + math.sin(0.9)) > 1e-3  # coarse FD is visibly off
         assert abs(c[0] + math.sin(0.9)) < 1e-8
 
+    def test_zero_parameter_circuit_shapes(self):
+        # the shift-row engine runs row 0 alone and returns empty shifted values
+        circuit = GateList(3, [(ENCODE, 0), (CNOT, 0, 1), (DATA, 2, 1)])
+        latent = [0.3, -0.4, 1.1]
+        assert parameter_shift_gradient(circuit, [], latent, measured=1).shape == (0,)
+        assert finite_difference_oracle(circuit, [], latent, measured=2).shape == (0,)
+        assert parameter_shift_jacobian(circuit, [], latent).shape == (3, 0)
+
 
 class TestFiniteDifferenceOracle:
     def test_cosine_derivative(self):

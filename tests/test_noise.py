@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qhead.ansatz import CNOT, DATA, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, expand_encoding, gate_counts
+from qhead.ansatz import CNOT, DATA, ENCODE, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, expand_encoding, gate_counts
 from qhead.errors import ConfigurationError
 from qhead.grad import trajectory_expectation
 from qhead.noise import (
@@ -153,6 +153,12 @@ class TestDepolarizingReference:
     def test_oracle_scope_limit(self):
         with pytest.raises(ConfigurationError):
             depolarizing_reference_expectation(GateList(3, [(RY, 0, 0)]), [0.1])
+
+    @pytest.mark.parametrize("record", [(ENCODE, 0), (DATA, 1, 0)])
+    def test_encoding_records_rejected(self, record):
+        circuit = GateList(2, [(RY, 0, 0), record, (CNOT, 0, 1)])
+        with pytest.raises(ConfigurationError, match="unknown gate record"):
+            depolarizing_reference_expectation(circuit, [0.4], model=NoiseModel(p1q=0.1))
 
 
 class TestShotSampling:
