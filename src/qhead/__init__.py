@@ -46,21 +46,7 @@ from .grad import (
     finite_difference_oracle,
     parameter_shift_gradient,
 )
-from .head import (
-    EncoderConfig,
-    HeadParams,
-    HybridHead,
-    QuantumEncoder,
-    build_hybrid_head,
-    count_head_parameters,
-    encoder_forward,
-    head_forward,
-    head_gradient,
-    init_head_params,
-    linear_logits,
-    multi_encoder_forward,
-    pqc_forward,
-)
+from .head import EncoderConfig, HybridHead, QuantumEncoder, build_hybrid_head
 from .noise import (
     NoiseModel,
     ShotSample,

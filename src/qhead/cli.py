@@ -313,6 +313,9 @@ _ENERGY_FLAGS = {
 
 
 def cmd_energy(args) -> int:
+    if args.min_qubits > args.max_qubits:
+        raise ConfigurationError(f"--min-qubits {args.min_qubits} exceeds "
+                                 f"--max-qubits {args.max_qubits}")
     constants = EnergyConstants(**{f: getattr(args, f) for f in _ENERGY_FLAGS.values()})
     qubit_range = range(args.min_qubits, args.max_qubits + 1)
     crossover = find_crossover(constants, qubit_range)

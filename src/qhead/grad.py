@@ -10,15 +10,16 @@ Three gradient routes with different trade-offs:
   its Pauli records are un-applied like any other gate;
 * central finite differences: O(h^2) oracle used for cross-checking.
 
-Shifted evaluations are batched on a (rows, 2^Q) amplitude array, chunked to
-bound peak memory, with the unshifted row first. Every other row differs from
-that first row in one column at most, as ``_shift_rows`` builds them, and runs
-only from the first gate reading that column: its state before that gate is
-the first row's, and is copied from it. At each RY gate the rows shifted in
-the gate's column take their own angles and every other row takes the first
-row's scalar angle. Starting from |0...0> the states are real, because every
-gate is real up to a global phase: on real arrays Y is applied as XZ = -iY,
-and the dropped phase never reaches |amplitude|^2.
+Shifted evaluations are batched on a real (rows, 2^Q) amplitude array,
+chunked to bound peak memory. Every row runs from |0...0> and reads one
+qubit's <Z>. The unshifted row comes first; every other row differs from it
+in one column at most, as ``_shift_rows`` builds them, and runs only from the
+first gate reading that column: its state before that gate is the first
+row's, and is copied from it. At each RY gate the rows shifted in the gate's
+column take their own angles and every other row takes the first row's
+scalar angle. The states stay real, because every gate is real up to a
+global phase: on real arrays Y is applied as XZ = -iY, and the dropped phase
+never reaches |amplitude|^2.
 
 Single circuit values (``evaluate_expectation`` and
 ``trajectory_expectation``) run one real row through ``_single_value``.
@@ -38,7 +39,6 @@ from .ansatz import CNOT, DATA, ENCODE, PAULI, RY, GateList, expand_encoding, pa
 from .errors import ConfigurationError, UnsupportedModeError
 from .simcore import (
     MAX_QUBITS,
-    _all_z_expectations,
     _cnot,
     _pauli,
     _qubit_view,
@@ -163,23 +163,19 @@ def _row_starts(circuit: GateList, rows: np.ndarray) -> tuple[np.ndarray, np.nda
     return starts, first_read
 
 
-def _run_chunk(circuit: GateList, rows, starts, first_read, latent, initial) -> np.ndarray:
-    """Final states of ``rows`` (row 0 first, then by ascending start gate).
+def _run_chunk(circuit: GateList, rows, starts, first_read, latent) -> np.ndarray:
+    """Final real states of ``rows`` (row 0 first, then by ascending start gate).
 
-    Row 0 runs from |0...0> (or ``initial``); each other row is copied from
-    row 0 just before its start gate, so gates apply to the contiguous prefix
-    of rows already started. At an RY gate the rows shifted in its column
-    all started at that column's first read, so they form one block, which
-    takes its own angles; every other row takes row 0's scalar angle.
+    Row 0 runs from |0...0>; each other row is copied from row 0 just before
+    its start gate, so gates apply to the contiguous prefix of rows already
+    started. At an RY gate the rows shifted in its column all started at
+    that column's first read, so they form one block, which takes its own
+    angles; every other row takes row 0's scalar angle.
     """
     n = circuit.num_qubits
-    dtype = np.float64 if initial is None else initial.dtype
-    amps = np.empty((rows.shape[0], 1 << n), dtype=dtype)
-    if initial is None:
-        amps[0] = 0.0
-        amps[0, 0] = 1.0
-    else:
-        amps[0] = initial
+    amps = np.empty((rows.shape[0], 1 << n))
+    amps[0] = 0.0
+    amps[0, 0] = 1.0
     gates = circuit.gates
     started = np.searchsorted(starts, np.arange(len(gates)), side="right")
     read_at = [first_read[g[2]] if g[0] == RY else 0 for g in gates]
@@ -204,29 +200,25 @@ def _run_chunk(circuit: GateList, rows, starts, first_read, latent, initial) -> 
     return amps
 
 
-def _batch_expectations(circuit, rows, latent, measured, initial=None) -> np.ndarray:
-    """<Z_measured> for each parameter row; rows shape (R, P), one shared latent.
+def _batch_expectations(circuit, rows, latent, measured) -> np.ndarray:
+    """<Z_measured> for each parameter row run from |0...0>; rows (R, P), one shared latent.
 
-    With ``measured=None`` returns every qubit's <Z>, shape (R, num_qubits).
     Each row differs from row 0 in one column at most, or ``ConfigurationError``
     is raised, and shares row 0's gates up to that column's first read (see
-    ``_row_starts``). Without ``initial`` the states are real: every gate is
-    real up to a global phase, which ``_pauli`` drops for Y on real arrays.
-    Rows run in chunks that each repeat row 0, bounding peak memory.
+    ``_row_starts``). The states are real: every gate is real up to a global
+    phase, which ``_pauli`` drops for Y on real arrays. Rows run in chunks
+    that each repeat row 0, bounding peak memory.
     """
     n = circuit.num_qubits
     starts, first_read = _row_starts(circuit, rows)
     order = 1 + np.argsort(starts[1:], kind="stable")
     per_chunk = max(1, _CHUNK_ELEMENTS // (1 << n) - 1)
     chunks = [order[lo : lo + per_chunk] for lo in range(0, order.size, per_chunk)] or [order]
-    out = np.empty((rows.shape[0],) if measured is not None else (rows.shape[0], n))
+    out = np.empty(rows.shape[0])
     for chunk in chunks:
         idx = np.concatenate(([0], chunk))
-        amps = _run_chunk(circuit, rows[idx], starts[idx], first_read, latent, initial)
-        if measured is None:
-            out[idx] = _all_z_expectations(amps, n)
-        else:
-            out[idx] = _z_expectation(amps, n, measured)
+        amps = _run_chunk(circuit, rows[idx], starts[idx], first_read, latent)
+        out[idx] = _z_expectation(amps, n, measured)
     return out
 
 
@@ -389,11 +381,3 @@ def adjoint_gradient(circuit: GateList, params, latent=None, measured: int = 0,
     grad_params, _ = adjoint_observable_gradients(circuit, params, latent, measured=measured)
     return grad_params
 
-
-def parameter_shift_jacobian(circuit: GateList, params, latent=None,
-                             initial: np.ndarray | None = None) -> np.ndarray:
-    """d<Z_q>/d(theta_p) for every qubit q, shape (num_qubits, P). Noiseless."""
-    circuit, params, latent = _prepare(circuit, params, latent)
-    p = params.size
-    vals = _batch_expectations(circuit, _shift_rows(params, math.pi / 2), latent, None, initial)
-    return (vals[1 : 1 + p] - vals[1 + p :]).T / 2.0

@@ -112,7 +112,7 @@ def shot_sample_expectation(z: float, shots: int | None,
                             rng: np.random.Generator | None) -> ShotSample:
     """Sample a finite-shot estimate of <Z> = z; exact at z = +/-1 and S = inf."""
     z = float(z)
-    if abs(z) > 1.0 + 1e-9:
+    if not abs(z) <= 1.0 + 1e-9:  # also rejects NaN
         raise ConfigurationError(f"|z| must be <= 1, got {z!r}")
     z = min(max(z, -1.0), 1.0)
     if shots is None:

@@ -1,0 +1,206 @@
+"""Per-sample references and the functional head API, used only by tests.
+
+The package trains and evaluates through ``HybridHead``. The tests check it
+against these simpler routes:
+
+* ``encoder_forward`` / ``encoder_backward`` run one input on a complex128
+  state from ``amplitude_encode``; ``encoder_backward(method="shift")``
+  takes the full shift-rule Jacobian of ``parameter_shift_jacobian``, whose
+  +/- pi/2 rows each run alone through ``run_gates``;
+* ``pqc_forward``, ``_pqc_value`` and ``_pqc_value_and_grads`` run one sample
+  through the head's per-sample noisy routine, ``head._noisy_sample``;
+* ``HeadParams`` with ``head_forward``, ``head_gradient``,
+  ``init_head_params``, ``linear_logits`` and ``count_head_parameters`` is a
+  functional view of the same head.
+"""
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from qhead import noise as noise_mod
+from qhead.ansatz import CircuitSpec, GateList, count_parameters
+from qhead.errors import ConfigurationError
+from qhead.grad import _prepare, _shift_rows, adjoint_observable_gradients, run_gates
+from qhead.head import (
+    EncoderConfig,
+    HybridHead,
+    QuantumEncoder,
+    _noisy_sample,
+    _plan_pqc,
+    build_hybrid_head,
+    encoder_circuit,
+)
+from qhead.simcore import _all_z_expectations, amplitude_encode
+from qhead.trainer import load_parameters
+
+
+@dataclass
+class HeadParams:
+    """All trainable values: per-encoder angles, circuit angles, linear weights."""
+
+    theta_c: list[np.ndarray]
+    theta_q: np.ndarray
+    linear: np.ndarray | None
+
+
+# ---------------------------------------------------------------------------
+# encoder stage, one input on a complex state
+
+
+def parameter_shift_jacobian(circuit: GateList, params, latent=None,
+                             initial: np.ndarray | None = None) -> np.ndarray:
+    """d<Z_q>/d(theta_p) for every qubit q, shape (num_qubits, P). Noiseless.
+
+    Each +/- pi/2 row runs alone through ``run_gates``, from |0...0> or from
+    a copy of ``initial``.
+    """
+    circuit, params, latent = _prepare(circuit, params, latent)
+    n, p = circuit.num_qubits, params.size
+    vals = np.empty((2 * p, n))
+    for r, row in enumerate(_shift_rows(params, math.pi / 2)[1:]):
+        if initial is None:
+            amps = np.zeros(1 << n)
+            amps[0] = 1.0
+        else:
+            amps = initial.copy()
+        run_gates(amps, circuit, row, latent)
+        vals[r] = _all_z_expectations(amps, n)
+    return (vals[:p] - vals[p:]).T / 2.0
+
+
+def encoder_forward(x, theta_c, config: EncoderConfig) -> np.ndarray:
+    """Latent of one encoder: exact per-qubit <Z> (no shots, no gate noise)."""
+    theta_c = np.asarray(theta_c, dtype=np.float64)
+    if theta_c.shape != (config.params_per_encoder,):
+        raise ConfigurationError(
+            f"encoder expects {config.params_per_encoder} parameters, got shape {theta_c.shape}"
+        )
+    state = amplitude_encode(x, config.encoder_qubits)
+    run_gates(state.amplitudes, encoder_circuit(config), theta_c, None)
+    return _all_z_expectations(state.amplitudes, config.encoder_qubits)
+
+
+def encoder_backward(x, theta_c, config: EncoderConfig, dlatent,
+                     method: str = "adjoint") -> np.ndarray:
+    """Gradient of dlatent . latent(x, theta_c) w.r.t. theta_c.
+
+    "adjoint" backpropagates the weighted-Z observable in one reverse sweep;
+    "shift" forms the full shift-rule Jacobian first. They agree to solver
+    precision.
+    """
+    theta_c = np.asarray(theta_c, dtype=np.float64)
+    dlatent = np.asarray(dlatent, dtype=np.float64)
+    circuit = encoder_circuit(config)
+    initial = amplitude_encode(x, config.encoder_qubits).amplitudes
+    if method == "adjoint":
+        grads, _ = adjoint_observable_gradients(
+            circuit, theta_c, z_weights=dlatent, initial=initial
+        )
+        return grads
+    if method == "shift":
+        jac = parameter_shift_jacobian(circuit, theta_c, initial=initial)
+        return jac.T @ dlatent
+    raise ConfigurationError(f"unknown encoder gradient method {method!r}")
+
+
+def multi_encoder_forward(x, theta_c_list, config: EncoderConfig) -> np.ndarray:
+    """Concatenated latents of E independent encoders reading the same input."""
+    if len(theta_c_list) != config.num_encoders:
+        raise ConfigurationError(
+            f"expected {config.num_encoders} parameter vectors, got {len(theta_c_list)}"
+        )
+    return np.concatenate([encoder_forward(x, t, config) for t in theta_c_list])
+
+
+# ---------------------------------------------------------------------------
+# re-uploading circuit stage, one sample
+
+
+_pqc_value = functools.partial(_noisy_sample, grads=False)
+_pqc_value_and_grads = functools.partial(_noisy_sample, grads=True)
+
+
+def pqc_forward(latent, theta_q, spec: CircuitSpec,
+                noise: noise_mod.NoiseModel | None = None,
+                rng: np.random.Generator | None = None) -> float:
+    """Measured-qubit <Z> estimate of the re-uploading circuit.
+
+    Draws one gate-noise trajectory and then one shot sample from ``rng`` when
+    the noise model calls for them; otherwise reduces exactly to the noiseless
+    expectation (``noise`` None means noiseless).
+    """
+    latent = np.asarray(latent, dtype=np.float64)
+    theta_q = np.asarray(theta_q, dtype=np.float64)
+    if latent.ndim != 1:
+        raise ConfigurationError(f"latent must be a 1-D vector, got shape {latent.shape}")
+    plan = _plan_pqc(spec, latent.size)
+    return _noisy_sample(plan, theta_q, latent, noise or noise_mod.NoiseModel(), rng, rng,
+                         grads=False)
+
+
+# ---------------------------------------------------------------------------
+# readout and the functional head
+
+
+def linear_logits(latent, z_meas: float, weights: np.ndarray) -> np.ndarray:
+    """Logits = W @ concat(latent, z); W has shape (classes, latent_dim + 1)."""
+    latent = np.asarray(latent, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[1] != latent.size + 1:
+        raise ConfigurationError(
+            f"weights shape {weights.shape} does not match latent length {latent.size} + 1"
+        )
+    return weights @ np.append(latent, z_meas)
+
+
+def head_forward(x, params: HeadParams, encoder_config: EncoderConfig,
+                 spec: CircuitSpec) -> np.ndarray:
+    """Noiseless class logits for one input; with no linear layer they are (z, -z)."""
+    latent = multi_encoder_forward(x, params.theta_c, encoder_config)
+    z = pqc_forward(latent, params.theta_q, spec)
+    if params.linear is None:
+        return np.array([z, -z])
+    return linear_logits(latent, z, params.linear)
+
+
+def count_head_parameters(encoder_config: EncoderConfig, spec: CircuitSpec,
+                          num_classes: int = 2, final_linear: bool = True) -> int:
+    """Exact trainable-parameter total for the hybrid head."""
+    total = encoder_config.num_encoders * encoder_config.params_per_encoder
+    total += count_parameters(spec)
+    if final_linear:
+        total += (encoder_config.latent_dim + 1) * num_classes
+    return total
+
+
+def init_head_params(encoder_config: EncoderConfig, spec: CircuitSpec,
+                     num_classes: int = 2, rng: np.random.Generator | None = None,
+                     final_linear: bool = True) -> HeadParams:
+    """The initial values of a fresh :class:`HybridHead` drawn from ``rng``.
+
+    Angles are uniform in [-pi, pi); linear weights small normal.
+    """
+    rng = rng if rng is not None else np.random.default_rng(0)
+    model = HybridHead(QuantumEncoder(encoder_config, rng), spec, num_classes=num_classes,
+                       final_linear=final_linear, rng=rng)
+    return HeadParams(theta_c=model.encoder.theta, theta_q=model.theta_q, linear=model.linear)
+
+
+def head_gradient(X, labels, params: HeadParams, encoder_config: EncoderConfig,
+                  spec: CircuitSpec, num_classes: int = 2, noise=None,
+                  seed_path: tuple[int, ...] = ()):
+    """Batch-mean loss and gradients in HeadParams shape (functional wrapper)."""
+    model = build_hybrid_head(encoder_config, spec, num_classes,
+                              final_linear=params.linear is not None)
+    arrays = {f"encoder_{i}": t for i, t in enumerate(params.theta_c)}
+    arrays["pqc"] = params.theta_q
+    if params.linear is not None:
+        arrays["linear"] = params.linear
+    load_parameters(model, arrays)
+    loss, grads = model.batch_loss_and_gradients(X, labels, noise=noise, seed_path=seed_path)
+    theta_c = [grads[f"encoder_{i}"] for i in range(encoder_config.num_encoders)]
+    return loss, HeadParams(theta_c=theta_c, theta_q=grads["pqc"], linear=grads.get("linear"))

@@ -33,12 +33,7 @@ from qhead.datasets import (
 )
 from qhead.energy import find_crossover
 from qhead.grad import adjoint_gradient, parameter_shift_gradient, run_gates, trajectory_expectation
-from qhead.head import (
-    EncoderConfig,
-    _pqc_value_and_grads,
-    build_hybrid_head,
-    count_head_parameters,
-)
+from qhead.head import EncoderConfig, build_hybrid_head
 from qhead.noise import (
     NoiseModel,
     depolarizing_reference_expectation,
@@ -49,6 +44,8 @@ from qhead.noise import (
 from qhead.seeding import SHOTS, TRAJECTORY, stream
 from qhead.simcore import apply_cnot, apply_pauli, apply_ry, z_expectation, zero_state
 from qhead.trainer import TrainConfig, count_model_parameters, cross_entropy_loss, train
+
+from reference import _pqc_value_and_grads, count_head_parameters
 
 
 def _report(criterion: int, detail: str) -> None:

@@ -16,23 +16,14 @@ from qhead.ansatz import PAULI, CircuitSpec
 from qhead.baselines import MlpConfig, MlpEncoder
 from qhead.errors import ConfigurationError
 from qhead.grad import adjoint_observable_gradients, evaluate_expectation, trajectory_expectation
-from qhead.head import (
-    EncoderConfig,
-    HybridHead,
-    _noisy_sample,
-    _plan_pqc,
-    _pqc_value,
-    _pqc_value_and_grads,
-    build_hybrid_head,
-    encoder_backward,
-    encoder_forward,
-)
+from qhead.head import EncoderConfig, HybridHead, _noisy_sample, _plan_pqc, build_hybrid_head
 from qhead.noise import NoiseModel, gaussian_shot_estimate, sample_pauli_insertions
 from qhead.seeding import PARAM_INIT, SHOTS, TRAJECTORY, stream
 from qhead.simcore import zero_state
 from qhead.trainer import cross_entropy_loss, softmax_cross_entropy_batch
 
 from oracles import dense_run, dense_z
+from reference import _pqc_value, _pqc_value_and_grads, encoder_backward, encoder_forward
 
 SPEC = CircuitSpec(qubits=4, main_layers=1, reupload_count=2, reupload_layers=1)
 HEAVY_NOISE = dict(p1q=0.2, p2q=0.2, seed=11)

@@ -368,6 +368,14 @@ class TestEnergySettings:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_empty_qubit_range_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "energy.csv"
+        code = main(["energy", "--out", str(out), "--min-qubits", "10", "--max-qubits", "5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--min-qubits 10" in err and "--max-qubits 5" in err
+        assert not out.exists()
+
 
 class TestUnreadableInputsExit2:
     """Input files that cannot be read end in ``error: ...`` and exit 2, not a traceback."""

@@ -1,6 +1,8 @@
 """The demos run to completion against the current package."""
 from __future__ import annotations
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -30,3 +32,15 @@ def test_demo_exits_cleanly(demo, tmp_path):
     done = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in DEMOS.glob("*.py")))
+def test_demo_qhead_imports_resolve(demo):
+    """Every ``from qhead... import name`` in a demo names something the package has."""
+    tree = ast.parse((DEMOS / demo).read_text(encoding="utf-8"))
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qhead"
+               for alias in node.names]
+    assert imports
+    missing = [f"{m}.{n}" for m, n in imports if not hasattr(importlib.import_module(m), n)]
+    assert not missing

