@@ -50,7 +50,6 @@ class CircuitSpec:
     main_layers: int = 2
     reupload_layers: int = 1
     reupload_count: int = 4
-    measured_qubits: int = 1
 
     def validate(self) -> None:
         if self.qubits < 2:
@@ -62,10 +61,6 @@ class CircuitSpec:
             )
         if self.main_layers < 0 or self.reupload_layers < 0 or self.reupload_count < 0:
             raise ConfigurationError("layer and repeat counts must be non-negative")
-        if self.measured_qubits != 1:
-            raise ConfigurationError(
-                f"measured_qubits is fixed at 1, got {self.measured_qubits}"
-            )
 
 
 def build_entangling_layer(qubits: int, offset: int, param_offset: int = 0) -> GateList:

@@ -17,8 +17,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import seeding
 from .baselines import LogisticModel, MlpEncoder, MlpHead
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -40,7 +38,13 @@ from .errors import (
     UnsupportedModeError,
 )
 from .head import HybridHead, QuantumEncoder
-from .trainer import count_model_parameters, cross_entropy_loss, evaluate, load_parameters, train
+from .trainer import (
+    count_model_parameters,
+    evaluate,
+    load_parameters,
+    softmax_cross_entropy_batch,
+    train,
+)
 
 _USAGE_ERROR = 2
 
@@ -270,8 +274,7 @@ def cmd_gradcheck(args) -> int:
     _, grads = model.batch_loss_and_gradients(X, y)
 
     def loss_now() -> float:
-        logits = model.predict_logits(X)
-        return float(np.mean([cross_entropy_loss(l, int(t))[0] for l, t in zip(logits, y)]))
+        return float(softmax_cross_entropy_batch(model.predict_logits(X), y)[0].mean())
 
     h = 1e-5
     worst = 0.0

@@ -252,6 +252,10 @@ def pca_project(dataset: EmbeddingDataset, out_dim: int) -> EmbeddingDataset:
     else:
         fit_vectors = dataset.vectors
     fit = np.asarray(fit_vectors, dtype=np.float64)
+    if len(fit) < out_dim:
+        raise ConfigurationError(
+            f"PCA to {out_dim} components needs at least {out_dim} fit rows, got {len(fit)}"
+        )
     center = fit.mean(axis=0)
     _, _, vt = np.linalg.svd(fit - center, full_matrices=False)
     components = vt[:out_dim]

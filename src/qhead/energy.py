@@ -46,7 +46,12 @@ def qpu_energy_kj(spec: CircuitSpec, constants: EnergyConstants = DEFAULT_CONSTA
 def gpu_energy_kj(spec: CircuitSpec, constants: EnergyConstants = DEFAULT_CONSTANTS) -> float:
     single, two = gate_counts(spec)
     flops = (1 << spec.qubits) * (single * 4 + two * 8)
-    return flops / constants.gpu_flops * constants.gpu_watts / 1000.0
+    try:
+        return flops / constants.gpu_flops * constants.gpu_watts / 1000.0
+    except OverflowError:
+        raise ConfigurationError(
+            f"the GPU flop count at {spec.qubits} qubits exceeds the float range"
+        ) from None
 
 
 def crossover_curve(constants: EnergyConstants = DEFAULT_CONSTANTS, qubit_range=range(2, 61)):

@@ -10,16 +10,18 @@ Three gradient routes with different trade-offs:
   its Pauli records are un-applied like any other gate;
 * central finite differences: O(h^2) oracle used for cross-checking.
 
-Shifted evaluations are batched on a real (rows, 2^Q) amplitude array,
-chunked to bound peak memory. Every row runs from |0...0> and reads one
-qubit's <Z>. The unshifted row comes first; every other row differs from it
-in one column at most, as ``_shift_rows`` builds them, and runs only from the
-first gate reading that column: its state before that gate is the first
-row's, and is copied from it. At each RY gate the rows shifted in the gate's
-column take their own angles and every other row takes the first row's
-scalar angle. The states stay real, because every gate is real up to a
-global phase: on real arrays Y is applied as XZ = -iY, and the dropped phase
-never reaches |amplitude|^2.
+Shifted evaluations run on real (rows, 2^Q) amplitude arrays from |0...0>,
+in row chunks that bound peak memory (``_row_chunks``), and read one
+qubit's <Z>. The two references run their 2P +/- rows plainly: one
+``run_gates`` call per chunk, every row with its own angles. The head's
+finite-shot noisy gradient runs its half-turn rows through
+``_batch_expectations``, on a circuit that reads each column at one RY gate
+at most. Its unshifted row comes first; every other row differs from it in
+one column at most, as ``_shift_rows`` builds them, and runs only from the
+gate reading that column, from a copy of the first row's state there. The
+states stay real, because every gate is real up to a global phase: on real
+arrays Y is applied as XZ = -iY, and the dropped phase never reaches
+|amplitude|^2.
 
 Single circuit values (``evaluate_expectation`` and
 ``trajectory_expectation``) run one real row through ``_single_value``.
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from .ansatz import CNOT, DATA, ENCODE, PAULI, RY, GateList, expand_encoding, parameter_slot_count
-from .errors import ConfigurationError, UnsupportedModeError
+from .errors import ConfigurationError
 from .simcore import (
     MAX_QUBITS,
     _cnot,
@@ -140,84 +142,65 @@ def lift_data_slots(circuit: GateList) -> tuple[GateList, np.ndarray]:
     return GateList(circuit.num_qubits, gates), np.asarray(occurrences, dtype=np.intp)
 
 
-def _row_starts(circuit: GateList, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the gate it starts at; per column, the first RY gate reading it.
+def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
+    """Slices of ``rows`` holding at most ``_CHUNK_ELEMENTS`` amplitudes each.
 
-    Each row may differ from row 0 in one column at most (``_shift_rows``
-    builds such rows), and starts at that column's first read: every gate
-    before it reads row 0's angles, so the row's state there is row 0's.
-    Row 0 starts at 0; a row that never differs, or differs only in an
-    unread column, starts at ``len(circuit.gates)``.
+    Batched passes run chunk by chunk, so that evaluating many rows holds a
+    bounded amount of state. Rows are independent, so the chunking changes
+    no value.
     """
-    n_gates = len(circuit.gates)
-    differs = rows != rows[0]
-    if np.any(np.count_nonzero(differs, axis=1) > 1):
-        raise ConfigurationError("a shifted row differs from row 0 in more than one column")
-    first_read = np.full(rows.shape[1], n_gates)
-    for i in reversed(range(n_gates)):
-        g = circuit.gates[i]
-        if g[0] == RY:
-            first_read[g[2]] = i
-    starts = np.where(differs, first_read, n_gates).min(axis=1, initial=n_gates)
-    starts[0] = 0
-    return starts, first_read
-
-
-def _run_chunk(circuit: GateList, rows, starts, first_read, latent) -> np.ndarray:
-    """Final real states of ``rows`` (row 0 first, then by ascending start gate).
-
-    Row 0 runs from |0...0>; each other row is copied from row 0 just before
-    its start gate, so gates apply to the contiguous prefix of rows already
-    started. At an RY gate the rows shifted in its column all started at
-    that column's first read, so they form one block, which takes its own
-    angles; every other row takes row 0's scalar angle.
-    """
-    n = circuit.num_qubits
-    amps = np.empty((rows.shape[0], 1 << n))
-    amps[0] = 0.0
-    amps[0, 0] = 1.0
-    gates = circuit.gates
-    started = np.searchsorted(starts, np.arange(len(gates)), side="right")
-    read_at = [first_read[g[2]] if g[0] == RY else 0 for g in gates]
-    # row 0 also starts at gate 0, but is never part of a block
-    block_lo = np.maximum(1, np.searchsorted(starts, read_at, side="left"))
-    block_hi = np.searchsorted(starts, read_at, side="right")
-    active = 1
-    for g, upto, lo, hi in zip(gates, started, block_lo, block_hi):
-        if upto > active:
-            amps[active:upto] = amps[0]
-            active = upto
-        if g[0] != RY:
-            _apply_gate(amps[:active], n, g, None, latent)
-            continue
-        angle = rows[0, g[2]]
-        _ry(amps[:lo], n, g[1], angle)
-        if hi > lo:
-            _ry(amps[lo:hi], n, g[1], rows[lo:hi, g[2]])
-        if active > hi:
-            _ry(amps[hi:active], n, g[1], angle)
-    amps[active:] = amps[0]
-    return amps
+    step = max(1, _CHUNK_ELEMENTS >> num_qubits)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _batch_expectations(circuit, rows, latent, measured) -> np.ndarray:
     """<Z_measured> for each parameter row run from |0...0>; rows (R, P), one shared latent.
 
-    Each row differs from row 0 in one column at most, or ``ConfigurationError``
-    is raised, and shares row 0's gates up to that column's first read (see
-    ``_row_starts``). The states are real: every gate is real up to a global
-    phase, which ``_pauli`` drops for Y on real arrays. Rows run in chunks
-    that each repeat row 0, bounding peak memory.
+    Each row differs from row 0 in one column at most, and each column is
+    read by one RY gate at most, or ``ConfigurationError`` is raised. A row
+    shifted in a read column starts at that gate: every gate before it reads
+    row 0's angles, so the row's state there is row 0's, and is copied from
+    it. A row that never differs, or differs only in an unread column, ends
+    in row 0's state. Rows sorted by start gate make the started rows a
+    prefix; at an RY gate the rows starting there take their own angles and
+    the others row 0's scalar angle. The states are real: every gate is real
+    up to a global phase, which ``_pauli`` drops for Y on real arrays. Rows
+    run in ``_row_chunks``, each chunk after the first led by row 0 again.
     """
     n = circuit.num_qubits
-    starts, first_read = _row_starts(circuit, rows)
-    order = 1 + np.argsort(starts[1:], kind="stable")
-    per_chunk = max(1, _CHUNK_ELEMENTS // (1 << n) - 1)
-    chunks = [order[lo : lo + per_chunk] for lo in range(0, order.size, per_chunk)] or [order]
+    n_gates = len(circuit.gates)
+    differs = rows != rows[0]
+    if np.any(np.count_nonzero(differs, axis=1) > 1):
+        raise ConfigurationError("a shifted row differs from row 0 in more than one column")
+    read_gate = np.full(rows.shape[1], n_gates)
+    for i, g in enumerate(circuit.gates):
+        if g[0] == RY:
+            if read_gate[g[2]] < n_gates:
+                raise ConfigurationError(f"column {g[2]} is read by more than one RY gate")
+            read_gate[g[2]] = i
+    starts = np.where(differs, read_gate, n_gates).min(axis=1, initial=n_gates)
+    starts[0] = 0
+    order = np.argsort(starts, kind="stable")
     out = np.empty(rows.shape[0])
-    for chunk in chunks:
-        idx = np.concatenate(([0], chunk))
-        amps = _run_chunk(circuit, rows[idx], starts[idx], first_read, latent)
+    for part in _row_chunks(order.size, n):
+        idx = order[part] if part.start == 0 else np.concatenate(([0], order[part]))
+        chunk = rows[idx]
+        amps = np.empty((idx.size, 1 << n))
+        amps[0] = 0.0
+        amps[0, 0] = 1.0
+        started = np.searchsorted(starts[idx], np.arange(n_gates), side="right")
+        active = 1
+        for g, hi in zip(circuit.gates, started):
+            if g[0] != RY:
+                _apply_gate(amps[:active], n, g, None, latent)
+                continue
+            lo, active = active, hi
+            if hi > lo:
+                amps[lo:hi] = amps[0]
+            _ry(amps[:lo], n, g[1], chunk[0, g[2]])
+            if hi > lo:
+                _ry(amps[lo:hi], n, g[1], chunk[lo:hi, g[2]])
+        amps[active:] = amps[0]
         out[idx] = _z_expectation(amps, n, measured)
     return out
 
@@ -233,10 +216,19 @@ def _shift_rows(base: np.ndarray, delta: float, signs=(1.0, -1.0)) -> np.ndarray
 
 
 def _paired_shift_values(circuit, params, latent, measured, delta):
-    """E(theta_j + delta), E(theta_j - delta) for every parameter j."""
-    p = params.size
-    vals = _batch_expectations(circuit, _shift_rows(params, delta), latent, measured)
-    return vals[1 : 1 + p], vals[1 + p :]
+    """E(theta_j + delta), E(theta_j - delta) for every parameter j.
+
+    The 2P shifted rows run plainly: each row chunk is one ``run_gates`` call
+    on real rows from |0...0>, every row with its own angles.
+    """
+    rows = _shift_rows(params, delta)[1:]
+    n = circuit.num_qubits
+    vals = np.empty(len(rows))
+    for part in _row_chunks(len(rows), n):
+        amps = np.zeros((len(rows[part]), 1 << n))
+        amps[:, 0] = 1.0
+        vals[part] = _z_expectation(run_gates(amps, circuit, rows[part], latent), n, measured)
+    return vals[: params.size], vals[params.size :]
 
 
 def _single_value(circuit: GateList, params, latent, measured: int) -> float:
@@ -373,11 +365,8 @@ def adjoint_observable_gradients(circuit: GateList, params, latent=None,
     return grad_params[0], grad_latent[0]
 
 
-def adjoint_gradient(circuit: GateList, params, latent=None, measured: int = 0,
-                     noise=None) -> np.ndarray:
+def adjoint_gradient(circuit: GateList, params, latent=None, measured: int = 0) -> np.ndarray:
     """Adjoint-mode d<Z>/d(params); matches the shift rule on noiseless circuits."""
-    if noise is not None and not noise.is_noiseless:
-        raise UnsupportedModeError("adjoint differentiation supports noiseless evaluation only")
     grad_params, _ = adjoint_observable_gradients(circuit, params, latent, measured=measured)
     return grad_params
 

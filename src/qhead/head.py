@@ -44,8 +44,8 @@ from . import seeding
 from .ansatz import RY, CircuitSpec, GateList, assemble_head_circuit, build_block, count_parameters, expand_encoding
 from .errors import ConfigurationError
 from .grad import (
-    _CHUNK_ELEMENTS,
     _batch_expectations,
+    _row_chunks,
     _shift_rows,
     adjoint_observable_gradients,
     lift_data_slots,
@@ -147,17 +147,6 @@ def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
     return _PqcPlan(spec, expanded, lifted, occurrences, n_params, latent_dim)
 
 
-def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
-    """Slices of ``rows`` holding at most ``_CHUNK_ELEMENTS`` amplitudes each.
-
-    Batched forward passes run chunk by chunk, so that evaluating a large
-    split holds a bounded amount of state. Rows are independent, so the
-    chunking changes no value.
-    """
-    step = max(1, _CHUNK_ELEMENTS >> num_qubits)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
 def _check_theta(plan: _PqcPlan, theta_q: np.ndarray) -> None:
     if theta_q.shape != (plan.n_params,):
         raise ConfigurationError(
@@ -228,8 +217,8 @@ class QuantumEncoder:
     Given values are copied in afterwards with ``trainer.load_parameters``.
     ``forward`` and ``backward`` take one input (d,) or a batch (B, d). A
     batch is amplitude-encoded into real (B, 2^Qc) rows; each encoder runs
-    its circuit once over the rows (in row chunks, see ``_row_chunks``), and
-    its gradient is one batched adjoint sweep, summed over the rows.
+    its circuit once over the rows (in row chunks, see ``grad._row_chunks``),
+    and its gradient is one batched adjoint sweep, summed over the rows.
     """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):

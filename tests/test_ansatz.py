@@ -101,8 +101,6 @@ class TestAssemble:
     def test_invalid_spec(self):
         with pytest.raises(ConfigurationError):
             assemble_head_circuit(CircuitSpec(qubits=4, connectivity=4))
-        with pytest.raises(ConfigurationError):
-            assemble_head_circuit(CircuitSpec(qubits=4, measured_qubits=2))
 
 
 class TestCounts:

@@ -229,7 +229,7 @@ def test_row_chunks_change_no_logit(noise, monkeypatch):
     X = np.random.default_rng(10).standard_normal((7, 16))
     whole = model.predict_logits(X, noise=noise, seed_path=SEED_PATH)
     # two 4-qubit rows per chunk: chunks of 2, 2, 2 and 1 rows
-    monkeypatch.setattr("qhead.head._CHUNK_ELEMENTS", 2 << 4)
+    monkeypatch.setattr("qhead.grad._CHUNK_ELEMENTS", 2 << 4)
     np.testing.assert_array_equal(model.predict_logits(X, noise=noise, seed_path=SEED_PATH), whole)
 
 

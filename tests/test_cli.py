@@ -376,6 +376,13 @@ class TestEnergySettings:
         assert err.startswith("error: ") and "--min-qubits 10" in err and "--max-qubits 5" in err
         assert not out.exists()
 
+    def test_qubits_beyond_the_float_range_exit_2_and_write_nothing(self, tmp_path, capsys):
+        out = tmp_path / "energy.csv"
+        assert main(["energy", "--out", str(out), "--max-qubits", "1100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float range" in err
+        assert not out.exists()
+
 
 class TestUnreadableInputsExit2:
     """Input files that cannot be read end in ``error: ...`` and exit 2, not a traceback."""

@@ -320,6 +320,13 @@ class TestPreprocessing:
         with pytest.raises(ConfigurationError):
             pca_project(ds, 5)
 
+    def test_pca_needs_as_many_fit_rows_as_components(self):
+        # 4 train rows span at most 4 components; 8 must not quietly become 4
+        ds = synthetic_clusters(dim=20, n_per_class=10, separation=4.0, seed=7)
+        split = make_count_splits(ds, train_per_class=2, val_per_class=2, seed=7)
+        with pytest.raises(ConfigurationError, match="8 components needs at least 8 fit rows, got 4"):
+            pca_project(split, 8)
+
 
 @pytest.mark.parametrize("row, cell", [("x,1.0,2.0", "label cell 'x'"),
                                        ("1,1.0,abc", "f1 cell 'abc'")])

@@ -19,7 +19,7 @@ from qhead.ansatz import (
     count_parameters,
     expand_encoding,
 )
-from qhead.errors import ConfigurationError, UnsupportedModeError
+from qhead.errors import ConfigurationError
 from qhead.grad import (
     _batch_expectations,
     _shift_rows,
@@ -140,7 +140,7 @@ class TestParameterShift:
         assert abs(c[0] + math.sin(0.9)) < 1e-8
 
     def test_zero_parameter_circuit_shapes(self):
-        # the shift-row engine runs row 0 alone and returns empty shifted values
+        # no parameter, so no shifted row runs and the shifted values are empty
         circuit = GateList(3, [(ENCODE, 0), (CNOT, 0, 1), (DATA, 2, 1)])
         latent = [0.3, -0.4, 1.1]
         assert parameter_shift_gradient(circuit, [], latent, measured=1).shape == (0,)
@@ -192,14 +192,6 @@ class TestAdjoint:
 
         params = np.zeros(count_parameters(spec))
         assert adjoint_gradient(circuit, params, np.zeros(3)).shape == (params.size,)
-
-    def test_rejects_noise(self):
-        with pytest.raises(UnsupportedModeError):
-            adjoint_gradient(_single_ry(), [0.1], noise=NoiseModel(p1q=0.01))
-
-    def test_zero_noise_model_allowed(self):
-        grad = adjoint_gradient(_single_ry(), [0.5], noise=NoiseModel(0.0, 0.0, None))
-        assert grad[0] == pytest.approx(-math.sin(0.5), abs=1e-12)
 
     def test_latent_gradients_match_finite_differences(self):
         rng = np.random.default_rng(41)
@@ -480,7 +472,7 @@ class TestBatchExpectations:
         rows = _shift_rows(rng.uniform(-3, 3, p), math.pi / 2)
         whole = _batch_expectations(circuit, rows, latent, 0)
         for per_chunk in (1, 2, 5):
-            # each chunk holds row 0 plus per_chunk others
+            # slices of per_chunk + 1 rows; each chunk after the first also reruns row 0
             monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << circuit.num_qubits)
             np.testing.assert_array_equal(_batch_expectations(circuit, rows, latent, 0), whole)
         self._check(circuit, rows, latent)
@@ -528,16 +520,16 @@ def _rows_alone(circuit, rows, latent=None, measured=0):
     return np.array(out)
 
 
-# slot 0 is read at gates 0 and 3; its shifted rows start at gate 0
+# slot 0 is read at gates 0 and 3
 _SLOT_READ_TWICE = GateList(3, [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1), (RY, 2, 0),
                                 (PAULI, 2, "Y"), (CNOT, 2, 0), (RY, 0, 2), (CNOT, 1, 2)])
 
 
 class TestSharedAngleSplit:
-    """RY applied with row 0's scalar angle to every row not shifted in its column.
+    """The shift rule on a slot read by two RY gates, from plain +/- rows.
 
-    The rows shifted in the gate's column take their own angles; every row
-    keeps the bits it has when run alone.
+    Each shifted row takes its angle at both reads and keeps the bits it has
+    when run alone.
     """
 
     def test_column_read_at_two_gates(self):
@@ -575,7 +567,7 @@ class TestRowsRunAlone:
             (expanded, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent),
         ]
         if per_chunk is not None:
-            # each chunk holds row 0 plus per_chunk others
+            # slices of per_chunk + 1 rows; each chunk after the first also reruns row 0
             monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << 4)
         for circuit, rows, lat in cases:
             for measured in (0, circuit.num_qubits - 1):
@@ -597,19 +589,24 @@ class TestRowsRunAlone:
             return original(amps, n, qubit, theta)
 
         monkeypatch.setattr(grad_mod, "_ry", recorded)
-        for circuit, rows in [(lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi / 2)),
-                              (_SLOT_READ_TWICE, _shift_rows(np.array([0.4, -1.1, 2.3]), 0.5))]:
-            calls.clear()
-            _batch_expectations(circuit, rows, None, 0)
-            per_row = [i for i, (_, theta, _) in enumerate(calls) if theta.ndim]
-            assert 0 < len(per_row) < len(calls)
-            for i in per_row:
-                # the call before is the same gate on the rows ahead of the block,
-                # with row 0's scalar angle: that angle names the gate's column
-                qubit, theta, n_rows = calls[i]
-                prev_qubit, prev_theta, _ = calls[i - 1]
-                assert prev_theta.ndim == 0 and prev_qubit == qubit
-                (col,) = np.flatnonzero(rows[0] == prev_theta)
-                assert theta.shape == (n_rows,)
-                assert np.all(theta != rows[0, col])
-                assert np.all(np.isin(theta, rows[1:, col]))
+        rows = _shift_rows(rng.uniform(-3, 3, slots), math.pi / 2)
+        _batch_expectations(lifted, rows, None, 0)
+        per_row = [i for i, (_, theta, _) in enumerate(calls) if theta.ndim]
+        assert 0 < len(per_row) < len(calls)
+        for i in per_row:
+            # the call before is the same gate on the rows ahead of the block,
+            # with row 0's scalar angle: that angle names the gate's column
+            qubit, theta, n_rows = calls[i]
+            prev_qubit, prev_theta, _ = calls[i - 1]
+            assert prev_theta.ndim == 0 and prev_qubit == qubit
+            (col,) = np.flatnonzero(rows[0] == prev_theta)
+            assert theta.shape == (n_rows,)
+            assert np.all(theta != rows[0, col])
+            assert np.all(np.isin(theta, rows[1:, col]))
+
+    def test_column_read_by_two_gates_is_rejected(self):
+        # only the parameter-shift references run circuits that read a slot twice,
+        # and they run plain rows
+        rows = _shift_rows(np.array([0.4, -1.1, 2.3]), 0.5)
+        with pytest.raises(ConfigurationError, match="column 0 is read by more than one RY gate"):
+            _batch_expectations(_SLOT_READ_TWICE, rows, None, 0)
