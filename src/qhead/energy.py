@@ -12,6 +12,7 @@ which flatters the GPU and makes the crossover estimate conservative.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .ansatz import CircuitSpec, gate_counts
@@ -30,28 +31,36 @@ class EnergyConstants:
     def __post_init__(self):
         for name in ("qpu_watts_per_qubit", "t_1q_seconds", "t_2q_seconds",
                      "shots", "gpu_watts", "gpu_flops"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be finite and positive")
 
 
 DEFAULT_CONSTANTS = EnergyConstants()
 
 
+def _finite_kj(energy, what: str, qubits: int) -> float:
+    """``energy()``, or ``ConfigurationError`` when it leaves the float range."""
+    try:
+        kj = energy()
+    except OverflowError:  # an int operand too large for a float
+        kj = math.inf
+    if not math.isfinite(kj):
+        raise ConfigurationError(f"the {what} energy at {qubits} qubits exceeds the float range")
+    return kj
+
+
 def qpu_energy_kj(spec: CircuitSpec, constants: EnergyConstants = DEFAULT_CONSTANTS) -> float:
     single, two = gate_counts(spec)
     seconds = single * constants.t_1q_seconds + two * constants.t_2q_seconds
-    return spec.qubits * seconds * constants.shots * constants.qpu_watts_per_qubit / 1000.0
+    return _finite_kj(lambda: spec.qubits * seconds * constants.shots
+                      * constants.qpu_watts_per_qubit / 1000.0, "QPU", spec.qubits)
 
 
 def gpu_energy_kj(spec: CircuitSpec, constants: EnergyConstants = DEFAULT_CONSTANTS) -> float:
     single, two = gate_counts(spec)
     flops = (1 << spec.qubits) * (single * 4 + two * 8)
-    try:
-        return flops / constants.gpu_flops * constants.gpu_watts / 1000.0
-    except OverflowError:
-        raise ConfigurationError(
-            f"the GPU flop count at {spec.qubits} qubits exceeds the float range"
-        ) from None
+    return _finite_kj(lambda: flops / constants.gpu_flops * constants.gpu_watts / 1000.0,
+                      "GPU", spec.qubits)
 
 
 def crossover_curve(constants: EnergyConstants = DEFAULT_CONSTANTS, qubit_range=range(2, 61)):

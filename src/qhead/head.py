@@ -24,13 +24,14 @@ trajectory and shot streams. On that trajectory the sweep's derivatives are
 exact, and at infinite shots they are the gradient. At finite shots the
 +/- pi/2 values a_j +/- c_j are sampled in pairs sharing one normal draw
 (common random numbers); a_j comes from P + K rows shifted by pi (P circuit
-angles, K encoding-gate occurrences), run as one real-valued batch in which
-each row starts at its own shifted gate from a copy of the unshifted state
-(see ``qhead.grad``). The encoders' gradient is one batched adjoint sweep
-per encoder. This is the package's one head API (``EncoderConfig``,
-``QuantumEncoder``, ``HybridHead``, ``build_hybrid_head``); the tests check
-it against the per-sample references in ``tests/reference.py``, hand-built
-+/- pi/2 rows and the parameter-shift rule.
+angles, K encoding-gate occurrences), run as one real-valued batch of fused
+gate blocks, one small matmul per block, in which each row starts at its own
+shifted gate from the unshifted state (see ``qhead.grad``). The encoders'
+gradient is one batched adjoint sweep per encoder. This is the package's one
+head API (``EncoderConfig``, ``QuantumEncoder``, ``HybridHead``,
+``build_hybrid_head``); the tests check it against the per-sample references
+in ``tests/reference.py``, hand-built +/- pi/2 rows and the parameter-shift
+rule.
 """
 from __future__ import annotations
 

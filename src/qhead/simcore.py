@@ -105,7 +105,8 @@ def _pauli(amps: np.ndarray, num_qubits: int, qubit: int, which: str) -> np.ndar
 
 def _z_expectation(amps: np.ndarray, num_qubits: int, qubit: int):
     v = _qubit_view(amps, num_qubits, qubit)
-    pr = v.real**2 + v.imag**2
+    # v.imag of a real array is a fresh array of zeros
+    pr = v.real**2 + v.imag**2 if np.iscomplexobj(v) else v * v
     return pr[..., 0, :].sum(axis=(-2, -1)) - pr[..., 1, :].sum(axis=(-2, -1))
 
 

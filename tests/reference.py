@@ -9,6 +9,9 @@ against these simpler routes:
   +/- pi/2 rows each run alone through ``run_gates``;
 * ``pqc_forward``, ``_pqc_value`` and ``_pqc_value_and_grads`` run one sample
   through the head's per-sample noisy routine, ``head._noisy_sample``;
+* ``per_gate_expectations`` is the half-turn row engine one kernel call per
+  gate, each row from its first differing gate: the check on
+  ``grad._batch_expectations``, which runs the same rows in fused blocks;
 * ``HeadParams`` with ``head_forward``, ``head_gradient``,
   ``init_head_params``, ``linear_logits`` and ``count_head_parameters`` is a
   functional view of the same head.
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qhead import grad
 from qhead import noise as noise_mod
-from qhead.ansatz import CircuitSpec, GateList, count_parameters
+from qhead.ansatz import RY, CircuitSpec, GateList, count_parameters
 from qhead.errors import ConfigurationError
 from qhead.grad import _prepare, _shift_rows, adjoint_observable_gradients, run_gates
 from qhead.head import (
@@ -34,7 +38,7 @@ from qhead.head import (
     build_hybrid_head,
     encoder_circuit,
 )
-from qhead.simcore import _all_z_expectations, amplitude_encode
+from qhead.simcore import _all_z_expectations, _z_expectation, amplitude_encode
 from qhead.trainer import load_parameters
 
 
@@ -140,6 +144,53 @@ def pqc_forward(latent, theta_q, spec: CircuitSpec,
     plan = _plan_pqc(spec, latent.size)
     return _noisy_sample(plan, theta_q, latent, noise or noise_mod.NoiseModel(), rng, rng,
                          grads=False)
+
+
+def per_gate_expectations(circuit, rows, latent, measured) -> np.ndarray:
+    """``grad._batch_expectations`` one kernel call per gate (same contract and errors).
+
+    A row shifted in a read column starts at that gate, from a copy of row
+    0's state there. Rows sorted by start gate make the started rows a
+    prefix; at an RY gate the rows starting there take their own angles and
+    the others row 0's scalar angle. The kernels are looked up in
+    ``qhead.grad``, so that a test can count them there.
+    """
+    n = circuit.num_qubits
+    n_gates = len(circuit.gates)
+    differs = rows != rows[0]
+    if np.any(np.count_nonzero(differs, axis=1) > 1):
+        raise ConfigurationError("a shifted row differs from row 0 in more than one column")
+    read_gate = np.full(rows.shape[1], n_gates)
+    for i, g in enumerate(circuit.gates):
+        if g[0] == RY:
+            if read_gate[g[2]] < n_gates:
+                raise ConfigurationError(f"column {g[2]} is read by more than one RY gate")
+            read_gate[g[2]] = i
+    starts = np.where(differs, read_gate, n_gates).min(axis=1, initial=n_gates)
+    starts[0] = 0
+    order = np.argsort(starts, kind="stable")
+    out = np.empty(rows.shape[0])
+    for part in grad._row_chunks(order.size, n):
+        idx = order[part] if part.start == 0 else np.concatenate(([0], order[part]))
+        chunk = rows[idx]
+        amps = np.empty((idx.size, 1 << n))
+        amps[0] = 0.0
+        amps[0, 0] = 1.0
+        started = np.searchsorted(starts[idx], np.arange(n_gates), side="right")
+        active = 1
+        for g, hi in zip(circuit.gates, started):
+            if g[0] != RY:
+                grad._apply_gate(amps[:active], n, g, None, latent)
+                continue
+            lo, active = active, hi
+            if hi > lo:
+                amps[lo:hi] = amps[0]
+            grad._ry(amps[:lo], n, g[1], chunk[0, g[2]])
+            if hi > lo:
+                grad._ry(amps[lo:hi], n, g[1], chunk[lo:hi, g[2]])
+        amps[active:] = amps[0]
+        out[idx] = _z_expectation(amps, n, measured)
+    return out
 
 
 # ---------------------------------------------------------------------------

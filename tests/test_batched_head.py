@@ -233,6 +233,45 @@ def test_row_chunks_change_no_logit(noise, monkeypatch):
     np.testing.assert_array_equal(model.predict_logits(X, noise=noise, seed_path=SEED_PATH), whole)
 
 
+def test_finite_shot_steps_follow_in_place_parameter_updates():
+    """No step reuses work from values the head no longer holds.
+
+    After ``theta_q`` changes in place (as ``trainer.adam_step`` updates it)
+    and after ``load_parameter_arrays``, a finite-shot step has the bits of a
+    freshly built head holding the same values; step 0 run again after step
+    1 repeats step 0's bits.
+    """
+    noise = HEADS["noisy-500-shots"][1]
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((3, 16))
+    y = rng.integers(2, size=3)
+
+    def step(model, i):
+        return model.batch_loss_and_gradients(X, y, noise=noise, seed_path=(0, i))
+
+    def fresh_copy(model):
+        fresh = _quantum_head(seed=0)
+        fresh.load_parameter_arrays({k: v.copy() for k, v in model.parameter_arrays().items()})
+        return fresh
+
+    def assert_same(a, b):
+        assert a[0] == b[0] and a[1].keys() == b[1].keys()
+        for key in a[1]:
+            np.testing.assert_array_equal(a[1][key], b[1][key])
+
+    model = _quantum_head()
+    first = step(model, 0)
+    step(model, 1)
+    assert_same(step(model, 0), first)
+    model.theta_q -= 0.3 * first[1]["pqc"]
+    moved = step(model, 0)
+    assert moved[0] != first[0]
+    assert_same(moved, step(fresh_copy(model), 0))
+    model.load_parameter_arrays(_quantum_head(seed=8).parameter_arrays())
+    assert_same(step(model, 1), step(fresh_copy(model), 1))
+    assert_same(step(model, 1), step(_quantum_head(seed=8), 1))
+
+
 @pytest.mark.parametrize("name", ["clean", "noisy-500-shots"])
 def test_empty_batch(name):
     build, noise = HEADS[name]

@@ -383,6 +383,21 @@ class TestEnergySettings:
         assert err.startswith("error: ") and "float range" in err
         assert not out.exists()
 
+    def test_energy_that_overflows_to_inf_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "energy.csv"
+        argv = ["energy", "--out", str(out), "--gpu-flops", "1e-300", "--max-qubits", "40"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "GPU energy" in err and "float range" in err
+        assert not out.exists()
+
+    def test_infinite_constant_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "energy.csv"
+        assert main(["energy", "--out", str(out), "--gpu-flops", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "gpu_flops must be finite" in err
+        assert not out.exists()
+
 
 class TestUnreadableInputsExit2:
     """Input files that cannot be read end in ``error: ...`` and exit 2, not a traceback."""

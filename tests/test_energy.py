@@ -99,7 +99,17 @@ def test_constants_validated():
 
 @pytest.mark.parametrize("field", ["qpu_watts_per_qubit", "t_1q_seconds", "t_2q_seconds",
                                    "shots", "gpu_watts", "gpu_flops"])
-@pytest.mark.parametrize("value", [float("nan"), -1.0])
+@pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
 def test_non_positive_or_nan_constant_names_its_field(field, value):
     with pytest.raises(ConfigurationError, match=field):
         EnergyConstants(**{field: value})
+
+
+@pytest.mark.parametrize("energy, constants", [
+    (gpu_energy_kj, EnergyConstants(gpu_flops=1e-300)),
+    (qpu_energy_kj, EnergyConstants(qpu_watts_per_qubit=1e307)),
+    (qpu_energy_kj, EnergyConstants(shots=10**400)),
+])
+def test_energy_beyond_the_float_range_is_an_error(energy, constants):
+    with pytest.raises(ConfigurationError, match="exceeds the float range"):
+        energy(CircuitSpec(qubits=40), constants)

@@ -36,7 +36,7 @@ from qhead.noise import NoiseModel, sample_pauli_insertions
 from qhead.simcore import _z_expectation, amplitude_encode, amplitude_encode_rows
 
 from oracles import dense_run, dense_z
-from reference import parameter_shift_jacobian
+from reference import parameter_shift_jacobian, per_gate_expectations
 
 
 def _single_ry():
@@ -504,7 +504,7 @@ class TestBatchExpectations:
                 return original(amps, n, *args)
 
             monkeypatch.setattr(grad_mod, kernel, counted)
-        _batch_expectations(circuit, rows, latent, 0)
+        per_gate_expectations(circuit, rows, latent, 0)
         assert sum(applied) == want < rows.shape[0] * n_gates
 
 
@@ -571,7 +571,7 @@ class TestRowsRunAlone:
             monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << 4)
         for circuit, rows, lat in cases:
             for measured in (0, circuit.num_qubits - 1):
-                got = _batch_expectations(circuit, rows, lat, measured)
+                got = per_gate_expectations(circuit, rows, lat, measured)
                 np.testing.assert_array_equal(got, _rows_alone(circuit, rows, lat, measured))
         params = np.array([0.4, -1.1, 2.3])
         alone = _rows_alone(_SLOT_READ_TWICE, _shift_rows(params, math.pi / 2))
@@ -590,7 +590,7 @@ class TestRowsRunAlone:
 
         monkeypatch.setattr(grad_mod, "_ry", recorded)
         rows = _shift_rows(rng.uniform(-3, 3, slots), math.pi / 2)
-        _batch_expectations(lifted, rows, None, 0)
+        per_gate_expectations(lifted, rows, None, 0)
         per_row = [i for i, (_, theta, _) in enumerate(calls) if theta.ndim]
         assert 0 < len(per_row) < len(calls)
         for i in per_row:
@@ -610,3 +610,102 @@ class TestRowsRunAlone:
         rows = _shift_rows(np.array([0.4, -1.1, 2.3]), 0.5)
         with pytest.raises(ConfigurationError, match="column 0 is read by more than one RY gate"):
             _batch_expectations(_SLOT_READ_TWICE, rows, None, 0)
+
+
+def _head_trajectory(qubits, rng, connectivity=1, main_layers=2, reupload_count=4, p=0.2):
+    """One sampled trajectory of a lifted head circuit, and its slot values."""
+    spec = CircuitSpec(qubits=qubits, connectivity=connectivity, main_layers=main_layers,
+                       reupload_count=reupload_count, reupload_layers=1)
+    lifted, occurrences = lift_data_slots(expand_encoding(assemble_head_circuit(spec)))
+    circuit = sample_pauli_insertions(lifted, NoiseModel(p1q=p, p2q=p), rng)
+    return circuit, rng.uniform(-3, 3, count_parameters(spec) + occurrences.size)
+
+
+class TestFusedBlocks:
+    """``_batch_expectations`` runs its gates in fused blocks of at most four qubits.
+
+    Each case is checked against complex128 rows run alone at 1e-12, and
+    against the per-gate engine of ``tests/reference.py``.
+    """
+
+    @staticmethod
+    def _check(circuit, rows, latent=None):
+        for measured in (0, circuit.num_qubits - 1):
+            got = _batch_expectations(circuit, rows, latent, measured)
+            want = TestBatchExpectations._reference(circuit, rows, latent, measured)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            per_gate = per_gate_expectations(circuit, rows, latent, measured)
+            np.testing.assert_allclose(got, per_gate, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _starts(circuit):
+        """(first gate, end, lo) of each block."""
+        ends = [end for end, _, _ in grad_mod._blocks(circuit)]
+        return [(first, end, lo) for first, end, (_, lo, _) in
+                zip([0] + ends[:-1], ends, grad_mod._blocks(circuit))]
+
+    @pytest.mark.parametrize("qubits", range(2, 11))
+    def test_half_turn_and_quarter_turn_rows(self, qubits):
+        rng = np.random.default_rng(40 + qubits)
+        circuit, ext = _head_trajectory(qubits, rng, reupload_count=2)
+        assert any(g[0] == PAULI for g in circuit.gates)
+        self._check(circuit, _shift_rows(ext, math.pi, signs=(1.0,)))
+        self._check(circuit, _shift_rows(ext, math.pi / 2))
+
+    def test_benchmark_shape(self):
+        # Q = 10, M = 2, R = 4, N = 1, lifted: the rows of one paper-shape sample
+        rng = np.random.default_rng(50)
+        circuit, ext = _head_trajectory(10, rng, p=0.01)
+        rows = _shift_rows(ext, math.pi, signs=(1.0,))
+        assert rows.shape == (111, 110)
+        self._check(circuit, rows)
+
+    def test_windows_at_top_middle_and_bottom_and_the_wrap_around_cnot(self):
+        rng = np.random.default_rng(51)
+        circuit, ext = _head_trajectory(10, rng)
+        blocks = grad_mod._blocks(circuit)
+        windows = {lo for _, lo, _ in blocks}
+        assert {0, 6, None} <= windows and windows & {1, 2, 3, 4, 5}
+        singles = [gates for _, lo, gates in blocks if lo is None]
+        assert (CNOT, 9, 0) in [g for gates in singles for g in gates]
+        assert all(len(gates) == 1 for gates in singles)
+        self._check(circuit, _shift_rows(ext, math.pi / 2))
+
+    @pytest.mark.parametrize("connectivity", [2, 3])
+    def test_connectivity(self, connectivity):
+        rng = np.random.default_rng(52 + connectivity)
+        circuit, ext = _head_trajectory(8, rng, connectivity=connectivity, main_layers=3)
+        assert any(g[0] == CNOT and abs(g[1] - g[2]) == connectivity for g in circuit.gates)
+        self._check(circuit, _shift_rows(ext, math.pi / 2))
+
+    def test_pauli_records_inside_a_window(self):
+        rng = np.random.default_rng(55)
+        circuit, ext = _head_trajectory(6, rng)
+        inside = {g[2] for _, lo, gates in grad_mod._blocks(circuit) if lo is not None
+                  for g in gates if g[0] == PAULI}
+        assert "Y" in inside
+        self._check(circuit, _shift_rows(ext, math.pi, signs=(1.0,)))
+
+    def test_rows_starting_at_the_first_and_the_last_gate_of_a_block(self):
+        rng = np.random.default_rng(56)
+        circuit, ext = _head_trajectory(6, rng)
+        gates = circuit.gates
+        cases = [(gates[first], gates[end - 1]) for first, end, lo in self._starts(circuit)
+                 if lo is not None and end - first > 2
+                 and gates[first][0] == RY and gates[end - 1][0] == RY]
+        assert cases
+        rows = np.tile(ext, (1 + 4 * len(cases), 1))
+        for i, (head_gate, last_gate) in enumerate(cases):
+            for j, (g, delta) in enumerate([(head_gate, 0.5), (head_gate, math.pi),
+                                            (last_gate, -0.7), (last_gate, math.pi / 2)]):
+                rows[1 + 4 * i + j, g[2]] += delta
+        self._check(circuit, rows)
+
+    def test_unread_column(self):
+        rng = np.random.default_rng(57)
+        circuit, ext = _head_trajectory(5, rng)
+        rows = _shift_rows(np.append(ext, 0.3), math.pi / 2)
+        got = _batch_expectations(circuit, rows, None, 0)
+        unread = ext.size
+        assert got[1 + unread] == got[0] == got[-1]
+        self._check(circuit, rows)
