@@ -20,8 +20,8 @@ at most. Its unshifted row comes first; every other row differs from it in
 one column at most, as ``_shift_rows`` builds them, and starts at the gate
 reading that column, from the first row's state there. That engine fuses
 gates (as statevector simulators such as Qulacs do; Suzuki et al. 2021,
-Quantum 5, 559): each run of consecutive gates within a window of four
-qubits becomes one 16 x 16 matrix, applied to the rows as one matmul. The
+Quantum 5, 559): each run of consecutive gates within a window of at most
+four qubits becomes one matrix, applied to the rows as one matmul. The
 states stay real, because every gate is real up to a global phase: on real
 arrays Y is applied as XZ = -iY, and the dropped phase never reaches
 |amplitude|^2.
@@ -53,7 +53,7 @@ from .simcore import (
 
 # cap on amplitudes held at once during batched evaluation (32 MB of float64)
 _CHUNK_ELEMENTS = 1 << 22
-# qubits spanned by one fused block of the half-turn engine (16 x 16 matrices)
+# widest qubit window of a fused block in the half-turn engine (16 x 16 matrices)
 _BLOCK_QUBITS = 4
 
 
@@ -158,16 +158,20 @@ def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _blocks(circuit: GateList) -> list[tuple]:
+def _blocks(circuit: GateList) -> tuple[int, list[tuple]]:
     """Cut the gate list into fused blocks: runs of consecutive gates on few qubits.
 
+    Returns the window width k = min(``_BLOCK_QUBITS``, Q // 2 + 1) and the
+    blocks. The cap keeps a block's 4^k matrix entries within 4 times a
+    row's 2^Q amplitudes: building one matrix per row that starts in the
+    block would otherwise cost more than running the rows gate by gate.
     A block is (end, lo, gates): the gates up to index ``end`` act within
-    the window of k = min(``_BLOCK_QUBITS``, Q) qubits from ``lo``, and are
-    renumbered to it. A gate that fits no window (a CNOT spanning more than
-    k qubits, such as the ring's wrap-around) is a block of its own, with
-    ``lo`` None and the gate as it is.
+    the window of k qubits from ``lo``, and are renumbered to it. A gate
+    that fits no window (a CNOT spanning more than k qubits, such as the
+    ring's wrap-around) is a block of its own, with ``lo`` None and the gate
+    as it is.
     """
-    k = min(_BLOCK_QUBITS, circuit.num_qubits)
+    k = min(_BLOCK_QUBITS, circuit.num_qubits // 2 + 1)
     runs: list[list] = []  # [first gate, end, lowest qubit, highest qubit]
     for i, g in enumerate(circuit.gates):
         qubits = g[1:] if g[0] == CNOT else g[1:2]
@@ -185,7 +189,7 @@ def _blocks(circuit: GateList) -> list[tuple]:
         lo = max(0, b - k + 1)
         blocks.append((end, lo, [(g[0], g[1] - lo, g[2] - lo) if g[0] == CNOT
                                  else (g[0], g[1] - lo, *g[2:]) for g in gates]))
-    return blocks
+    return k, blocks
 
 
 def _batch_expectations(circuit, rows, latent, measured) -> np.ndarray:
@@ -218,8 +222,7 @@ def _batch_expectations(circuit, rows, latent, measured) -> np.ndarray:
     starts = np.where(differs, read_gate, n_gates).min(axis=1, initial=n_gates)
     starts[0] = 0
     order = np.argsort(starts, kind="stable")
-    blocks = _blocks(circuit)
-    k = min(_BLOCK_QUBITS, n)
+    k, blocks = _blocks(circuit)
     eye = np.eye(1 << k)
     out = np.empty(rows.shape[0])
     for part in _row_chunks(order.size, n):

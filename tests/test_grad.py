@@ -485,6 +485,7 @@ class TestBatchExpectations:
         self._check(circuit, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent)
 
     def test_rows_start_at_their_first_differing_gate(self, monkeypatch):
+        # the kernel row counts of the per-gate reference engine
         rng = np.random.default_rng(10)
         circuit, p, latent = self._circuit(rng)
         rows = _shift_rows(rng.uniform(-3, 3, p), math.pi / 2)
@@ -553,7 +554,11 @@ def _lifted_head_trajectory(rng):
 
 
 class TestRowsRunAlone:
-    """Every row of ``_batch_expectations`` has the bits of that row run alone."""
+    """Every row of the per-gate reference engine has the bits of that row run alone.
+
+    The fused engine, ``_batch_expectations``, matches them to 1e-12
+    (``TestFusedBlocks``) and shares the reference's errors.
+    """
 
     @pytest.mark.parametrize("per_chunk", [None, 1, 2, 5])
     def test_bits_match_rows_run_alone(self, per_chunk, monkeypatch):
@@ -640,9 +645,9 @@ class TestFusedBlocks:
     @staticmethod
     def _starts(circuit):
         """(first gate, end, lo) of each block."""
-        ends = [end for end, _, _ in grad_mod._blocks(circuit)]
-        return [(first, end, lo) for first, end, (_, lo, _) in
-                zip([0] + ends[:-1], ends, grad_mod._blocks(circuit))]
+        _, blocks = grad_mod._blocks(circuit)
+        ends = [end for end, _, _ in blocks]
+        return [(first, end, lo) for first, (end, lo, _) in zip([0] + ends[:-1], blocks)]
 
     @pytest.mark.parametrize("qubits", range(2, 11))
     def test_half_turn_and_quarter_turn_rows(self, qubits):
@@ -663,7 +668,8 @@ class TestFusedBlocks:
     def test_windows_at_top_middle_and_bottom_and_the_wrap_around_cnot(self):
         rng = np.random.default_rng(51)
         circuit, ext = _head_trajectory(10, rng)
-        blocks = grad_mod._blocks(circuit)
+        k, blocks = grad_mod._blocks(circuit)
+        assert k == 4
         windows = {lo for _, lo, _ in blocks}
         assert {0, 6, None} <= windows and windows & {1, 2, 3, 4, 5}
         singles = [gates for _, lo, gates in blocks if lo is None]
@@ -681,7 +687,7 @@ class TestFusedBlocks:
     def test_pauli_records_inside_a_window(self):
         rng = np.random.default_rng(55)
         circuit, ext = _head_trajectory(6, rng)
-        inside = {g[2] for _, lo, gates in grad_mod._blocks(circuit) if lo is not None
+        inside = {g[2] for _, lo, gates in grad_mod._blocks(circuit)[1] if lo is not None
                   for g in gates if g[0] == PAULI}
         assert "Y" in inside
         self._check(circuit, _shift_rows(ext, math.pi, signs=(1.0,)))
