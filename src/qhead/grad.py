@@ -163,8 +163,8 @@ def _blocks(circuit: GateList) -> tuple[int, list[tuple]]:
 
     Returns the window width k = min(``_BLOCK_QUBITS``, Q // 2 + 1) and the
     blocks. The cap keeps a block's 4^k matrix entries within 4 times a
-    row's 2^Q amplitudes: building one matrix per row that starts in the
-    block would otherwise cost more than running the rows gate by gate.
+    row's 2^Q amplitudes: a window as wide as a small register would build
+    a full unitary for every row that starts in it.
     A block is (end, lo, gates): the gates up to index ``end`` act within
     the window of k qubits from ``lo``, and are renumbered to it. A gate
     that fits no window (a CNOT spanning more than k qubits, such as the
