@@ -383,10 +383,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (ConfigurationError, DataError, DataFormatError, DegenerateInputError,
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+            ConfigurationError, DataError, DataFormatError, DegenerateInputError,
             UnsupportedModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR

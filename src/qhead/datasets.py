@@ -272,8 +272,8 @@ def append_anchor_feature(dataset: EmbeddingDataset, value: float = 1.0) -> Embe
     be invisible to the head. A constant anchor component pins the sign and
     makes such structure measurable again.
     """
-    if value == 0.0:
-        raise ConfigurationError("anchor value must be non-zero")
+    if value == 0.0 or not np.isfinite(value):
+        raise ConfigurationError(f"anchor value must be finite and non-zero, got {value}")
     column = np.full((len(dataset), 1), value, dtype=np.float32)
     return replace(dataset, vectors=np.hstack([dataset.vectors, column]))
 
@@ -281,8 +281,8 @@ def append_anchor_feature(dataset: EmbeddingDataset, value: float = 1.0) -> Embe
 def synthetic_clusters(dim: int, n_per_class: int, separation: float,
                        seed: int) -> EmbeddingDataset:
     """Two isotropic Gaussian clusters at +/- (separation/2) along a random axis."""
-    if separation < 0:
-        raise ConfigurationError(f"separation must be >= 0, got {separation}")
+    if not 0 <= separation < np.inf:
+        raise ConfigurationError(f"separation must be finite and >= 0, got {separation}")
     rng = seeding.stream(seed, seeding.SYNTHETIC)
     axis = rng.standard_normal(dim)
     axis /= np.linalg.norm(axis)

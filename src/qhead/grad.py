@@ -29,9 +29,10 @@ arrays Y is applied as XZ = -iY, and the dropped phase never reaches
 Single circuit values (``evaluate_expectation`` and
 ``trajectory_expectation``) run one real row through ``_single_value``.
 
-The adjoint sweep runs on a (B, 2^Q) batch of real rows, each with its own
-latent and observable weights, and takes each RY derivative as the real
-overlap <lambda|(-iY)|psi> before un-applying the gate.
+The adjoint sweep starts from the final states its caller ran: a
+(B, 2^Q) batch of real rows, each with its own latent and observable
+weights. It takes each RY derivative as the real overlap
+<lambda|(-iY)|psi> before un-applying the gate.
 """
 from __future__ import annotations
 
@@ -336,60 +337,41 @@ def _first_row(values):
     return values[0] if values is not None and values.ndim == 2 else values
 
 
-def adjoint_observable_gradients(circuit: GateList, params, latent=None,
-                                 z_weights=None, measured: int = 0,
-                                 initial: np.ndarray | None = None,
-                                 final: np.ndarray | None = None):
-    """One reverse sweep for E = <psi| O |psi> with O = sum_j w_j Z_j.
+def adjoint_observable_gradients(circuit: GateList, params, latent, z_weights, final):
+    """One reverse sweep for E = <psi| O |psi> with O = sum_j w_j Z_j, from ``final``.
 
-    Returns (gradient wrt params, gradient wrt latent). ``z_weights`` defaults
-    to the indicator of ``measured``. The gate list must be unitary: a
-    noiseless circuit, or one sampled trajectory with its Pauli records.
-
-    Any of ``params`` (B, P), ``latent`` (B, L), ``z_weights`` (B, Q) and
-    ``initial`` or ``final`` (B, 2^Q) may carry a leading axis of B rows; a
-    1-D value is shared by every row. With a row axis the gradients are per
-    row, (B, P) and (B, L); without one they are (P,) and (L,). ``final``
-    hands over the states the circuit ends in, so the forward pass is not
-    run again. Starting from |0...0> (or a real ``initial``) every state is
-    real.
+    ``final`` holds the states the circuit ends in, as the caller ran them;
+    the sweep copies them and does not run the circuit. The gate list must
+    be unitary: a noiseless circuit, or one sampled trajectory with its
+    Pauli records. Any of ``params`` (B, P), ``latent`` (B, L) or None,
+    ``z_weights`` (B, Q) and ``final`` (B, 2^Q) may carry a leading axis of
+    B rows; a 1-D value is shared by every row. Returns the per-row
+    gradients wrt params (B, P) and latent (B, L), with B = 1 when no
+    argument has a row axis. Real final states keep every state real.
     """
-    params = np.asarray(params if params is not None else [], dtype=np.float64)
+    params = np.asarray(params, dtype=np.float64)
     latent = None if latent is None else np.asarray(latent, dtype=np.float64)
     n = circuit.num_qubits
-    circuit, _, _ = _prepare(circuit, _first_row(params), _first_row(latent),
-                             measured if z_weights is None else None)
-    z_weights = np.asarray(np.eye(n)[measured] if z_weights is None else z_weights,
-                           dtype=np.float64)
+    circuit, _, _ = _prepare(circuit, _first_row(params), _first_row(latent))
+    z_weights = np.asarray(z_weights, dtype=np.float64)
     if z_weights.ndim not in (1, 2) or z_weights.shape[-1] != n:
         raise ConfigurationError(
             f"z_weights must have shape ({n},) or (rows, {n}), got {z_weights.shape}"
         )
-    states = final if final is not None else initial
-    row_counts = {a.shape[0] for a in (params, latent, z_weights, states)
-                  if a is not None and a.ndim == 2}
-    if len(row_counts) > 1:
-        raise ConfigurationError(f"row axes disagree in length: {sorted(row_counts)}")
-    batched = bool(row_counts)
-    rows = row_counts.pop() if batched else 1
+    named = {"params": params, "latent": latent, "z_weights": z_weights, "final": final}
+    row_counts = {k: a.shape[0] for k, a in named.items() if a is not None and a.ndim == 2}
+    if len(set(row_counts.values())) > 1:
+        raise ConfigurationError(f"row axes disagree in length: {row_counts}")
+    rows = max(row_counts.values(), default=1)
     dim = 1 << n
-    if states is not None and states.shape not in ((dim,), (rows, dim)):
-        raise ConfigurationError(f"states must have shape ({dim},) or ({rows}, {dim}), "
-                                 f"got {states.shape}")
+    if final.shape not in ((dim,), (rows, dim)):
+        raise ConfigurationError(f"final must have shape ({dim},) or ({rows}, {dim}), "
+                                 f"got {final.shape}")
     # psi and lam share one (2, rows, 2^Q) array, so that one kernel call
     # un-applies a gate from both
-    dtype = np.float64 if states is None else np.result_type(np.float64, states)
-    both = np.empty((2, rows, dim), dtype=dtype)
+    both = np.empty((2, rows, dim), dtype=np.result_type(np.float64, final))
     psi, lam = both
-    if final is not None:
-        psi[...] = final
-    else:
-        if initial is None:
-            psi[...] = 0.0
-            psi[:, 0] = 1.0
-        else:
-            psi[...] = initial
-        run_gates(psi, circuit, params, latent)
+    psi[...] = final
     lam[...] = _z_diagonal(z_weights, n) * psi
 
     grad_params = np.zeros((rows, params.shape[-1]))
@@ -414,13 +396,13 @@ def adjoint_observable_gradients(circuit: GateList, params, latent=None,
             grad_latent[:, g[2]] += contrib
             angle = latent[..., g[2]]
         _ry(both, n, g[1], -angle)
-    if batched:
-        return grad_params, grad_latent
-    return grad_params[0], grad_latent[0]
+    return grad_params, grad_latent
 
 
 def adjoint_gradient(circuit: GateList, params, latent=None, measured: int = 0) -> np.ndarray:
     """Adjoint-mode d<Z>/d(params); matches the shift rule on noiseless circuits."""
-    grad_params, _ = adjoint_observable_gradients(circuit, params, latent, measured=measured)
-    return grad_params
+    circuit, params, latent = _prepare(circuit, params, latent, measured)
+    n = circuit.num_qubits
+    final = run_gates(np.eye(1, 1 << n), circuit, params, latent)  # one row from |0...0>
+    return adjoint_observable_gradients(circuit, params, latent, np.eye(n)[measured], final)[0][0]
 

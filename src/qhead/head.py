@@ -26,12 +26,12 @@ exact, and at infinite shots they are the gradient. At finite shots the
 (common random numbers); a_j comes from P + K rows shifted by pi (P circuit
 angles, K encoding-gate occurrences), run as one real-valued batch of fused
 gate blocks, one small matmul per block, in which each row starts at its own
-shifted gate from the unshifted state (see ``qhead.grad``). The encoders'
-gradient is one batched adjoint sweep per encoder. This is the package's one
-head API (``EncoderConfig``, ``QuantumEncoder``, ``HybridHead``,
-``build_hybrid_head``); the tests check it against the per-sample references
-in ``tests/reference.py``, hand-built +/- pi/2 rows and the parameter-shift
-rule.
+shifted gate from the unshifted state (see ``qhead.grad``). Each encoder's
+gradient runs its rows again and sweeps back from their final states. This
+is the package's one head API (``EncoderConfig``, ``QuantumEncoder``,
+``HybridHead``, ``build_hybrid_head``); the tests check it against the
+per-sample references in ``tests/reference.py``, hand-built +/- pi/2 rows
+and the parameter-shift rule.
 """
 from __future__ import annotations
 
@@ -169,7 +169,8 @@ def _run_rows(circuit: GateList, params, latents, grads: bool) -> tuple:
     z = _z_expectation(amps, circuit.num_qubits, 0)
     if not grads:
         return (z,)
-    return (z, *adjoint_observable_gradients(circuit, params, latents, measured=0, final=amps))
+    return (z, *adjoint_observable_gradients(circuit, params, latents,
+                                             np.eye(circuit.num_qubits)[0], amps))
 
 
 def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
@@ -219,7 +220,7 @@ class QuantumEncoder:
     ``forward`` and ``backward`` take one input (d,) or a batch (B, d). A
     batch is amplitude-encoded into real (B, 2^Qc) rows; each encoder runs
     its circuit once over the rows (in row chunks, see ``grad._row_chunks``),
-    and its gradient is one batched adjoint sweep, summed over the rows.
+    and its gradient runs them again and sweeps back from their final states.
     """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
@@ -258,9 +259,9 @@ class QuantumEncoder:
         dlatent = np.asarray(dlatent, dtype=np.float64).reshape(len(encoded), -1)
         grads = {}
         for i, t in enumerate(self.theta):
-            rows, _ = adjoint_observable_gradients(
-                self.circuit, t, z_weights=dlatent[:, i * q : (i + 1) * q], initial=encoded
-            )
+            final = run_gates(encoded.copy(), self.circuit, t, None)
+            rows, _ = adjoint_observable_gradients(self.circuit, t, None,
+                                                   dlatent[:, i * q : (i + 1) * q], final)
             grads[f"encoder_{i}"] = rows.sum(axis=0)
         return grads
 
@@ -271,14 +272,12 @@ class HybridHead:
     The encoder is pluggable: a :class:`QuantumEncoder` by default, or any
     object with ``latent_dim``, ``forward``, ``backward`` and
     ``parameter_arrays`` (the MLP encoder ablation uses this). The circuit
-    angles are ``theta_q`` when given, else drawn from ``rng``; the linear
-    weights are always drawn from ``rng``. Given values are copied in
-    afterwards with ``load_parameter_arrays``.
+    angles and the linear weights are drawn from ``rng``. Given values are
+    copied in afterwards with ``load_parameter_arrays``.
     """
 
     def __init__(self, encoder, spec: CircuitSpec, num_classes: int = 2,
-                 final_linear: bool = True, rng: np.random.Generator | None = None,
-                 theta_q: np.ndarray | None = None):
+                 final_linear: bool = True, *, rng: np.random.Generator):
         if not final_linear and num_classes != 2:
             raise ConfigurationError("dropping the final linear layer requires 2 classes")
         self.encoder = encoder
@@ -286,16 +285,8 @@ class HybridHead:
         self.num_classes = num_classes
         self.final_linear = final_linear
         self.plan = _plan_pqc(spec, encoder.latent_dim)
-        if theta_q is not None:
-            self.theta_q = np.asarray(theta_q, dtype=np.float64)
-            _check_theta(self.plan, self.theta_q)
-        else:
-            if rng is None:
-                raise ConfigurationError("either theta_q or an rng must be provided")
-            self.theta_q = rng.uniform(-math.pi, math.pi, self.plan.n_params)
+        self.theta_q = rng.uniform(-math.pi, math.pi, self.plan.n_params)
         if final_linear:
-            if rng is None:
-                raise ConfigurationError("the linear weights need an rng")
             self.linear = 0.1 * rng.standard_normal((num_classes, encoder.latent_dim + 1))
         else:
             self.linear = None

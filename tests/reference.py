@@ -101,10 +101,9 @@ def encoder_backward(x, theta_c, config: EncoderConfig, dlatent,
     circuit = encoder_circuit(config)
     initial = amplitude_encode(x, config.encoder_qubits).amplitudes
     if method == "adjoint":
-        grads, _ = adjoint_observable_gradients(
-            circuit, theta_c, z_weights=dlatent, initial=initial
-        )
-        return grads
+        final = run_gates(initial.copy(), circuit, theta_c, None)
+        grads, _ = adjoint_observable_gradients(circuit, theta_c, None, dlatent, final)
+        return grads[0]
     if method == "shift":
         jac = parameter_shift_jacobian(circuit, theta_c, initial=initial)
         return jac.T @ dlatent

@@ -15,12 +15,17 @@ import pytest
 from qhead.ansatz import PAULI, CircuitSpec
 from qhead.baselines import MlpConfig, MlpEncoder
 from qhead.errors import ConfigurationError
-from qhead.grad import adjoint_observable_gradients, evaluate_expectation, trajectory_expectation
+from qhead.grad import (
+    adjoint_observable_gradients,
+    evaluate_expectation,
+    run_gates,
+    trajectory_expectation,
+)
 from qhead.head import EncoderConfig, HybridHead, _noisy_sample, _plan_pqc, build_hybrid_head
 from qhead.noise import NoiseModel, gaussian_shot_estimate, sample_pauli_insertions
 from qhead.seeding import PARAM_INIT, SHOTS, TRAJECTORY, stream
 from qhead.simcore import zero_state
-from qhead.trainer import cross_entropy_loss, softmax_cross_entropy_batch
+from qhead.trainer import cross_entropy_loss, load_parameters, softmax_cross_entropy_batch
 
 from oracles import dense_run, dense_z
 from reference import _pqc_value, _pqc_value_and_grads, encoder_backward, encoder_forward
@@ -76,9 +81,11 @@ def _sample_circuit(model, latent, noise, i, grads):
     z = evaluate_expectation(plan.expanded, model.theta_q, latent, 0)
     if not grads:
         return z
-    initial = zero_state(plan.spec.qubits).amplitudes
-    gtheta, glatent = adjoint_observable_gradients(plan.expanded, model.theta_q, latent,
-                                                   measured=0, initial=initial)
+    final = run_gates(zero_state(plan.spec.qubits).amplitudes, plan.expanded, model.theta_q,
+                      latent)
+    (gtheta,), (glatent,) = adjoint_observable_gradients(
+        plan.expanded, model.theta_q, latent, np.eye(plan.spec.qubits)[0], final
+    )
     return z, gtheta, glatent
 
 
@@ -214,8 +221,12 @@ def test_noisy_circuit_values_are_bit_identical_per_sample():
 def test_latents_and_clean_values_are_bit_identical_to_single_rows():
     model = _quantum_head(num_encoders=2)
     X = np.random.default_rng(4).standard_normal((9, 16))
-    logits_no_linear = HybridHead(model.encoder, SPEC, final_linear=False,
-                                  theta_q=model.theta_q).predict_logits(X)
+    no_linear = HybridHead(model.encoder, SPEC, final_linear=False,
+                           rng=np.random.default_rng(0))
+    arrays = model.parameter_arrays()
+    del arrays["linear"]
+    load_parameters(no_linear, arrays)
+    logits_no_linear = no_linear.predict_logits(X)
     latents = model.encoder.forward(X)
     for i, x in enumerate(X):
         np.testing.assert_array_equal(latents[i], _sample_latent(model, x))

@@ -445,6 +445,27 @@ class TestUnreadableInputsExit2:
         code, err = self._run(tmp_path, capsys, ["train", "--config", str(cfg)])
         assert code == 2 and err.startswith("error: ") and str(folder) in err
 
+    @pytest.mark.parametrize("sub", [(), ("sub",)], ids=["file", "under-file"])
+    def test_train_output_under_a_regular_file(self, tmp_path, capsys, smoke_data, sub):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n", encoding="utf-8")
+        cfg = _write_config(tmp_path, smoke_data)
+        out = blocker.joinpath(*sub)
+        code = main(["train", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and str(blocker) in err
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.txt", "smoke.emb"]
+
+    def test_energy_curve_under_a_regular_file(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n", encoding="utf-8")
+        code = main(["energy", "--out", str(blocker / "curve.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and str(blocker) in err
+        assert blocker.read_text(encoding="utf-8") == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
     @pytest.mark.parametrize("split_mode", ["benchmark", "counts"])
     def test_empty_dataset(self, tmp_path, capsys, split_mode):
         from qhead.datasets import EmbeddingDataset

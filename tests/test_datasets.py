@@ -237,6 +237,11 @@ class TestSyntheticClusters:
         with pytest.raises(ConfigurationError):
             synthetic_clusters(4, 10, -1.0, 0)
 
+    @pytest.mark.parametrize("separation", [float("nan"), float("inf")])
+    def test_non_finite_separation_rejected(self, separation):
+        with pytest.raises(ConfigurationError, match="separation must be finite"):
+            synthetic_clusters(4, 10, separation, 0)
+
     def test_zero_separation_trains_to_chance(self):
         from qhead.baselines import logistic_train
         from qhead.trainer import TrainConfig
@@ -277,6 +282,12 @@ class TestPreprocessing:
         np.testing.assert_array_equal(out.vectors[:, 2], [2.5, 2.5, 2.5])
         with pytest.raises(ConfigurationError):
             append_anchor_feature(ds, value=0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_anchor_rejected(self, value):
+        ds = EmbeddingDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 0]))
+        with pytest.raises(ConfigurationError, match="anchor value must be finite"):
+            append_anchor_feature(ds, value=value)
 
     def test_pca_recovers_dominant_direction(self):
         # antipodal clusters: the separation axis carries most variance, so

@@ -201,7 +201,9 @@ class TestAdjoint:
 
         params = rng.uniform(-math.pi, math.pi, count_parameters(spec))
         latent = rng.uniform(-1, 1, 3)
-        _, glat = adjoint_observable_gradients(circuit, params, latent, measured=0)
+        circuit = expand_encoding(circuit, 1)
+        final = run_gates(np.eye(8)[0], circuit, params, latent)
+        _, (glat,) = adjoint_observable_gradients(circuit, params, latent, np.eye(3)[0], final)
         h = 1e-5
         for k in range(3):
             lp, lm = latent.copy(), latent.copy()
@@ -229,7 +231,8 @@ class TestAdjoint:
 
             return sum(weights[j] * float(_z_expectation(amps, n, j)) for j in range(n))
 
-        gp, _ = adjoint_observable_gradients(circuit, params, z_weights=weights, initial=initial)
+        final = run_gates(initial.copy(), circuit, params, None)
+        (gp,), _ = adjoint_observable_gradients(circuit, params, None, weights, final)
         h = 1e-5
         for j in range(3):
             pp, pm = params.copy(), params.copy()
@@ -279,9 +282,8 @@ class TestBatchedAdjoint:
         if from_zero:
             initial[:] = 0.0
             initial[:, 0] = 1.0
-        gp, gl = adjoint_observable_gradients(
-            circuit, params, latent, z_weights=weights, initial=None if from_zero else initial
-        )
+        final = run_gates(initial.copy(), circuit, params, latent)
+        gp, gl = adjoint_observable_gradients(circuit, params, latent, weights, final)
         assert gp.shape == params.shape and gl.shape == latent.shape
         for b in range(len(params)):
             def by_params(p, lat, b=b):
@@ -301,20 +303,15 @@ class TestBatchedAdjoint:
         circuit = GateList(self.N, self.GATES)
         params, latent, weights, initial = self._rows(62)
         shared = params[0]
-        gp, gl = adjoint_observable_gradients(circuit, shared, latent, z_weights=weights,
-                                              initial=initial)
         final = initial.copy()
         run_gates(final, circuit, shared, latent)
         kept = final.copy()
-        gp_f, gl_f = adjoint_observable_gradients(circuit, shared, latent, z_weights=weights,
-                                                  final=final)
-        np.testing.assert_array_equal(gp_f, gp)
-        np.testing.assert_array_equal(gl_f, gl)
+        gp, gl = adjoint_observable_gradients(circuit, shared, latent, weights, final)
         np.testing.assert_array_equal(final, kept)
         for b in range(len(latent)):
-            one_p, one_l = adjoint_observable_gradients(
-                circuit, shared, latent[b], z_weights=weights[b],
-                initial=initial[b].astype(np.complex128),
+            one_final = run_gates(initial[b].astype(np.complex128), circuit, shared, latent[b])
+            (one_p,), (one_l,) = adjoint_observable_gradients(
+                circuit, shared, latent[b], weights[b], one_final
             )
             assert one_p.shape == shared.shape and one_l.shape == latent[b].shape
             np.testing.assert_allclose(one_p, gp[b], rtol=0, atol=1e-12)
@@ -322,11 +319,21 @@ class TestBatchedAdjoint:
 
     def test_row_counts_must_agree(self):
         circuit = GateList(self.N, self.GATES)
-        params, latent, weights, _ = self._rows(63)
+        params, latent, weights, final = self._rows(63)
         with pytest.raises(ConfigurationError, match="row axes"):
-            adjoint_observable_gradients(circuit, params, latent[:2], z_weights=weights)
+            adjoint_observable_gradients(circuit, params, latent[:2], weights, final)
         with pytest.raises(ConfigurationError, match="z_weights"):
-            adjoint_observable_gradients(circuit, params, latent, z_weights=weights[:, :2])
+            adjoint_observable_gradients(circuit, params, latent, weights[:, :2], final)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((4, 4), r"final must have shape \(8,\) or \(4, 8\), got \(4, 4\)"),
+        ((3, 8), r"row axes disagree in length: .*'final': 3"),
+    ], ids=["width", "rows"])
+    def test_final_states_must_match_the_register_and_the_rows(self, shape, message):
+        circuit = GateList(self.N, self.GATES)
+        params, latent, weights, _ = self._rows(64)
+        with pytest.raises(ConfigurationError, match=message):
+            adjoint_observable_gradients(circuit, params, latent, weights, np.zeros(shape))
 
 
 class TestLiftDataSlots:
