@@ -195,11 +195,11 @@ class MlpEncoder(_Mlp):
     """Classical drop-in for the quantum encoders: input -> [hidden ReLU] -> tanh latent.
 
     The tanh keeps the latent inside [-1, 1] so the downstream circuit sees the
-    same value range either way. ``forward`` and ``backward`` take one input
-    (d,) or a batch (B, d) and use plain matmuls; the gradients of a batch are
-    summed over its rows. Batch norm is refused here: it would couple the
-    samples of a batch, whereas each sample's latent must depend on that
-    sample alone.
+    same value range either way. ``forward`` takes one input (d,) or a batch
+    (B, d) and uses plain matmuls; ``backward`` sums the gradients over the
+    rows from what ``forward(x, grads=True)`` kept. Batch norm is refused
+    here: it would couple the samples of a batch, whereas each sample's
+    latent must depend on that sample alone.
     """
 
     def __init__(self, in_dim: int, latent_dim: int, config: MlpConfig,
@@ -212,14 +212,16 @@ class MlpEncoder(_Mlp):
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {f"enc_{k}": v for k, v in super().parameter_arrays().items()}
 
-    def forward(self, x) -> np.ndarray:
-        pre, _ = self._forward(np.asarray(x, dtype=np.float64), training=False)
-        return np.tanh(pre)
-
-    def backward(self, x, dlatent) -> dict[str, np.ndarray]:
-        """Gradients of sum_b dlatent[b] . latent(x[b]), for (B, d) or (d,) input."""
-        pre, cache = self._forward(np.atleast_2d(np.asarray(x, dtype=np.float64)), training=True)
+    def forward(self, x, grads: bool = False):
+        """Latents; with ``grads`` also (latents, ``_forward`` cache) for ``backward``."""
+        x = np.asarray(x, dtype=np.float64)
+        pre, cache = self._forward(np.atleast_2d(x) if grads else x, training=grads)
         latent = np.tanh(pre)
+        return (latent.reshape(x.shape[:-1] + (-1,)), (latent, cache)) if grads else latent
+
+    def backward(self, saved, dlatent) -> dict[str, np.ndarray]:
+        """Gradients of sum_b dlatent[b] . latent(x[b]), from ``forward(x, grads=True)``."""
+        latent, cache = saved
         dpre = np.asarray(dlatent).reshape(latent.shape) * (1.0 - latent * latent)
         return {f"enc_{k}": g for k, g in self._backward(dpre, cache).items()}
 

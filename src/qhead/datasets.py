@@ -25,6 +25,8 @@ from .errors import ConfigurationError, DataError, DataFormatError, decode_utf8
 
 MAGIC = b"EMB1"
 _HEADER = struct.Struct("<4sII")
+# vectors are stored as float32; a larger value would become inf
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -272,8 +274,10 @@ def append_anchor_feature(dataset: EmbeddingDataset, value: float = 1.0) -> Embe
     be invisible to the head. A constant anchor component pins the sign and
     makes such structure measurable again.
     """
-    if value == 0.0 or not np.isfinite(value):
-        raise ConfigurationError(f"anchor value must be finite and non-zero, got {value}")
+    if value == 0.0 or not abs(value) <= _FLOAT32_MAX:
+        raise ConfigurationError(
+            f"anchor value must be finite, non-zero and within the float32 range, got {value}"
+        )
     column = np.full((len(dataset), 1), value, dtype=np.float32)
     return replace(dataset, vectors=np.hstack([dataset.vectors, column]))
 
@@ -291,8 +295,11 @@ def synthetic_clusters(dim: int, n_per_class: int, separation: float,
     labels = np.empty(2 * n_per_class, dtype=np.int64)
     for cls in (0, 1):
         block = slice(cls * n_per_class, (cls + 1) * n_per_class)
-        vectors[block] = (centers[cls] + rng.standard_normal((n_per_class, dim))).astype(
-            np.float32
-        )
+        rows = centers[cls] + rng.standard_normal((n_per_class, dim))
+        if np.any(np.abs(rows) > _FLOAT32_MAX):
+            raise ConfigurationError(
+                f"separation {separation} puts vectors beyond the float32 range"
+            )
+        vectors[block] = rows.astype(np.float32)
         labels[block] = cls
     return EmbeddingDataset(vectors, labels)

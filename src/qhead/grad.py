@@ -32,7 +32,10 @@ Single circuit values (``evaluate_expectation`` and
 The adjoint sweep starts from the final states its caller ran: a
 (B, 2^Q) batch of real rows, each with its own latent and observable
 weights. It takes each RY derivative as the real overlap
-<lambda|(-iY)|psi> before un-applying the gate.
+<lambda|(-iY)|psi> before un-applying the gate. Where every row shares the
+angles (the encoders), ``block_adjoint_gradients`` sweeps by fused blocks
+instead: one matmul per block un-applies it from psi and lam, and one Gram
+matrix of the two, summed over the rows, gives the block's derivatives.
 """
 from __future__ import annotations
 
@@ -54,7 +57,7 @@ from .simcore import (
 
 # cap on amplitudes held at once during batched evaluation (32 MB of float64)
 _CHUNK_ELEMENTS = 1 << 22
-# widest qubit window of a fused block in the half-turn engine (16 x 16 matrices)
+# widest qubit window of a fused block (16 x 16 matrices)
 _BLOCK_QUBITS = 4
 
 
@@ -397,6 +400,45 @@ def adjoint_observable_gradients(circuit: GateList, params, latent, z_weights, f
             angle = latent[..., g[2]]
         _ry(both, n, g[1], -angle)
     return grad_params, grad_latent
+
+
+def block_adjoint_gradients(circuit: GateList, blocks, params, z_weights, final) -> np.ndarray:
+    """The adjoint sweep per fused block, for angles ``params`` (P,) that every row shares.
+
+    Returns the row-summed gradient (P,) of sum_b <psi_b| sum_j w_bj Z_j |psi_b>
+    from the rows' real final states ``final`` (B, 2^Q), left as they are,
+    with ``z_weights`` (B, Q) and ``blocks = _blocks(circuit)``. One matmul
+    un-applies a block's matrix M from psi and lam. Its RY gate j adds
+    sum_ab D_j[a, b] C[a, b], with the real D_j = M_{>j} (-iY_j) M_{<=j} and
+    C = sum lam_out psi_in^T over the rows and the qubits outside the window.
+    """
+    n, (k, cut) = circuit.num_qubits, blocks
+    dim = 1 << k
+    both = np.stack([final, _z_diagonal(np.asarray(z_weights, dtype=np.float64), n) * final])
+    grad = np.zeros(len(params))
+    for _, lo, gates in reversed(cut):
+        if lo is None:  # a CNOT wider than the window undoes itself
+            _apply_gate(both, n, gates[0], None, None)
+            continue
+        slots = [g[2] for g in gates if g[0] == RY]
+        # mats[0] is M^T (row a holds M e_a) and mats[1 + j] is D_j^T
+        mats = np.empty((1 + len(slots), dim, dim))
+        mats[0] = np.eye(dim)
+        started = 1
+        for g in gates:
+            _apply_gate(mats[:started], k, g, params, None)
+            if g[0] == RY:
+                mats[started] = _pauli(mats[0].copy(), k, g[1], "Y")  # -iY on real rows
+                started += 1
+        # psi_in = M^T psi_out, and lam likewise, on views with the window's
+        # axis second last; a window at the low end is one matmul over rows
+        m = n - lo - k
+        out = both.reshape(2, -1, dim, 1 << m)
+        into = np.matmul(mats[0], out) if m else (out[..., 0] @ mats[0].T)[..., None]
+        gram = np.tensordot(into[0], out[1], axes=([0, 2], [0, 2]))  # C^T
+        np.add.at(grad, slots, mats[1:].reshape(len(slots), dim * dim) @ gram.ravel())
+        both = into.reshape(both.shape)
+    return grad
 
 
 def adjoint_gradient(circuit: GateList, params, latent=None, measured: int = 0) -> np.ndarray:

@@ -26,12 +26,13 @@ exact, and at infinite shots they are the gradient. At finite shots the
 (common random numbers); a_j comes from P + K rows shifted by pi (P circuit
 angles, K encoding-gate occurrences), run as one real-valued batch of fused
 gate blocks, one small matmul per block, in which each row starts at its own
-shifted gate from the unshifted state (see ``qhead.grad``). Each encoder's
-gradient runs its rows again and sweeps back from their final states. This
-is the package's one head API (``EncoderConfig``, ``QuantumEncoder``,
-``HybridHead``, ``build_hybrid_head``); the tests check it against the
-per-sample references in ``tests/reference.py``, hand-built +/- pi/2 rows
-and the parameter-shift rule.
+shifted gate from the unshifted state (see ``qhead.grad``). A training step
+runs each encoder's circuit once and keeps the final states; since all rows
+share the encoder's angles, its gradient is one sweep back from them by the
+same fused blocks. This is the package's one head API (``EncoderConfig``,
+``QuantumEncoder``, ``HybridHead``, ``build_hybrid_head``); the tests check
+it against the per-sample references in ``tests/reference.py``, hand-built
++/- pi/2 rows and the parameter-shift rule.
 """
 from __future__ import annotations
 
@@ -46,9 +47,11 @@ from .ansatz import RY, CircuitSpec, GateList, assemble_head_circuit, build_bloc
 from .errors import ConfigurationError
 from .grad import (
     _batch_expectations,
+    _blocks,
     _row_chunks,
     _shift_rows,
     adjoint_observable_gradients,
+    block_adjoint_gradients,
     lift_data_slots,
     run_gates,
 )
@@ -217,10 +220,12 @@ class QuantumEncoder:
     """E parallel simulated encoders with trainable angles drawn from ``rng``.
 
     Given values are copied in afterwards with ``trainer.load_parameters``.
-    ``forward`` and ``backward`` take one input (d,) or a batch (B, d). A
-    batch is amplitude-encoded into real (B, 2^Qc) rows; each encoder runs
-    its circuit once over the rows (in row chunks, see ``grad._row_chunks``),
-    and its gradient runs them again and sweeps back from their final states.
+    ``forward`` takes one input (d,) or a batch (B, d). A batch is
+    amplitude-encoded into real (B, 2^Qc) rows; each encoder runs its circuit
+    once over the rows (in row chunks, see ``grad._row_chunks``). With
+    ``grads`` it also returns their final states, and ``backward`` sweeps
+    back from them at the same angles, by the blocks cut when the encoder is
+    built, without running the circuit again (``grad.block_adjoint_gradients``).
     """
 
     def __init__(self, config: EncoderConfig, rng: np.random.Generator):
@@ -230,6 +235,7 @@ class QuantumEncoder:
             for _ in range(config.num_encoders)
         ]
         self.circuit = encoder_circuit(config)
+        self.blocks = _blocks(self.circuit)
 
     @property
     def latent_dim(self) -> int:
@@ -238,31 +244,32 @@ class QuantumEncoder:
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {f"encoder_{i}": t for i, t in enumerate(self.theta)}
 
-    def forward(self, x) -> np.ndarray:
-        """Latents (B, E*Qc) of a batch, or (E*Qc,) of a single input."""
+    def forward(self, x, grads: bool = False):
+        """Latents (B, E*Qc) or (E*Qc,); with ``grads``, (latents, states for ``backward``)."""
         x = np.asarray(x, dtype=np.float64)
         X = x.reshape(-1, x.shape[-1])
         q = self.config.encoder_qubits
         latent = np.empty((len(X), self.latent_dim))
+        saved = []
         for rows in _row_chunks(len(X), q):
             encoded = amplitude_encode_rows(X[rows], q)
             for i, t in enumerate(self.theta):
                 amps = run_gates(encoded.copy(), self.circuit, t, None)
                 latent[rows, i * q : (i + 1) * q] = _all_z_expectations(amps, q)
-        return latent.reshape(x.shape[:-1] + (self.latent_dim,))
+                if grads:
+                    saved.append((rows, i, amps))
+        latent = latent.reshape(x.shape[:-1] + (self.latent_dim,))
+        return (latent, saved) if grads else latent
 
-    def backward(self, x, dlatent) -> dict[str, np.ndarray]:
+    def backward(self, saved, dlatent) -> dict[str, np.ndarray]:
         """Gradient of sum_b dlatent[b] . latent(x[b]) w.r.t. each encoder's angles."""
-        x = np.asarray(x, dtype=np.float64)
         q = self.config.encoder_qubits
-        encoded = amplitude_encode_rows(x.reshape(-1, x.shape[-1]), q)
-        dlatent = np.asarray(dlatent, dtype=np.float64).reshape(len(encoded), -1)
-        grads = {}
-        for i, t in enumerate(self.theta):
-            final = run_gates(encoded.copy(), self.circuit, t, None)
-            rows, _ = adjoint_observable_gradients(self.circuit, t, None,
-                                                   dlatent[:, i * q : (i + 1) * q], final)
-            grads[f"encoder_{i}"] = rows.sum(axis=0)
+        dlatent = np.asarray(dlatent, dtype=np.float64).reshape(-1, self.latent_dim)
+        grads = {f"encoder_{i}": np.zeros_like(t) for i, t in enumerate(self.theta)}
+        for rows, i, final in saved:
+            grads[f"encoder_{i}"] += block_adjoint_gradients(
+                self.circuit, self.blocks, self.theta[i], dlatent[rows, i * q : (i + 1) * q],
+                final)
         return grads
 
 
@@ -270,10 +277,12 @@ class HybridHead:
     """Trainable hybrid head: encoder object + noisy circuit + linear readout.
 
     The encoder is pluggable: a :class:`QuantumEncoder` by default, or any
-    object with ``latent_dim``, ``forward``, ``backward`` and
-    ``parameter_arrays`` (the MLP encoder ablation uses this). The circuit
-    angles and the linear weights are drawn from ``rng``. Given values are
-    copied in afterwards with ``load_parameter_arrays``.
+    object with ``latent_dim``, ``forward(x, grads=False)``,
+    ``backward(saved, dlatent)`` and ``parameter_arrays`` (the MLP encoder
+    ablation uses this). A training step calls ``forward`` once with
+    ``grads`` and hands what it saved to ``backward``. The circuit angles and
+    the linear weights are drawn from ``rng``. Given values are copied in
+    afterwards with ``load_parameter_arrays``.
     """
 
     def __init__(self, encoder, spec: CircuitSpec, num_classes: int = 2,
@@ -355,7 +364,7 @@ class HybridHead:
         X = np.asarray(X, dtype=np.float64)
         if len(X) == 0:
             return 0.0, {k: np.zeros_like(v) for k, v in self.parameter_arrays().items()}
-        latent = self.encoder.forward(X)
+        latent, saved = self.encoder.forward(X, grads=True)
         z, dz_dtheta, dz_dlatent = self._circuit(latent, noise, seed_path, grads=True)
         logits, features = self._logits(latent, z)
         losses, dlogits = softmax_cross_entropy_batch(logits, np.asarray(y))
@@ -370,7 +379,7 @@ class HybridHead:
             dz = dfeatures[:, -1]
             dlatent = dfeatures[:, :-1] + dz[:, None] * dz_dlatent
         grads["pqc"] = (dz @ dz_dtheta) * scale
-        for key, g in self.encoder.backward(X, dlatent).items():
+        for key, g in self.encoder.backward(saved, dlatent).items():
             grads[key] = g * scale
         return float(losses.sum()) * scale, {k: grads[k] for k in self.parameter_arrays()}
 

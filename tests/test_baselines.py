@@ -140,7 +140,7 @@ class TestMlpEncoder:
         enc = MlpEncoder(6, 4, MlpConfig(1, 8), stream(6, PARAM_INIT))
         x = rng.standard_normal(6)
         dlatent = rng.standard_normal(4)
-        grads = enc.backward(x, dlatent)
+        grads = enc.backward(enc.forward(x, grads=True)[1], dlatent)
         h = 1e-6
         for key, arr in enc.parameter_arrays().items():
             flat = arr.reshape(-1)
@@ -162,9 +162,10 @@ class TestMlpEncoder:
         dlatent = rng.standard_normal((5, 4))
         latent = enc.forward(X)
         assert latent.shape == (5, 4)
-        grads = enc.backward(X, dlatent)
+        grads = enc.backward(enc.forward(X, grads=True)[1], dlatent)
         for key, arr in enc.parameter_arrays().items():
-            rows = sum(enc.backward(x, d)[key] for x, d in zip(X, dlatent))
+            rows = sum(enc.backward(enc.forward(x, grads=True)[1], d)[key]
+                       for x, d in zip(X, dlatent))
             assert grads[key].shape == arr.shape
             np.testing.assert_allclose(grads[key], rows, rtol=0, atol=1e-12)
         for x, row in zip(X, latent):

@@ -125,7 +125,7 @@ def _reference_step(model, X, y, noise):
         totals["pqc"] += dz * gtheta
         encoder = model.encoder
         if isinstance(encoder, MlpEncoder):
-            for key, g in encoder.backward(x, dlatent).items():
+            for key, g in encoder.backward(encoder.forward(x, grads=True)[1], dlatent).items():
                 totals[key] += g
         else:
             q = encoder.config.encoder_qubits
@@ -244,6 +244,38 @@ def test_row_chunks_change_no_logit(noise, monkeypatch):
     np.testing.assert_array_equal(model.predict_logits(X, noise=noise, seed_path=SEED_PATH), whole)
 
 
+@pytest.mark.parametrize("rows_per_chunk", [None, 2])
+@pytest.mark.parametrize("num_encoders", [1, 2])
+def test_one_encoder_forward_pass_per_step(num_encoders, rows_per_chunk, monkeypatch):
+    """A step runs each encoder's circuit once per row chunk; ``backward`` runs none."""
+    model = _quantum_head(num_encoders=num_encoders)
+    rng = np.random.default_rng(23)
+    X = rng.standard_normal((5, 16))
+    y = rng.integers(2, size=5)
+    whole_loss, whole = model.batch_loss_and_gradients(X, y)
+    chunks = 1
+    if rows_per_chunk is not None:  # chunks of 2, 2 and 1 rows
+        monkeypatch.setattr("qhead.grad._CHUNK_ELEMENTS", rows_per_chunk << 4)
+        chunks = 3
+    encoder = model.encoder
+    calls = []
+
+    def counted(amps, circuit, *args):
+        calls.append(circuit is encoder.circuit)
+        return run_gates(amps, circuit, *args)
+
+    monkeypatch.setattr("qhead.head.run_gates", counted)
+    loss, grads = model.batch_loss_and_gradients(X, y)
+    assert sum(calls) == num_encoders * chunks
+    assert loss == whole_loss
+    for key, g in whole.items():
+        np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-15)
+    _, saved = encoder.forward(X, grads=True)
+    calls.clear()
+    encoder.backward(saved, np.ones((len(X), encoder.latent_dim)))
+    assert calls == []
+
+
 def test_finite_shot_steps_follow_in_place_parameter_updates():
     """No step reuses work from values the head no longer holds.
 
@@ -302,8 +334,8 @@ def test_single_input_encoder_calls_keep_their_shapes():
     assert latent.shape == (8,)
     np.testing.assert_array_equal(latent, model.encoder.forward(x[None])[0])
     dlatent = np.linspace(-1, 1, 8)
-    single = model.encoder.backward(x, dlatent)
-    batched = model.encoder.backward(x[None], dlatent[None])
+    single = model.encoder.backward(model.encoder.forward(x, grads=True)[1], dlatent)
+    batched = model.encoder.backward(model.encoder.forward(x[None], grads=True)[1], dlatent[None])
     for key in single:
         assert single[key].shape == model.encoder.parameter_arrays()[key].shape
         np.testing.assert_array_equal(single[key], batched[key])
@@ -356,7 +388,13 @@ def test_encoder_latents_of_another_width_are_rejected(name):
     build, noise = HEADS[name]
     model = build()
     forward = model.encoder.forward
-    model.encoder.forward = lambda X: np.column_stack([forward(X), np.zeros(len(X))])
+
+    def wider(X, grads=False):
+        out = forward(X, grads)
+        latent = np.column_stack([out[0] if grads else out, np.zeros(len(X))])
+        return (latent, out[1]) if grads else latent
+
+    model.encoder.forward = wider
     X = np.random.default_rng(13).standard_normal((3, 16))
     with pytest.raises(ConfigurationError, match=r"latents of shape \(rows, 4\)"):
         model.predict_logits(X, noise=noise)

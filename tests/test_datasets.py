@@ -1,6 +1,8 @@
 """Dataset ingestion, split construction, synthetic generation."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,14 @@ class TestSyntheticClusters:
         with pytest.raises(ConfigurationError, match="separation must be finite"):
             synthetic_clusters(4, 10, separation, 0)
 
+    @pytest.mark.parametrize("separation", [1e39, 1e300])
+    def test_separation_beyond_float32_rejected(self, separation):
+        # finite as float64, but the float32 vectors would hold inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="separation .* beyond the float32 range"):
+                synthetic_clusters(4, 2, separation, 0)
+
     def test_zero_separation_trains_to_chance(self):
         from qhead.baselines import logistic_train
         from qhead.trainer import TrainConfig
@@ -288,6 +298,15 @@ class TestPreprocessing:
         ds = EmbeddingDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 0]))
         with pytest.raises(ConfigurationError, match="anchor value must be finite"):
             append_anchor_feature(ds, value=value)
+
+    @pytest.mark.parametrize("value", [1e39, -1e39])
+    def test_anchor_beyond_float32_rejected(self, value):
+        # finite as float64, but the float32 column would hold inf
+        ds = EmbeddingDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="float32 range"):
+                append_anchor_feature(ds, value=value)
 
     def test_pca_recovers_dominant_direction(self):
         # antipodal clusters: the separation axis carries most variance, so

@@ -22,9 +22,11 @@ from qhead.ansatz import (
 from qhead.errors import ConfigurationError
 from qhead.grad import (
     _batch_expectations,
+    _blocks,
     _shift_rows,
     adjoint_gradient,
     adjoint_observable_gradients,
+    block_adjoint_gradients,
     evaluate_expectation,
     finite_difference_oracle,
     lift_data_slots,
@@ -32,11 +34,12 @@ from qhead.grad import (
     run_gates,
     trajectory_expectation,
 )
+from qhead.head import EncoderConfig, QuantumEncoder, encoder_circuit
 from qhead.noise import NoiseModel, sample_pauli_insertions
 from qhead.simcore import _z_expectation, amplitude_encode, amplitude_encode_rows
 
 from oracles import dense_run, dense_z
-from reference import parameter_shift_jacobian, per_gate_expectations
+from reference import encoder_backward, parameter_shift_jacobian, per_gate_expectations
 
 
 def _single_ry():
@@ -722,3 +725,75 @@ class TestFusedBlocks:
         unread = ext.size
         assert got[1 + unread] == got[0] == got[-1]
         self._check(circuit, rows)
+
+
+def _encoder_shapes():
+    """(Qc, layers, connectivity, extra_rotation): every valid connectivity up to 3."""
+    shapes = [(10, 27, 1, True)]
+    for q in (1, 2, 3, 4, 6, 10):
+        for extra in (True, False):
+            shapes.append((q, 0, 1, extra))
+            shapes += [(q, 3, c, extra) for c in range(1, min(q, 4))]
+    return shapes
+
+
+class TestBlockAdjoint:
+    """The encoder's block sweep: shared angles, row-summed gradients."""
+
+    @staticmethod
+    def _rows(shape, rows, seed):
+        q, layers, connectivity, extra = shape
+        config = EncoderConfig(1, q, layers, connectivity, extra)
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-math.pi, math.pi, config.params_per_encoder)
+        initial = amplitude_encode_rows(rng.standard_normal((rows, 1 << q)), q)
+        weights = rng.standard_normal((rows, q))
+        return config, encoder_circuit(config), theta, initial, weights
+
+    @pytest.mark.parametrize("shape", _encoder_shapes())
+    def test_matches_the_per_gate_sweep(self, shape):
+        for rows in (1, 5, 16):
+            _, circuit, theta, initial, weights = self._rows(shape, rows, 71 + rows)
+            final = run_gates(initial.copy(), circuit, theta, None)
+            kept = final.copy()
+            got = block_adjoint_gradients(circuit, _blocks(circuit), theta, weights, final)
+            per_gate, _ = adjoint_observable_gradients(circuit, theta, None, weights, final)
+            assert got.shape == theta.shape
+            np.testing.assert_allclose(got, per_gate.sum(axis=0), rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(final, kept)
+
+    @pytest.mark.parametrize("shape", [s for s in _encoder_shapes() if s[0] <= 4])
+    def test_matches_finite_differences_of_the_dense_oracle(self, shape):
+        q = shape[0]
+        _, circuit, theta, initial, weights = self._rows(shape, 3, 81)
+        final = run_gates(initial.copy(), circuit, theta, None)
+        got = block_adjoint_gradients(circuit, _blocks(circuit), theta, weights, final)
+
+        def value(t):
+            states = [dense_run(circuit.gates, q, params=t, initial=x) for x in initial]
+            return sum(w[j] * dense_z(psi, j, q)
+                       for psi, w in zip(states, weights) for j in range(q))
+
+        h = 1e-5
+        for j in range(theta.size):
+            up, down = theta.copy(), theta.copy()
+            up[j] += h
+            down[j] -= h
+            assert got[j] == pytest.approx((value(up) - value(down)) / (2 * h), abs=1e-8)
+
+    @pytest.mark.parametrize("shape", [(4, 3, 2, True), (6, 2, 3, False), (10, 3, 1, True)])
+    @pytest.mark.parametrize("rows", [1, 5, 16])
+    def test_two_encoders_match_the_complex_reference(self, shape, rows):
+        q, layers, connectivity, extra = shape
+        config = EncoderConfig(2, q, layers, connectivity, extra)
+        encoder = QuantumEncoder(config, np.random.default_rng(91))
+        rng = np.random.default_rng(92 + rows)
+        X = rng.standard_normal((rows, (1 << q) - 1))
+        dlatent = rng.standard_normal((rows, 2 * q))
+        latent, saved = encoder.forward(X, grads=True)
+        np.testing.assert_array_equal(latent, encoder.forward(X))
+        grads = encoder.backward(saved, dlatent)
+        for e, theta in enumerate(encoder.theta):
+            ref = sum(encoder_backward(x, theta, config, d[e * q : (e + 1) * q])
+                      for x, d in zip(X, dlatent))
+            np.testing.assert_allclose(grads[f"encoder_{e}"], ref, rtol=0, atol=1e-12)
