@@ -274,7 +274,7 @@ def append_anchor_feature(dataset: EmbeddingDataset, value: float = 1.0) -> Embe
     be invisible to the head. A constant anchor component pins the sign and
     makes such structure measurable again.
     """
-    if value == 0.0 or not abs(value) <= _FLOAT32_MAX:
+    if not abs(value) <= _FLOAT32_MAX or np.float32(value) == 0.0:
         raise ConfigurationError(
             f"anchor value must be finite, non-zero and within the float32 range, got {value}"
         )

@@ -299,9 +299,9 @@ class TestPreprocessing:
         with pytest.raises(ConfigurationError, match="anchor value must be finite"):
             append_anchor_feature(ds, value=value)
 
-    @pytest.mark.parametrize("value", [1e39, -1e39])
-    def test_anchor_beyond_float32_rejected(self, value):
-        # finite as float64, but the float32 column would hold inf
+    @pytest.mark.parametrize("value", [1e39, -1e39, 1e-50])
+    def test_anchor_outside_float32_rejected(self, value):
+        # finite and non-zero as float64, but the float32 column would hold inf or 0
         ds = EmbeddingDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
