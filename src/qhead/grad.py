@@ -14,17 +14,18 @@ Shifted evaluations run on real (rows, 2^Q) amplitude arrays from |0...0>,
 in row chunks that bound peak memory (``_row_chunks``), and read one
 qubit's <Z>. The two references run their 2P +/- rows plainly: one
 ``run_gates`` call per chunk, every row with its own angles. The head's
-finite-shot noisy gradient runs its half-turn rows through
-``_batch_expectations``, on a circuit that reads each column at one RY gate
-at most. Its unshifted row comes first; every other row differs from it in
-one column at most, as ``_shift_rows`` builds them, and starts at the gate
-reading that column, from the first row's state there. That engine fuses
-gates (as statevector simulators such as Qulacs do; Suzuki et al. 2021,
-Quantum 5, 559): each run of consecutive gates within a window of at most
-four qubits becomes one matrix, applied to the rows as one matmul. The
-states stay real, because every gate is real up to a global phase: on real
-arrays Y is applied as XZ = -iY, and the dropped phase never reaches
-|amplitude|^2.
+finite-shot noisy gradient takes E(params + pi e_j) for every column j
+from ``_batch_expectations``, on a circuit that reads each column at one RY
+gate at most. That engine fuses gates (as statevector simulators such as
+Qulacs do; Suzuki et al. 2021, Quantum 5, 559): each run of consecutive
+gates within a window of at most four qubits becomes one matrix, applied to
+the rows as one matmul. ``_block_matrices`` builds a block's matrix M and,
+per RY gate j, D_j = M_{>j} (-iY_j) M_{<=j}, all at the shared angles.
+Since RY(t + pi) = -iY RY(t), D_j is the block with gate j turned by pi: the
+row turned at gate j starts as D_j applied to the unturned row's state at
+its block's input. The states stay real, because every gate is real up to a
+global phase: on real arrays Y is applied as XZ = -iY, and the dropped phase
+never reaches |amplitude|^2.
 
 Single circuit values (``evaluate_expectation`` and
 ``trajectory_expectation``) run one real row through ``_single_value``.
@@ -34,8 +35,9 @@ The adjoint sweep starts from the final states its caller ran: a
 weights. It takes each RY derivative as the real overlap
 <lambda|(-iY)|psi> before un-applying the gate. Where every row shares the
 angles (the encoders), ``block_adjoint_gradients`` sweeps by fused blocks
-instead: one matmul per block un-applies it from psi and lam, and one Gram
-matrix of the two, summed over the rows, gives the block's derivatives.
+instead, from the same builder: one matmul per block un-applies M from psi
+and lam, and one Gram matrix of the two, summed over the rows, gives the
+block's derivatives through its D_j.
 """
 from __future__ import annotations
 
@@ -196,56 +198,66 @@ def _blocks(circuit: GateList) -> tuple[int, list[tuple]]:
     return k, blocks
 
 
-def _batch_expectations(circuit, rows, latent, measured) -> np.ndarray:
-    """<Z_measured> for each parameter row run from |0...0>; rows (R, P), one shared latent.
+def _block_matrices(k: int, gates, params, latent) -> tuple[np.ndarray, list]:
+    """A fused block's matrices at the angles every row shares, and its RY gates' slots.
 
-    Each row differs from row 0 in one column at most, and each column is
-    read by one RY gate at most, or ``ConfigurationError`` is raised. A row
-    shifted in a read column starts at that gate, in row 0's state there; a
-    row that never differs, or differs only in an unread column, ends in row
-    0's state. Rows sorted by start gate make the started rows a prefix. The
-    gates run in ``_blocks``: the rows started before a block take its matrix
-    at row 0's angles, and each row starting inside it takes the block at its
-    own angles, applied to row 0's state at the block's input. One pass of
-    the gate kernels over a stack of identities builds a block's matrices,
-    row j of each holding the block applied to basis state j. The states are
-    real (``_pauli`` drops Y's global phase on real arrays). Rows run in
-    ``_row_chunks``, each chunk after the first led by row 0 again.
+    ``mats`` (1 + J, 2^k, 2^k), for J RY gates, holds M^T, then each D_j^T:
+    row a of a matrix is its image of basis state a. The real
+    D_j = M_{>j} (-iY_j) M_{<=j} is the sweep's derivative block of RY gate
+    j and, as RY(t + pi) = -iY RY(t), the block with that gate turned by pi.
     """
-    n = circuit.num_qubits
-    n_gates = len(circuit.gates)
-    differs = rows != rows[0]
-    if np.any(np.count_nonzero(differs, axis=1) > 1):
-        raise ConfigurationError("a shifted row differs from row 0 in more than one column")
-    read_gate = np.full(rows.shape[1], n_gates)
+    slots = [g[2] for g in gates if g[0] == RY]
+    mats = np.empty((1 + len(slots), 1 << k, 1 << k))
+    mats[0] = np.eye(1 << k)
+    started = 1
+    for g in gates:
+        _apply_gate(mats[:started], k, g, params, latent)
+        if g[0] == RY:
+            mats[started] = _pauli(mats[0].copy(), k, g[1], "Y")  # -iY on real rows
+            started += 1
+    return mats, slots
+
+
+def _batch_expectations(circuit, params, latent, measured) -> np.ndarray:
+    """<Z_measured> at ``params`` + pi e_j from |0...0>, for each column j of params (P,).
+
+    Each column is read by one RY gate at most, or ``ConfigurationError`` is
+    raised. The unturned row runs the gates in ``_blocks``, each block as its
+    matrix M at the shared angles; the row turned in column j starts in the
+    block of the gate reading it, as D_j (``_block_matrices``) applied to the
+    unturned row's state at the block's input, and then takes M of every
+    later block. A column that no gate reads gives the unturned value. The
+    states are real (``_pauli`` drops Y's global phase on real arrays). Rows
+    run in ``_row_chunks``, each chunk led by the unturned row.
+    """
+    n, n_gates = circuit.num_qubits, len(circuit.gates)
+    read_gate = np.full(params.size, n_gates)
     for i, g in enumerate(circuit.gates):
         if g[0] == RY:
             if read_gate[g[2]] < n_gates:
                 raise ConfigurationError(f"column {g[2]} is read by more than one RY gate")
             read_gate[g[2]] = i
-    starts = np.where(differs, read_gate, n_gates).min(axis=1, initial=n_gates)
-    starts[0] = 0
-    order = np.argsort(starts, kind="stable")
+    order = np.argsort(read_gate, kind="stable")
+    starts = read_gate[order]
     k, blocks = _blocks(circuit)
-    eye = np.eye(1 << k)
-    out = np.empty(rows.shape[0])
-    for part in _row_chunks(order.size, n):
-        idx = order[part] if part.start == 0 else np.concatenate(([0], order[part]))
-        chunk = rows[idx]
-        amps = np.empty((idx.size, 1 << n))
+    ends = [end for end, _, _ in blocks]
+    built = [None if lo is None else _block_matrices(k, gates, params, latent)[0]
+             for _, lo, gates in blocks]
+    # sorted by read gate, the rows turned in a block follow its RY gates' D_j
+    firsts = np.searchsorted(starts, [0] + ends[:-1])
+    out = np.empty(params.size)
+    for part in _row_chunks(params.size, n):
+        # row 0 is the unturned row, row 1 + r the turned row order[part][r]
+        amps = np.empty((1 + len(starts[part]), 1 << n))
         amps[0] = 0.0
         amps[0, 0] = 1.0
         spare = np.empty_like(amps)
-        started = np.searchsorted(starts[idx], [end for end, _, _ in blocks])
+        started = 1 + np.searchsorted(starts[part], ends)
         active = 1
-        for (_, lo, gates), hi in zip(blocks, started):
+        for (_, lo, gates), mats, first, hi in zip(blocks, built, firsts, started):
             if lo is None:
                 _apply_gate(amps[:active], n, gates[0], None, latent)
                 continue
-            angles = np.concatenate((chunk[:1], chunk[active:hi]))[:, None]
-            mats = np.broadcast_to(eye, (len(angles), *eye.shape)).copy()
-            for g in gates:
-                _apply_gate(mats, k, g, angles, latent)
             # views with the window's axis last, whose rows of 2^k amplitudes
             # are each multiplied by U^T (row j of a matrix is U e_j)
             m = n - lo - k
@@ -255,21 +267,22 @@ def _batch_expectations(circuit, rows, latent, measured) -> np.ndarray:
             else:  # a window at the low end: one contiguous (2^lo, 2^k) block per row
                 x, y = (a[:hi].reshape(hi, 1, 1 << lo, 1 << k) for a in (amps, spare))
             np.matmul(x[:active], mats[0], out=y[:active])
-            np.matmul(x[0], mats[1:, None], out=y[active:])
+            turned = slice(part.start + active - first, part.start + hi - first)
+            np.matmul(x[0], mats[turned, None], out=y[active:])
             amps, spare = spare, amps
             active = hi
         amps[active:] = amps[0]
-        out[idx] = _z_expectation(amps, n, measured)
+        out[order[part]] = _z_expectation(amps[1:], n, measured)
     return out
 
 
-def _shift_rows(base: np.ndarray, delta: float, signs=(1.0, -1.0)) -> np.ndarray:
-    """(1 + len(signs) P, P) rows: ``base``, then sign * delta on each column, per sign."""
+def _shift_rows(base: np.ndarray, delta: float) -> np.ndarray:
+    """(1 + 2P, P) rows: ``base``, then +delta on each column, then -delta on each."""
     p = base.size
-    rows = np.tile(base, (1 + len(signs) * p, 1))
+    rows = np.tile(base, (1 + 2 * p, 1))
     cols = np.arange(p)
-    for k, sign in enumerate(signs):
-        rows[1 + k * p + cols, cols] += sign * delta
+    rows[1 + cols, cols] += delta
+    rows[1 + p + cols, cols] -= delta
     return rows
 
 
@@ -409,8 +422,8 @@ def block_adjoint_gradients(circuit: GateList, blocks, params, z_weights, final)
     from the rows' real final states ``final`` (B, 2^Q), left as they are,
     with ``z_weights`` (B, Q) and ``blocks = _blocks(circuit)``. One matmul
     un-applies a block's matrix M from psi and lam. Its RY gate j adds
-    sum_ab D_j[a, b] C[a, b], with the real D_j = M_{>j} (-iY_j) M_{<=j} and
-    C = sum lam_out psi_in^T over the rows and the qubits outside the window.
+    sum_ab D_j[a, b] C[a, b], with D_j from ``_block_matrices`` and C =
+    sum lam_out psi_in^T over the rows and the qubits outside the window.
     """
     n, (k, cut) = circuit.num_qubits, blocks
     dim = 1 << k
@@ -420,16 +433,7 @@ def block_adjoint_gradients(circuit: GateList, blocks, params, z_weights, final)
         if lo is None:  # a CNOT wider than the window undoes itself
             _apply_gate(both, n, gates[0], None, None)
             continue
-        slots = [g[2] for g in gates if g[0] == RY]
-        # mats[0] is M^T (row a holds M e_a) and mats[1 + j] is D_j^T
-        mats = np.empty((1 + len(slots), dim, dim))
-        mats[0] = np.eye(dim)
-        started = 1
-        for g in gates:
-            _apply_gate(mats[:started], k, g, params, None)
-            if g[0] == RY:
-                mats[started] = _pauli(mats[0].copy(), k, g[1], "Y")  # -iY on real rows
-                started += 1
+        mats, slots = _block_matrices(k, gates, params, None)  # M^T, then each D_j^T
         # psi_in = M^T psi_out, and lam likewise, on views with the window's
         # axis second last; a window at the low end is one matmul over rows
         m = n - lo - k

@@ -16,17 +16,16 @@ into row chunks of bounded memory. The readout is one matmul.
 
 The re-uploading circuit has one run-and-sweep routine, ``_run_rows``: B
 rows run from real |0...0> and, for gradients, one adjoint sweep from their
-final states. Noiseless batches call it once on the expanded circuit, with
-one latent per row. Noisy samples call it one at a time, as one row, on
-their own trajectory of the lifted circuit (each encoding-gate occurrence
-its own angle slot, read by exactly one RY gate), sampled from their own
-trajectory and shot streams. On that trajectory the sweep's derivatives are
-exact, and at infinite shots they are the gradient. At finite shots the
-+/- pi/2 values a_j +/- c_j are sampled in pairs sharing one normal draw
-(common random numbers); a_j comes from P + K rows shifted by pi (P circuit
-angles, K encoding-gate occurrences), run as one real-valued batch of fused
-gate blocks, one small matmul per block, in which each row starts at its own
-shifted gate from the unshifted state (see ``qhead.grad``). A training step
+final states. Noiseless batches call it on the expanded circuit once per
+row chunk, with one latent per row. Noisy samples call it one at a time, as
+one row, on their own trajectory of the lifted circuit (each encoding-gate
+occurrence its own angle slot, read by exactly one RY gate), sampled from
+their own trajectory and shot streams. On that trajectory the sweep's
+derivatives are exact, and at infinite shots they are the gradient. At
+finite shots the +/- pi/2 values a_j +/- c_j are sampled in pairs sharing
+one normal draw (common random numbers); a_j comes from the P + K values
+turned by pi (P circuit angles, K encoding-gate occurrences), run as one
+real-valued batch of fused gate blocks (see ``qhead.grad``). A training step
 runs each encoder's circuit once and keeps the final states; since all rows
 share the encoder's angles, its gradient is one sweep back from them by the
 same fused blocks. This is the package's one head API (``EncoderConfig``,
@@ -49,7 +48,6 @@ from .grad import (
     _batch_expectations,
     _blocks,
     _row_chunks,
-    _shift_rows,
     adjoint_observable_gradients,
     block_adjoint_gradients,
     lift_data_slots,
@@ -187,7 +185,7 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
     c = dE/d(ext). The unshifted row runs once, and one adjoint sweep from
     its final state gives c. At finite shots the +/- pi/2 values are sampled
     as common-random-number pairs, with a_j = [E + E(ext_j + pi)] / 2 from
-    P + K rows shifted by pi; at infinite shots the gradient is c.
+    ``_batch_expectations``; at infinite shots the gradient is c.
     """
     _check_theta(plan, theta_q)
     run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
@@ -201,9 +199,7 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
         return z
     g_ext = run[1][0]
     if noise.shots is not None:
-        half_turns = _batch_expectations(run_list, _shift_rows(ext, math.pi, signs=(1.0,)),
-                                         None, 0)
-        mid = (value + half_turns[1:]) / 2.0
+        mid = (value + _batch_expectations(run_list, ext, None, 0)) / 2.0
         plus, minus = noise_mod.paired_shot_estimates(mid + g_ext, mid - g_ext,
                                                       noise.shots, rng_shot)
         g_ext = (plus - minus) / 2.0
@@ -320,20 +316,18 @@ class HybridHead:
     def _circuit(self, latent: np.ndarray, noise, seed_path, grads: bool):
         """Per-row z (B,); with ``grads`` also dz/dtheta_q (B, P) and dz/dlatent (B, L).
 
-        Noiseless rows run as one batch. Noisy rows run one at a time, each
-        on its own trajectory and shot streams at seed path
-        ``(*seed_path, i)``.
+        Noiseless rows run in ``_row_chunks``, for values and gradients
+        alike. Noisy rows run one at a time, each on its own trajectory and
+        shot streams at seed path ``(*seed_path, i)``.
         """
         if latent.shape[1:] != (self.plan.latent_dim,):
             raise ConfigurationError(f"expected latents of shape (rows, {self.plan.latent_dim}) "
                                      f"from the encoder, got {latent.shape}")
         if noise is None or noise.is_noiseless:
-            if grads:
-                return _run_rows(self.plan.expanded, self.theta_q, latent, grads=True)
-            z = np.empty(len(latent))
-            for rows in _row_chunks(len(latent), self.spec.qubits):
-                z[rows] = _run_rows(self.plan.expanded, self.theta_q, latent[rows], False)[0]
-            return z
+            runs = [_run_rows(self.plan.expanded, self.theta_q, latent[rows], grads)
+                    for rows in _row_chunks(len(latent), self.spec.qubits) or [slice(0)]]
+            out = tuple(map(np.concatenate, zip(*runs)))
+            return out if grads else out[0]
         per_row = [
             _noisy_sample(self.plan, self.theta_q, row, noise,
                           *self._streams(noise, seed_path, i), grads)

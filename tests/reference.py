@@ -9,9 +9,10 @@ against these simpler routes:
   +/- pi/2 rows each run alone through ``run_gates``;
 * ``pqc_forward``, ``_pqc_value`` and ``_pqc_value_and_grads`` run one sample
   through the head's per-sample noisy routine, ``head._noisy_sample``;
-* ``per_gate_expectations`` is the half-turn row engine one kernel call per
-  gate, each row from its first differing gate: the check on
-  ``grad._batch_expectations``, which runs the same rows in fused blocks;
+* ``per_gate_expectations`` runs shifted rows one kernel call per gate,
+  each row from its first differing gate: the check on
+  ``grad._batch_expectations``, whose half-turn rows it runs as
+  ``_shift_rows(params, pi)[: 1 + P]``;
 * ``HeadParams`` with ``head_forward``, ``head_gradient``,
   ``init_head_params``, ``linear_logits`` and ``count_head_parameters`` is a
   functional view of the same head.
@@ -146,8 +147,12 @@ def pqc_forward(latent, theta_q, spec: CircuitSpec,
 
 
 def per_gate_expectations(circuit, rows, latent, measured) -> np.ndarray:
-    """``grad._batch_expectations`` one kernel call per gate (same contract and errors).
+    """<Z_measured> of shifted rows (R, P), run one kernel call per gate.
 
+    It accepts more than ``grad._batch_expectations``, which takes the
+    unturned angles (P,) and turns each column by pi: here every row may
+    differ from row 0 by any amount, in one column at most (or
+    ``ConfigurationError`` is raised, as for a column read by two RY gates).
     A row shifted in a read column starts at that gate, from a copy of row
     0's state there. Rows sorted by start gate make the started rows a
     prefix; at an RY gate the rows starting there take their own angles and

@@ -21,7 +21,14 @@ from qhead.grad import (
     run_gates,
     trajectory_expectation,
 )
-from qhead.head import EncoderConfig, HybridHead, _noisy_sample, _plan_pqc, build_hybrid_head
+from qhead.head import (
+    EncoderConfig,
+    HybridHead,
+    _noisy_sample,
+    _plan_pqc,
+    _run_rows,
+    build_hybrid_head,
+)
 from qhead.noise import NoiseModel, gaussian_shot_estimate, sample_pauli_insertions
 from qhead.seeding import PARAM_INIT, SHOTS, TRAJECTORY, stream
 from qhead.simcore import zero_state
@@ -242,6 +249,29 @@ def test_row_chunks_change_no_logit(noise, monkeypatch):
     # two 4-qubit rows per chunk: chunks of 2, 2, 2 and 1 rows
     monkeypatch.setattr("qhead.grad._CHUNK_ELEMENTS", 2 << 4)
     np.testing.assert_array_equal(model.predict_logits(X, noise=noise, seed_path=SEED_PATH), whole)
+
+
+@pytest.mark.parametrize("grads", [False, True])
+def test_noiseless_circuit_rows_run_in_chunks(grads, monkeypatch):
+    """Values and gradients alike: no ``_run_rows`` call holds more than a chunk."""
+    model = _quantum_head(num_encoders=2)
+    latent = model.encoder.forward(np.random.default_rng(24).standard_normal((5, 16)))
+    whole = model._circuit(latent, None, SEED_PATH, grads)
+    # two 4-qubit rows per chunk: chunks of 2, 2 and 1 rows
+    monkeypatch.setattr("qhead.grad._CHUNK_ELEMENTS", 2 << 4)
+    rows = []
+
+    def counted(circuit, params, latents, grads):
+        rows.append(len(latents))
+        return _run_rows(circuit, params, latents, grads)
+
+    monkeypatch.setattr("qhead.head._run_rows", counted)
+    chunked = model._circuit(latent, None, SEED_PATH, grads)
+    assert rows == [2, 2, 1]
+    if not grads:
+        chunked, whole = (chunked,), (whole,)
+    for got, want in zip(chunked, whole):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("rows_per_chunk", [None, 2])

@@ -22,6 +22,7 @@ from qhead.ansatz import (
 from qhead.errors import ConfigurationError
 from qhead.grad import (
     _batch_expectations,
+    _block_matrices,
     _blocks,
     _shift_rows,
     adjoint_gradient,
@@ -412,8 +413,24 @@ def test_measured_qubit_outside_the_register_is_rejected(name, measured):
         _MEASURED_CALLS[name](circuit, [0.1], measured)
 
 
+def _half_turn_rows(params):
+    """The unturned row, then params + pi e_j for each column j: (1 + P, P)."""
+    return _shift_rows(params, math.pi)[: 1 + params.size]
+
+
+def _check_half_turns(circuit, params, latent=None):
+    """``_batch_expectations`` against complex128 rows run alone and the per-gate engine."""
+    rows = _half_turn_rows(params)
+    for measured in (0, circuit.num_qubits - 1):
+        got = _batch_expectations(circuit, params, latent, measured)
+        want = TestBatchExpectations._reference(circuit, rows[1:], latent, measured)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        per_gate = per_gate_expectations(circuit, rows, latent, measured)[1:]
+        np.testing.assert_allclose(got, per_gate, rtol=0, atol=1e-12)
+
+
 class TestBatchExpectations:
-    """Row-batched evaluation: row r runs alone from its first differing gate."""
+    """Half-turn values: the row turned in column j runs alone from the gate reading j."""
 
     @staticmethod
     def _reference(circuit, rows, latent=None, measured=0):
@@ -434,65 +451,42 @@ class TestBatchExpectations:
                                           NoiseModel(p1q=0.4, p2q=0.4), rng)
         return circuit, count_parameters(spec), rng.uniform(-1, 1, qubits)
 
-    def _check(self, circuit, rows, latent, measured=0):
-        got = _batch_expectations(circuit, rows, latent, measured)
-        want = self._reference(circuit, rows, latent, measured)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    def test_rows_equal_to_row_zero(self):
-        rng = np.random.default_rng(3)
-        circuit, p, latent = self._circuit(rng)
-        rows = np.tile(rng.uniform(-3, 3, p), (4, 1))
-        got = _batch_expectations(circuit, rows, latent, 0)
-        assert np.all(got == got[0])
-        self._check(circuit, rows, latent)
-
-    def test_rows_differing_in_several_columns(self):
-        rng = np.random.default_rng(4)
-        circuit, p, latent = self._circuit(rng)
-        rows = np.tile(rng.uniform(-3, 3, p), (9, 1))
-        for r in range(1, 9):
-            cols = rng.choice(p, size=3, replace=False)
-            rows[r, cols] += rng.uniform(-1, 1, 3)
-        with pytest.raises(ConfigurationError, match="more than one column"):
-            _batch_expectations(circuit, rows, latent, 0)
-
     def test_first_difference_read_late(self):
         rng = np.random.default_rng(5)
         circuit, p, latent = self._circuit(rng)
-        last = max(g[2] for g in circuit.gates if g[0] == RY)
-        rows = np.tile(rng.uniform(-3, 3, p), (3, 1))
-        rows[1, last] += 0.5
-        rows[2, last] -= 0.5
-        self._check(circuit, rows, latent)
+        params = rng.uniform(-3, 3, p)
+        last = [g[2] for g in circuit.gates if g[0] == RY][-1]
+        got = _batch_expectations(circuit, params, latent, 0)
+        want = self._reference(circuit, _half_turn_rows(params)[1 + last][None], latent)
+        np.testing.assert_allclose(got[last], want[0], rtol=0, atol=1e-12)
+        _check_half_turns(circuit, params, latent)
 
     def test_unread_column_copies_row_zero(self):
         rng = np.random.default_rng(6)
         circuit, p, latent = self._circuit(rng)
-        rows = np.tile(rng.uniform(-3, 3, p + 1), (3, 1))
-        rows[1, p] = 7.0  # no gate reads column p
-        rows[2, 0] += 0.25
-        got = _batch_expectations(circuit, rows, latent, 0)
-        assert got[1] == got[0]
-        self._check(circuit, rows, latent)
+        params = rng.uniform(-3, 3, p + 1)  # no gate reads column p
+        got = _batch_expectations(circuit, params, latent, 0)
+        want = self._reference(circuit, params[None], latent)
+        np.testing.assert_allclose(got[p], want[0], rtol=0, atol=1e-12)
+        _check_half_turns(circuit, params, latent)
 
     def test_chunk_boundaries(self, monkeypatch):
         rng = np.random.default_rng(7)
         circuit, p, latent = self._circuit(rng)
-        rows = _shift_rows(rng.uniform(-3, 3, p), math.pi / 2)
-        whole = _batch_expectations(circuit, rows, latent, 0)
+        params = rng.uniform(-3, 3, p)
+        whole = _batch_expectations(circuit, params, latent, 0)
         for per_chunk in (1, 2, 5):
-            # slices of per_chunk + 1 rows; each chunk after the first also reruns row 0
+            # chunks of per_chunk + 1 turned rows, each also running the unturned row
             monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << circuit.num_qubits)
-            np.testing.assert_array_equal(_batch_expectations(circuit, rows, latent, 0), whole)
-        self._check(circuit, rows, latent)
+            np.testing.assert_array_equal(_batch_expectations(circuit, params, latent, 0), whole)
+        _check_half_turns(circuit, params, latent)
 
     def test_y_insertions_on_real_states(self):
         rng = np.random.default_rng(8)
         circuit, p, latent = self._circuit(rng)
         labels = [g[2] for g in circuit.gates if g[0] == PAULI]
         assert "Y" in labels
-        self._check(circuit, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent)
+        _check_half_turns(circuit, rng.uniform(-3, 3, p), latent)
 
     def test_rows_start_at_their_first_differing_gate(self, monkeypatch):
         # the kernel row counts of the per-gate reference engine
@@ -566,8 +560,8 @@ def _lifted_head_trajectory(rng):
 class TestRowsRunAlone:
     """Every row of the per-gate reference engine has the bits of that row run alone.
 
-    The fused engine, ``_batch_expectations``, matches them to 1e-12
-    (``TestFusedBlocks``) and shares the reference's errors.
+    The fused engine, ``_batch_expectations``, matches its half-turn rows to
+    1e-12 (``TestFusedBlocks``) and shares its error for a column read twice.
     """
 
     @pytest.mark.parametrize("per_chunk", [None, 1, 2, 5])
@@ -577,7 +571,7 @@ class TestRowsRunAlone:
         expanded, p, latent = TestBatchExpectations._circuit(rng)
         assert any(g[0] == PAULI and g[2] == "Y" for c in (lifted, expanded) for g in c.gates)
         cases = [
-            (lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi, signs=(1.0,)), None),
+            (lifted, _half_turn_rows(rng.uniform(-3, 3, slots)), None),
             (lifted, _shift_rows(rng.uniform(-3, 3, slots), math.pi / 2), None),
             (expanded, _shift_rows(rng.uniform(-3, 3, p), math.pi / 2), latent),
         ]
@@ -622,9 +616,8 @@ class TestRowsRunAlone:
     def test_column_read_by_two_gates_is_rejected(self):
         # only the parameter-shift references run circuits that read a slot twice,
         # and they run plain rows
-        rows = _shift_rows(np.array([0.4, -1.1, 2.3]), 0.5)
         with pytest.raises(ConfigurationError, match="column 0 is read by more than one RY gate"):
-            _batch_expectations(_SLOT_READ_TWICE, rows, None, 0)
+            _batch_expectations(_SLOT_READ_TWICE, np.array([0.4, -1.1, 2.3]), None, 0)
 
 
 def _head_trajectory(qubits, rng, connectivity=1, main_layers=2, reupload_count=4, p=0.2):
@@ -644,15 +637,6 @@ class TestFusedBlocks:
     """
 
     @staticmethod
-    def _check(circuit, rows, latent=None):
-        for measured in (0, circuit.num_qubits - 1):
-            got = _batch_expectations(circuit, rows, latent, measured)
-            want = TestBatchExpectations._reference(circuit, rows, latent, measured)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            per_gate = per_gate_expectations(circuit, rows, latent, measured)
-            np.testing.assert_allclose(got, per_gate, rtol=0, atol=1e-12)
-
-    @staticmethod
     def _starts(circuit):
         """(first gate, end, lo) of each block."""
         _, blocks = grad_mod._blocks(circuit)
@@ -664,16 +648,20 @@ class TestFusedBlocks:
         rng = np.random.default_rng(40 + qubits)
         circuit, ext = _head_trajectory(qubits, rng, reupload_count=2)
         assert any(g[0] == PAULI for g in circuit.gates)
-        self._check(circuit, _shift_rows(ext, math.pi, signs=(1.0,)))
-        self._check(circuit, _shift_rows(ext, math.pi / 2))
+        _check_half_turns(circuit, ext)
+        # the head's quarter turns: E(ext_j +/- pi/2) = [E + E(ext_j + pi)] / 2 +/- dE/dext_j
+        mid = (evaluate_expectation(circuit, ext) + _batch_expectations(circuit, ext, None, 0)) / 2
+        slope = adjoint_gradient(circuit, ext)
+        want = TestBatchExpectations._reference(circuit, _shift_rows(ext, math.pi / 2)[1:])
+        np.testing.assert_allclose(np.concatenate([mid + slope, mid - slope]), want,
+                                   rtol=0, atol=1e-12)
 
     def test_benchmark_shape(self):
         # Q = 10, M = 2, R = 4, N = 1, lifted: the rows of one paper-shape sample
         rng = np.random.default_rng(50)
         circuit, ext = _head_trajectory(10, rng, p=0.01)
-        rows = _shift_rows(ext, math.pi, signs=(1.0,))
-        assert rows.shape == (111, 110)
-        self._check(circuit, rows)
+        assert ext.shape == (110,)
+        _check_half_turns(circuit, ext)
 
     def test_windows_at_top_middle_and_bottom_and_the_wrap_around_cnot(self):
         rng = np.random.default_rng(51)
@@ -685,14 +673,14 @@ class TestFusedBlocks:
         singles = [gates for _, lo, gates in blocks if lo is None]
         assert (CNOT, 9, 0) in [g for gates in singles for g in gates]
         assert all(len(gates) == 1 for gates in singles)
-        self._check(circuit, _shift_rows(ext, math.pi / 2))
+        _check_half_turns(circuit, ext)
 
     @pytest.mark.parametrize("connectivity", [2, 3])
     def test_connectivity(self, connectivity):
         rng = np.random.default_rng(52 + connectivity)
         circuit, ext = _head_trajectory(8, rng, connectivity=connectivity, main_layers=3)
         assert any(g[0] == CNOT and abs(g[1] - g[2]) == connectivity for g in circuit.gates)
-        self._check(circuit, _shift_rows(ext, math.pi / 2))
+        _check_half_turns(circuit, ext)
 
     def test_pauli_records_inside_a_window(self):
         rng = np.random.default_rng(55)
@@ -700,7 +688,7 @@ class TestFusedBlocks:
         inside = {g[2] for _, lo, gates in grad_mod._blocks(circuit)[1] if lo is not None
                   for g in gates if g[0] == PAULI}
         assert "Y" in inside
-        self._check(circuit, _shift_rows(ext, math.pi, signs=(1.0,)))
+        _check_half_turns(circuit, ext)
 
     def test_rows_starting_at_the_first_and_the_last_gate_of_a_block(self):
         rng = np.random.default_rng(56)
@@ -710,21 +698,68 @@ class TestFusedBlocks:
                  if lo is not None and end - first > 2
                  and gates[first][0] == RY and gates[end - 1][0] == RY]
         assert cases
-        rows = np.tile(ext, (1 + 4 * len(cases), 1))
-        for i, (head_gate, last_gate) in enumerate(cases):
-            for j, (g, delta) in enumerate([(head_gate, 0.5), (head_gate, math.pi),
-                                            (last_gate, -0.7), (last_gate, math.pi / 2)]):
-                rows[1 + 4 * i + j, g[2]] += delta
-        self._check(circuit, rows)
+        cols = [g[2] for pair in cases for g in pair]
+        rows = _half_turn_rows(ext)[1:][cols]
+        got = _batch_expectations(circuit, ext, None, 0)[cols]
+        np.testing.assert_allclose(got, TestBatchExpectations._reference(circuit, rows),
+                                   rtol=0, atol=1e-12)
+        _check_half_turns(circuit, ext)
 
     def test_unread_column(self):
         rng = np.random.default_rng(57)
         circuit, ext = _head_trajectory(5, rng)
-        rows = _shift_rows(np.append(ext, 0.3), math.pi / 2)
-        got = _batch_expectations(circuit, rows, None, 0)
+        params = np.append(ext, 0.3)
+        got = _batch_expectations(circuit, params, None, 0)
         unread = ext.size
-        assert got[1 + unread] == got[0] == got[-1]
-        self._check(circuit, rows)
+        assert got[unread] == pytest.approx(evaluate_expectation(circuit, ext), abs=1e-12)
+        _check_half_turns(circuit, params)
+
+
+def _random_block(rng, k, size=14):
+    """``size`` gate records on k qubits: RY slots, DATA reads, CNOTs and X/Y/Z records."""
+    gates, slots = [], 0
+    for kind in rng.choice([RY, DATA, CNOT, PAULI], size=size):
+        q = int(rng.integers(k))
+        if kind == RY:
+            gates.append((RY, q, slots))
+            slots += 1
+        elif kind == DATA:
+            gates.append((DATA, q, int(rng.integers(3))))
+        elif kind == CNOT:
+            gates.append((CNOT, q, int((q + rng.integers(1, k)) % k)))
+        else:
+            gates.append((PAULI, q, str(rng.choice(["X", "Y", "Z"]))))
+    gates += [(PAULI, 0, "Y"), (RY, k - 1, slots)]
+    return gates, rng.uniform(-3, 3, slots + 1), rng.uniform(-1, 1, 3)
+
+
+class TestBlockMatrices:
+    """``_block_matrices``: a block's M and its D_j, as the two fused engines use them."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_the_dense_oracle(self, k):
+        rng = np.random.default_rng(60 + k)
+        for _ in range(4):
+            gates, params, latent = _random_block(rng, k)
+            assert {DATA, CNOT, PAULI} <= {g[0] for g in gates}
+            mats, slots = _block_matrices(k, gates, params, latent)
+            assert slots == [g[2] for g in gates if g[0] == RY] == list(range(params.size))
+            assert mats.shape == (1 + params.size, 1 << k, 1 << k)
+            # real arrays apply Y as XZ = -iY
+            phase = (-1j) ** sum(g[0] == PAULI and g[2] == "Y" for g in gates)
+
+            def dense(p):
+                return np.column_stack([dense_run(gates, k, params=p, latent=latent, initial=e)
+                                        for e in np.eye(1 << k)])
+
+            np.testing.assert_allclose(mats[0].T, phase * dense(params), rtol=0, atol=1e-14)
+            for j in range(params.size):
+                turned = params.copy()
+                turned[j] += math.pi
+                np.testing.assert_allclose(mats[1 + j].T, phase * dense(turned),
+                                           rtol=0, atol=1e-14)
+                rebuilt = _block_matrices(k, gates, turned, latent)[0][0]
+                np.testing.assert_allclose(mats[1 + j], rebuilt, rtol=0, atol=1e-15)
 
 
 def _encoder_shapes():
