@@ -17,7 +17,7 @@ from .ansatz import (
     expand_encoding,
     gate_counts,
 )
-from .baselines import LogisticModel, MlpConfig, MlpEncoder, MlpHead, logistic_train, mlp_head_train
+from .baselines import LogisticModel, MlpConfig, MlpEncoder, MlpHead
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ExperimentConfig, config_from_mapping, parse_flat, serialize_flat
 from .datasets import (
@@ -27,7 +27,6 @@ from .datasets import (
     make_count_splits,
     make_benchmark_splits,
     pca_project,
-    pool_to_dim,
     save_embeddings_binary,
     save_embeddings_csv,
     synthetic_clusters,
@@ -49,9 +48,7 @@ from .grad import (
 from .head import EncoderConfig, HybridHead, QuantumEncoder, build_hybrid_head
 from .noise import (
     NoiseModel,
-    ShotSample,
     depolarizing_reference_expectation,
-    multinomial_oracle,
     sample_pauli_insertions,
     shot_sample_expectation,
 )
@@ -66,6 +63,6 @@ from .simcore import (
     z_expectation,
     zero_state,
 )
-from .trainer import TrainConfig, TrainReport, cross_entropy_loss, evaluate, train
+from .trainer import TrainConfig, TrainReport, evaluate, train
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, UnsupportedModeError
-from .trainer import TrainConfig, softmax_cross_entropy_batch, train
+from .trainer import softmax_cross_entropy_batch
 
 _BN_EPS = 1e-5
 _BN_MOMENTUM = 0.1
@@ -225,20 +225,3 @@ class MlpEncoder(_Mlp):
         dpre = np.asarray(dlatent).reshape(latent.shape) * (1.0 - latent * latent)
         return {f"enc_{k}": g for k, g in self._backward(dpre, cache).items()}
 
-
-def logistic_train(dataset, config: TrainConfig):
-    """Train the 769-parameter logistic head; returns (model, report)."""
-    model = LogisticModel(dataset.dim)
-    report, _ = train(model, dataset, config)
-    return model, report
-
-
-def mlp_head_train(dataset, mlp_config: MlpConfig, config: TrainConfig,
-                   num_classes: int = 2):
-    """Train a classical MLP head on the raw embeddings; returns (model, report)."""
-    from . import seeding
-
-    rng = seeding.stream(config.seed, seeding.PARAM_INIT)
-    model = MlpHead(dataset.dim, num_classes, mlp_config, rng)
-    report, _ = train(model, dataset, config)
-    return model, report

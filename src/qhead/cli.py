@@ -42,7 +42,6 @@ from .trainer import (
     count_model_parameters,
     evaluate,
     load_parameters,
-    softmax_cross_entropy_batch,
     train,
 )
 
@@ -274,7 +273,9 @@ def cmd_gradcheck(args) -> int:
     _, grads = model.batch_loss_and_gradients(X, y)
 
     def loss_now() -> float:
-        return float(softmax_cross_entropy_batch(model.predict_logits(X), y)[0].mean())
+        # the loss the gradients belong to: a batch-norm head normalizes by the
+        # batch's statistics here, and by its running ones in predict_logits
+        return model.batch_loss_and_gradients(X, y)[0]
 
     h = 1e-5
     worst = 0.0

@@ -221,22 +221,6 @@ def make_count_splits(dataset: EmbeddingDataset, train_per_class: int,
                    val_idx=np.sort(np.concatenate(val_parts)), test_idx=np.flatnonzero(test))
 
 
-def pool_to_dim(dataset: EmbeddingDataset, out_dim: int) -> EmbeddingDataset:
-    """Block-average adjacent features down to ``out_dim`` (dim must divide evenly).
-
-    Desk-scale registers hold 2^Qc amplitudes, so wide embeddings need a
-    reduction before amplitude encoding; averaging equal blocks shrinks signal
-    and noise together, preserving separability, where truncation would not.
-    """
-    if out_dim < 1 or dataset.dim % out_dim:
-        raise ConfigurationError(
-            f"cannot pool dim {dataset.dim} to {out_dim}: not an even divisor"
-        )
-    block = dataset.dim // out_dim
-    pooled = dataset.vectors.reshape(len(dataset), out_dim, block).mean(axis=2)
-    return replace(dataset, vectors=pooled.astype(np.float32))
-
-
 def pca_project(dataset: EmbeddingDataset, out_dim: int) -> EmbeddingDataset:
     """Project vectors onto their top principal components (labels unused).
 

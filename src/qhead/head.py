@@ -59,7 +59,7 @@ from .simcore import (
     _z_expectation,
     amplitude_encode_rows,
 )
-from .trainer import load_parameters, softmax_cross_entropy_batch
+from .trainer import softmax_cross_entropy_batch
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,6 @@ def encoder_circuit(config: EncoderConfig) -> GateList:
 class _PqcPlan:
     """Precomputed circuit structure for one (spec, latent length) pairing."""
 
-    spec: CircuitSpec
     expanded: GateList
     lifted: GateList
     occurrences: np.ndarray
@@ -146,7 +145,7 @@ def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
             f"lifted circuit reads slot {slot} at {reads[slot]} RY gates; "
             f"every slot must be read by exactly one"
         )
-    return _PqcPlan(spec, expanded, lifted, occurrences, n_params, latent_dim)
+    return _PqcPlan(expanded, lifted, occurrences, n_params, latent_dim)
 
 
 def _check_theta(plan: _PqcPlan, theta_q: np.ndarray) -> None:
@@ -194,7 +193,7 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
     value = float(run[0][0])
     z = value
     if noise.shots is not None:
-        z = float(noise_mod.shot_sample_expectation(value, noise.shots, rng_shot).estimate)
+        z = noise_mod.shot_sample_expectation(value, noise.shots, rng_shot)
     if not grads:
         return z
     g_ext = run[1][0]
@@ -278,7 +277,7 @@ class HybridHead:
     ablation uses this). A training step calls ``forward`` once with
     ``grads`` and hands what it saved to ``backward``. The circuit angles and
     the linear weights are drawn from ``rng``. Given values are copied in
-    afterwards with ``load_parameter_arrays``.
+    afterwards with ``trainer.load_parameters``.
     """
 
     def __init__(self, encoder, spec: CircuitSpec, num_classes: int = 2,
@@ -302,10 +301,6 @@ class HybridHead:
         if self.linear is not None:
             arrays["linear"] = self.linear
         return arrays
-
-    def load_parameter_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Copy values into the live parameter arrays (see ``trainer.load_parameters``)."""
-        load_parameters(self, arrays)
 
     @staticmethod
     def _streams(noise, seed_path, sample_index):

@@ -1,4 +1,4 @@
-"""Depolarizing gate-noise trajectories and differentiable shot sampling.
+"""Depolarizing gate-noise trajectories and finite-shot sampling.
 
 Depolarizing convention: with probability p per gate, apply one uniformly
 random non-identity Pauli (two-qubit gates draw uniformly over the 15
@@ -6,9 +6,10 @@ non-identity pairs). Under this convention a single-qubit rate p contracts
 Bloch vectors by (1 - 4p/3).
 
 Shot noise is the Gaussian limit of the two-outcome multinomial estimator:
-z_hat = clamp(z + eps * sqrt((1 - z^2)/S), -1, 1) with eps ~ N(0, 1). The
-noise term is treated as a constant during backpropagation, so the gradient
-flows through the mean path only (d z_hat / d z == 1).
+z_hat = clamp(z + eps * sqrt((1 - z^2)/S), -1, 1) with eps ~ N(0, 1).
+``shot_sample_expectation`` draws one such value. A finite-shot gradient is
+no derivative of z_hat: it samples each +/- pi/2 pair of the shift rule with
+``paired_shot_estimates``, one shared draw per pair.
 """
 from __future__ import annotations
 
@@ -42,14 +43,6 @@ class NoiseModel:
     @property
     def is_noiseless(self) -> bool:
         return self.p1q == 0.0 and self.p2q == 0.0 and self.shots is None
-
-
-@dataclass
-class ShotSample:
-    """Sampled estimate of <Z> plus the differentiable mean path."""
-
-    estimate: float
-    mean_path: float
 
 
 def _require_rng(rng, what: str) -> np.random.Generator:
@@ -109,18 +102,18 @@ def paired_shot_estimates(plus, minus, shots: int, rng: np.random.Generator | No
 
 
 def shot_sample_expectation(z: float, shots: int | None,
-                            rng: np.random.Generator | None) -> ShotSample:
+                            rng: np.random.Generator | None) -> float:
     """Sample a finite-shot estimate of <Z> = z; exact at z = +/-1 and S = inf."""
     z = float(z)
     if not abs(z) <= 1.0 + 1e-9:  # also rejects NaN
         raise ConfigurationError(f"|z| must be <= 1, got {z!r}")
     z = min(max(z, -1.0), 1.0)
     if shots is None:
-        return ShotSample(z, z)
+        return z
     if shots < 1:
         raise ConfigurationError(f"shots must be >= 1, got {shots}")
     eps = _require_rng(rng, "shot sampling").standard_normal()
-    return ShotSample(float(gaussian_shot_estimate(z, shots, eps)), z)
+    return float(gaussian_shot_estimate(z, shots, eps))
 
 
 def multinomial_oracle(p, n: int, rng: np.random.Generator) -> np.ndarray:

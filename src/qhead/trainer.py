@@ -8,9 +8,8 @@ a (seed, config, dataset) triple fully determines every reported number.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,18 +55,6 @@ class TrainReport:
     best_val_accuracy: float
     test_accuracy: float
     parameter_count: int
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-
-def cross_entropy_loss(logits, label: int) -> tuple[float, np.ndarray]:
-    """Softmax cross-entropy and its gradient w.r.t. the logits, for one row."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1 or logits.size < 2:
-        raise ConfigurationError(f"logits must be a vector of >= 2 values, got {logits.shape}")
-    losses, grads = softmax_cross_entropy_batch(logits[None], np.array([label]))
-    return float(losses[0]), grads[0]
 
 
 def softmax_cross_entropy_batch(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -43,7 +43,7 @@ from qhead.noise import (
 )
 from qhead.seeding import SHOTS, TRAJECTORY, stream
 from qhead.simcore import apply_cnot, apply_pauli, apply_ry, z_expectation, zero_state
-from qhead.trainer import TrainConfig, count_model_parameters, cross_entropy_loss, train
+from qhead.trainer import TrainConfig, count_model_parameters, softmax_cross_entropy_batch, train
 
 from reference import _pqc_value_and_grads, count_head_parameters
 
@@ -108,7 +108,8 @@ def _head_fd_deviation(model, X, y, h=1e-5):
 
     def loss_now():
         logits = model.predict_logits(X)
-        return float(np.mean([cross_entropy_loss(l, int(t))[0] for l, t in zip(logits, y)]))
+        return float(np.mean([softmax_cross_entropy_batch(l[None], np.array([t]))[0][0]
+                              for l, t in zip(logits, y)]))
 
     worst = 0.0
     for key, arr in model.parameter_arrays().items():
@@ -148,7 +149,7 @@ def _noisy_shift_deviation(model, latent, noise, trial, *path):
             rows.append(row)
     vals = []
     for row in rows:
-        sv = zero_state(plan.spec.qubits)
+        sv = zero_state(model.spec.qubits)
         run_gates(sv.amplitudes, run_list, row)
         vals.append(z_expectation(sv, 0))
     vals = np.array(vals)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from qhead.ansatz import CircuitSpec
-from qhead.baselines import LogisticModel, MlpConfig, MlpEncoder, MlpHead, logistic_train, mlp_head_train
+from qhead.baselines import LogisticModel, MlpConfig, MlpEncoder, MlpHead
 from qhead.datasets import make_count_splits, synthetic_clusters
 from qhead.errors import ConfigurationError, UnsupportedModeError
 from qhead.head import HybridHead
-from qhead.trainer import TrainConfig, count_model_parameters, cross_entropy_loss
+from qhead.trainer import TrainConfig, count_model_parameters, softmax_cross_entropy_batch, train
 from qhead.seeding import PARAM_INIT, stream
 
 
@@ -94,9 +94,9 @@ class TestMlpHeadGradients:
     def test_trains_separable_data(self):
         ds = synthetic_clusters(dim=768, n_per_class=80, separation=10.0, seed=3)
         split = make_count_splits(ds, train_per_class=40, val_per_class=15, seed=3)
-        _, report = mlp_head_train(
-            split, MlpConfig(1, 16), TrainConfig(learning_rate=0.01, epochs=40, seed=5)
-        )
+        cfg = TrainConfig(learning_rate=0.01, epochs=40, seed=5)
+        model = MlpHead(split.dim, 2, MlpConfig(1, 16), stream(cfg.seed, PARAM_INIT))
+        report, _ = train(model, split, cfg)
         assert report.test_accuracy >= 0.99
 
 
@@ -187,9 +187,8 @@ class TestMlpEncoder:
 
         def loss_now():
             logits = model.predict_logits(X)
-            return float(
-                np.mean([cross_entropy_loss(l, int(t))[0] for l, t in zip(logits, y)])
-            )
+            return float(np.mean([softmax_cross_entropy_batch(l[None], np.array([t]))[0][0]
+                                  for l, t in zip(logits, y)]))
 
         h = 1e-5
         worst = 0.0
@@ -216,11 +215,10 @@ class TestLogisticBehavior:
     def test_l2_penalty_shrinks_weights(self):
         ds = synthetic_clusters(dim=8, n_per_class=60, separation=6.0, seed=9)
         split = make_count_splits(ds, train_per_class=30, val_per_class=10, seed=9)
-        _, _ = logistic_train(split, TrainConfig(learning_rate=0.05, epochs=30, seed=1))
-        plain, _ = logistic_train(split, TrainConfig(learning_rate=0.05, epochs=30, seed=1))
-        decayed, _ = logistic_train(
-            split, TrainConfig(learning_rate=0.05, epochs=30, weight_decay=0.5, seed=1)
-        )
+        plain = LogisticModel(split.dim)
+        train(plain, split, TrainConfig(learning_rate=0.05, epochs=30, seed=1))
+        decayed = LogisticModel(split.dim)
+        train(decayed, split, TrainConfig(learning_rate=0.05, epochs=30, weight_decay=0.5, seed=1))
         assert np.linalg.norm(decayed.weights) < np.linalg.norm(plain.weights)
 
 @pytest.mark.parametrize("config", [MlpConfig(0, 0), MlpConfig(1, 8)])

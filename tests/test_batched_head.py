@@ -32,7 +32,7 @@ from qhead.head import (
 from qhead.noise import NoiseModel, gaussian_shot_estimate, sample_pauli_insertions
 from qhead.seeding import PARAM_INIT, SHOTS, TRAJECTORY, stream
 from qhead.simcore import zero_state
-from qhead.trainer import cross_entropy_loss, load_parameters, softmax_cross_entropy_batch
+from qhead.trainer import load_parameters, softmax_cross_entropy_batch
 
 from oracles import dense_run, dense_z
 from reference import _pqc_value, _pqc_value_and_grads, encoder_backward, encoder_forward
@@ -88,10 +88,10 @@ def _sample_circuit(model, latent, noise, i, grads):
     z = evaluate_expectation(plan.expanded, model.theta_q, latent, 0)
     if not grads:
         return z
-    final = run_gates(zero_state(plan.spec.qubits).amplitudes, plan.expanded, model.theta_q,
+    final = run_gates(zero_state(model.spec.qubits).amplitudes, plan.expanded, model.theta_q,
                       latent)
     (gtheta,), (glatent,) = adjoint_observable_gradients(
-        plan.expanded, model.theta_q, latent, np.eye(plan.spec.qubits)[0], final
+        plan.expanded, model.theta_q, latent, np.eye(model.spec.qubits)[0], final
     )
     return z, gtheta, glatent
 
@@ -118,8 +118,8 @@ def _reference_step(model, X, y, noise):
     totals = {k: np.zeros_like(v) for k, v in model.parameter_arrays().items()}
     losses = []
     for i, x in enumerate(X):
-        loss, dlogits = cross_entropy_loss(logits[i], int(y[i]))
-        losses.append(loss)
+        (loss,), (dlogits,) = softmax_cross_entropy_batch(logits[i][None], np.array([y[i]]))
+        losses.append(float(loss))
         _, gtheta, glatent = per[i]
         if features is None:
             dz = dlogits[0] - dlogits[1]
@@ -310,7 +310,7 @@ def test_finite_shot_steps_follow_in_place_parameter_updates():
     """No step reuses work from values the head no longer holds.
 
     After ``theta_q`` changes in place (as ``trainer.adam_step`` updates it)
-    and after ``load_parameter_arrays``, a finite-shot step has the bits of a
+    and after ``load_parameters``, a finite-shot step has the bits of a
     freshly built head holding the same values; step 0 run again after step
     1 repeats step 0's bits.
     """
@@ -324,7 +324,7 @@ def test_finite_shot_steps_follow_in_place_parameter_updates():
 
     def fresh_copy(model):
         fresh = _quantum_head(seed=0)
-        fresh.load_parameter_arrays({k: v.copy() for k, v in model.parameter_arrays().items()})
+        load_parameters(fresh, {k: v.copy() for k, v in model.parameter_arrays().items()})
         return fresh
 
     def assert_same(a, b):
@@ -340,7 +340,7 @@ def test_finite_shot_steps_follow_in_place_parameter_updates():
     moved = step(model, 0)
     assert moved[0] != first[0]
     assert_same(moved, step(fresh_copy(model), 0))
-    model.load_parameter_arrays(_quantum_head(seed=8).parameter_arrays())
+    load_parameters(model, _quantum_head(seed=8).parameter_arrays())
     assert_same(step(model, 1), step(fresh_copy(model), 1))
     assert_same(step(model, 1), step(_quantum_head(seed=8), 1))
 

@@ -276,6 +276,17 @@ class TestGradcheck:
         assert payload["passed"] is True
         assert payload["max_deviation"] < 1e-4
 
+    def test_batch_norm_mlp_head_passes(self, tmp_path, smoke_data):
+        # the gradient uses the batch statistics, so the finite-difference
+        # loss must too, not the running ones that prediction reads
+        cfg = _write_config(tmp_path, smoke_data, model="mlp-head", mlp_hidden_layers=1,
+                            mlp_hidden_dim=8, mlp_batch_norm="true")
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "gradcheck.json").read_text())
+        assert payload["passed"] is True
+        assert payload["max_deviation"] < 1e-4
+
 
 def test_module_entry_point(tmp_path):
     import subprocess

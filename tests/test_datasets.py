@@ -13,7 +13,6 @@ from qhead.datasets import (
     make_count_splits,
     make_benchmark_splits,
     pca_project,
-    pool_to_dim,
     save_embeddings_binary,
     save_embeddings_csv,
     synthetic_clusters,
@@ -253,38 +252,27 @@ class TestSyntheticClusters:
                 synthetic_clusters(4, 2, separation, 0)
 
     def test_zero_separation_trains_to_chance(self):
-        from qhead.baselines import logistic_train
-        from qhead.trainer import TrainConfig
+        from qhead.baselines import LogisticModel
+        from qhead.trainer import TrainConfig, train
 
         ds = synthetic_clusters(dim=16, n_per_class=600, separation=0.0, seed=11)
         split = make_count_splits(ds, train_per_class=60, val_per_class=20, seed=11)
-        _, report = logistic_train(split, TrainConfig(learning_rate=0.02, epochs=30, seed=1))
+        report, _ = train(LogisticModel(split.dim), split,
+                          TrainConfig(learning_rate=0.02, epochs=30, seed=1))
         assert abs(report.test_accuracy - 0.5) <= 0.05
 
     def test_wide_separation_trains_to_ceiling(self):
-        from qhead.baselines import logistic_train
-        from qhead.trainer import TrainConfig
+        from qhead.baselines import LogisticModel
+        from qhead.trainer import TrainConfig, train
 
         ds = synthetic_clusters(dim=768, n_per_class=120, separation=10.0, seed=13)
         split = make_count_splits(ds, train_per_class=50, val_per_class=20, seed=13)
-        _, report = logistic_train(split, TrainConfig(learning_rate=0.05, epochs=40, seed=2))
+        report, _ = train(LogisticModel(split.dim), split,
+                          TrainConfig(learning_rate=0.05, epochs=40, seed=2))
         assert report.test_accuracy >= 0.99
 
 
 class TestPreprocessing:
-    def test_pool_block_means(self):
-        ds = EmbeddingDataset(
-            np.array([[1.0, 3.0, 2.0, 4.0], [0.0, 2.0, -2.0, 0.0]], dtype=np.float32),
-            np.array([0, 1]),
-        )
-        pooled = pool_to_dim(ds, 2)
-        np.testing.assert_allclose(pooled.vectors, [[2.0, 3.0], [1.0, -1.0]])
-
-    def test_pool_requires_even_divisor(self):
-        ds = EmbeddingDataset(np.ones((2, 6), dtype=np.float32), np.array([0, 1]))
-        with pytest.raises(ConfigurationError):
-            pool_to_dim(ds, 4)
-
     def test_anchor_appends_constant_column(self):
         ds = EmbeddingDataset(np.zeros((3, 2), dtype=np.float32), np.array([0, 1, 0]))
         out = append_anchor_feature(ds, value=2.5)

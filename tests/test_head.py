@@ -15,7 +15,7 @@ from qhead.grad import evaluate_expectation
 from qhead.head import EncoderConfig, build_hybrid_head, encoder_circuit
 from qhead.noise import NoiseModel
 from qhead.seeding import PARAM_INIT, stream
-from qhead.trainer import cross_entropy_loss
+from qhead.trainer import load_parameters, softmax_cross_entropy_batch
 
 from oracles import dense_run, dense_z
 from reference import (
@@ -347,8 +347,8 @@ def _flat_loss(model, X, y, noise=None):
     logits = model.predict_logits(X, noise=noise)
     total = 0.0
     for row, label in zip(logits, y):
-        loss, _ = cross_entropy_loss(row, int(label))
-        total += loss
+        (loss,), _ = softmax_cross_entropy_batch(row[None], np.array([label]))
+        total += float(loss)
     return total / len(y)
 
 
@@ -469,7 +469,7 @@ class TestCheckpointRoundTrip:
         for key, arr in model.parameter_arrays().items():
             np.testing.assert_array_equal(arrays[key], arr)
         other = build_hybrid_head(enc, spec, seed=52)
-        other.load_parameter_arrays(arrays)
+        load_parameters(other, arrays)
         x = np.ones((1, 8))
         np.testing.assert_array_equal(other.predict_logits(x), model.predict_logits(x))
 
@@ -522,7 +522,7 @@ def test_head_gradient_equals_the_class_model_loaded_with_the_same_arrays(
     loss, grads = head_gradient(X, y, params, enc, spec, noise=noise, seed_path=(2, 1))
     # a head drawn from another seed, so that only the loaded values can match
     model = build_hybrid_head(enc, spec, final_linear=final_linear, seed=99)
-    model.load_parameter_arrays(_named_arrays(params))
+    load_parameters(model, _named_arrays(params))
     want_loss, want = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=(2, 1))
     assert loss == want_loss
     got = _named_arrays(grads)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qhead.baselines import LogisticModel, logistic_train
+from qhead.baselines import LogisticModel
 from qhead.datasets import make_count_splits, synthetic_clusters
 from qhead.errors import ConfigurationError
 from qhead.trainer import (
@@ -14,7 +14,6 @@ from qhead.trainer import (
     TrainConfig,
     adam_step,
     count_model_parameters,
-    cross_entropy_loss,
     evaluate,
     load_parameters,
     softmax_cross_entropy_batch,
@@ -24,48 +23,40 @@ from qhead.trainer import (
 
 class TestCrossEntropy:
     def test_uniform_two_class(self):
-        loss, _ = cross_entropy_loss([0.0, 0.0], 0)
+        (loss,), _ = softmax_cross_entropy_batch(np.array([[0.0, 0.0]]), np.array([0]))
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
     def test_confident_correct(self):
-        loss, _ = cross_entropy_loss([10.0, -10.0], 0)
+        (loss,), _ = softmax_cross_entropy_batch(np.array([[10.0, -10.0]]), np.array([0]))
         assert loss == pytest.approx(2.061e-9, rel=1e-3)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             logits = rng.standard_normal(4)
-            label = int(rng.integers(4))
-            _, grad = cross_entropy_loss(logits, label)
+            label = np.array([rng.integers(4)])
+            _, (grad,) = softmax_cross_entropy_batch(logits[None], label)
             h = 1e-6
             for j in range(4):
                 lp, lm = logits.copy(), logits.copy()
                 lp[j] += h
                 lm[j] -= h
-                fd = (cross_entropy_loss(lp, label)[0] - cross_entropy_loss(lm, label)[0]) / (2 * h)
+                fd = (softmax_cross_entropy_batch(lp[None], label)[0][0]
+                      - softmax_cross_entropy_batch(lm[None], label)[0][0]) / (2 * h)
                 assert grad[j] == pytest.approx(fd, abs=1e-8)
 
     def test_label_out_of_range(self):
         with pytest.raises(ConfigurationError):
-            cross_entropy_loss([0.0, 0.0], 2)
+            softmax_cross_entropy_batch(np.array([[0.0, 0.0]]), np.array([2]))
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_batch_label_out_of_range(self, label):
         with pytest.raises(ConfigurationError, match=f"label {label}"):
             softmax_cross_entropy_batch(np.zeros((2, 3)), np.array([0, label]))
 
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(1)
-        logits = rng.standard_normal((5, 3))
-        labels = rng.integers(3, size=5)
-        losses, grads = softmax_cross_entropy_batch(logits.copy(), labels)
-        for i in range(5):
-            loss, grad = cross_entropy_loss(logits[i], int(labels[i]))
-            assert losses[i] == pytest.approx(loss, abs=1e-12)
-            np.testing.assert_allclose(grads[i], grad, atol=1e-12)
-
     def test_extreme_logits_stable(self):
-        loss, grad = cross_entropy_loss([1000.0, -1000.0], 1)
+        (loss,), (grad,) = softmax_cross_entropy_batch(np.array([[1000.0, -1000.0]]),
+                                                       np.array([1]))
         assert np.isfinite(loss) and np.all(np.isfinite(grad))
         assert loss == pytest.approx(2000.0, rel=1e-9)
 
@@ -122,21 +113,21 @@ class TestTrainLoop:
     def test_logistic_separates_clusters(self):
         ds = _split_clusters(separation=10.0)
         cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=50, seed=1)
-        _, report = logistic_train(ds, cfg)
+        report, _ = train(LogisticModel(ds.dim), ds, cfg)
         assert report.test_accuracy >= 0.99
         assert report.parameter_count == ds.dim + 1
 
     def test_determinism(self):
         ds = _split_clusters(separation=3.0, seed=5)
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=10, seed=9)
-        _, a = logistic_train(ds, cfg)
-        _, b = logistic_train(ds, cfg)
-        assert a.to_json() == b.to_json()
+        a, _ = train(LogisticModel(ds.dim), ds, cfg)
+        b, _ = train(LogisticModel(ds.dim), ds, cfg)
+        assert a == b
 
     def test_loss_non_increasing_early(self):
         ds = _split_clusters(separation=10.0, seed=2)
         cfg = TrainConfig(learning_rate=0.05, batch_size=16, epochs=10, seed=3)
-        _, report = logistic_train(ds, cfg)
+        report, _ = train(LogisticModel(ds.dim), ds, cfg)
         diffs = np.diff(report.epoch_loss)
         assert np.all(diffs <= 1e-9)
 
@@ -145,7 +136,7 @@ class TestTrainLoop:
         # epoch must be the argmax of the validation curve (earliest on ties)
         ds = _split_clusters(separation=1.0, seed=7)
         cfg = TrainConfig(learning_rate=0.02, batch_size=8, epochs=15, seed=11)
-        _, report = logistic_train(ds, cfg)
+        report, _ = train(LogisticModel(ds.dim), ds, cfg)
         val = np.asarray(report.val_accuracy)
         assert report.best_epoch == int(np.argmax(val))
         assert report.best_val_accuracy == val.max()
@@ -173,7 +164,8 @@ class TestTrainLoop:
     def test_accuracy_invariant_to_sample_order(self):
         ds = _split_clusters(separation=2.0, seed=12)
         cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=5, seed=1)
-        model, _ = logistic_train(ds, cfg)
+        model = LogisticModel(ds.dim)
+        train(model, ds, cfg)
         X, y = ds.split_arrays("test")
         perm = np.random.default_rng(0).permutation(len(y))
         acc = float(np.mean(np.argmax(model.predict_logits(X), axis=1) == y))
