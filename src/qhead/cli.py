@@ -22,6 +22,7 @@ from .baselines import LogisticModel, MlpEncoder, MlpHead
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (
     ExperimentConfig,
+    _coerce,
     config_from_mapping,
     expand_sweep,
     load_config,
@@ -136,6 +137,8 @@ def _resolved_mapping(args, extra: dict | None = None) -> dict:
         mapping["out_dir"] = args.out
     if extra:
         mapping.update(extra)
+    # one directory for every command, a sweep included
+    _coerce("out_dir", mapping.get("out_dir", ""))
     return mapping
 
 

@@ -124,7 +124,7 @@ def save_embeddings_csv(dataset: EmbeddingDataset, path) -> None:
 def _bad_cell(fields: list[str], cells: list[str], lineno: int) -> str:
     """Name the first cell of a CSV line that is not an integer label or a number."""
     for name, cell in zip(fields, cells):
-        parse, kind = (int, "an integer") if name == "label" else (np.float32, "a number")
+        parse, kind = (int, "an integer") if name == "label" else (float, "a number")
         try:
             parse(cell)
         except ValueError:
@@ -155,9 +155,14 @@ def _load_csv(path, num_classes: int | None) -> EmbeddingDataset:
                 )
             try:
                 labels.append(int(cells[0]))
-                rows.append(np.array([np.float32(c) for c in cells[1:]], dtype=np.float32))
+                row = np.array([float(c) for c in cells[1:]])
             except ValueError:
                 raise DataFormatError(_bad_cell(fields, cells, lineno)) from None
+            big = np.flatnonzero(np.isfinite(row) & (np.abs(row) > _FLOAT32_MAX))
+            if big.size:
+                raise DataError(f"line {lineno}: {fields[1 + big[0]]} cell {cells[1 + big[0]]!r} "
+                                f"is beyond the float32 range")
+            rows.append(row.astype(np.float32))
     labels = np.asarray(labels, dtype=np.int64)
     _check_labels(labels, num_classes)
     vectors = np.vstack(rows) if rows else np.zeros((0, dim), dtype=np.float32)

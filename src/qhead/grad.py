@@ -15,11 +15,11 @@ in row chunks that bound peak memory (``_row_chunks``), and read one
 qubit's <Z>. The two references run their 2P +/- rows plainly: one
 ``run_gates`` call per chunk, every row with its own angles. The head's
 finite-shot noisy gradient takes E(params + pi e_j) for every column j
-from ``_batch_expectations``, on a circuit that reads each column at one RY
-gate at most. That engine fuses gates (as statevector simulators such as
-Qulacs do; Suzuki et al. 2021, Quantum 5, 559): each run of consecutive
-gates within a window of at most four qubits becomes one matrix, applied to
-the rows as one matmul. ``_block_matrices`` builds a block's matrix M and,
+from ``_batch_expectations``, read on qubit 0 of a circuit that reads each
+column at exactly one RY gate. That engine fuses gates (as statevector
+simulators such as Qulacs do; Suzuki et al. 2021, Quantum 5, 559): each run
+of consecutive gates within a window of at most four qubits becomes one
+matrix, applied to the rows as one matmul. ``_block_matrices`` builds a block's matrix M and,
 per RY gate j, D_j = M_{>j} (-iY_j) M_{<=j}, all at the shared angles.
 Since RY(t + pi) = -iY RY(t), D_j is the block with gate j turned by pi: the
 row turned at gate j starts as D_j applied to the unturned row's state at
@@ -198,7 +198,7 @@ def _blocks(circuit: GateList) -> tuple[int, list[tuple]]:
     return k, blocks
 
 
-def _block_matrices(k: int, gates, params, latent) -> tuple[np.ndarray, list]:
+def _block_matrices(k: int, gates, params) -> tuple[np.ndarray, list]:
     """A fused block's matrices at the angles every row shares, and its RY gates' slots.
 
     ``mats`` (1 + J, 2^k, 2^k), for J RY gates, holds M^T, then each D_j^T:
@@ -211,43 +211,41 @@ def _block_matrices(k: int, gates, params, latent) -> tuple[np.ndarray, list]:
     mats[0] = np.eye(1 << k)
     started = 1
     for g in gates:
-        _apply_gate(mats[:started], k, g, params, latent)
+        _apply_gate(mats[:started], k, g, params, None)
         if g[0] == RY:
             mats[started] = _pauli(mats[0].copy(), k, g[1], "Y")  # -iY on real rows
             started += 1
     return mats, slots
 
 
-def _batch_expectations(circuit, params, latent, measured) -> np.ndarray:
-    """<Z_measured> at ``params`` + pi e_j from |0...0>, for each column j of params (P,).
+def _batch_expectations(circuit, params) -> np.ndarray:
+    """<Z_0> at ``params`` + pi e_j from |0...0>, for each column j of params (P,).
 
-    Each column is read by one RY gate at most, or ``ConfigurationError`` is
-    raised. The unturned row runs the gates in ``_blocks``, each block as its
-    matrix M at the shared angles; the row turned in column j starts in the
-    block of the gate reading it, as D_j (``_block_matrices``) applied to the
-    unturned row's state at the block's input, and then takes M of every
-    later block. A column that no gate reads gives the unturned value. The
-    states are real (``_pauli`` drops Y's global phase on real arrays). Rows
-    run in ``_row_chunks``, each chunk led by the unturned row.
+    Every column is read by exactly one RY gate, or ``ConfigurationError`` is
+    raised; the turned rows are then the RY gates in gate order. The
+    unturned row runs the gates in ``_blocks``, each block as its matrix M at
+    the shared angles; the row turned at an RY gate starts in that gate's
+    block, as D_j (``_block_matrices``) applied to the unturned row's state
+    at the block's input, and then takes M of every later block. The states
+    are real (``_pauli`` drops Y's global phase on real arrays). Rows run in
+    ``_row_chunks``, each chunk led by the unturned row.
     """
-    n, n_gates = circuit.num_qubits, len(circuit.gates)
-    read_gate = np.full(params.size, n_gates)
-    for i, g in enumerate(circuit.gates):
-        if g[0] == RY:
-            if read_gate[g[2]] < n_gates:
-                raise ConfigurationError(f"column {g[2]} is read by more than one RY gate")
-            read_gate[g[2]] = i
-    order = np.argsort(read_gate, kind="stable")
-    starts = read_gate[order]
+    n = circuit.num_qubits
+    slots = np.array([g[2] for g in circuit.gates if g[0] == RY], dtype=np.intp)
+    reads = np.bincount(slots, minlength=params.size)
+    if np.any(reads != 1):
+        col = int(np.flatnonzero(reads != 1)[0])
+        raise ConfigurationError(f"column {col} is read by {reads[col]} RY gates, not one")
+    starts = np.flatnonzero([g[0] == RY for g in circuit.gates])
     k, blocks = _blocks(circuit)
     ends = [end for end, _, _ in blocks]
-    built = [None if lo is None else _block_matrices(k, gates, params, latent)[0]
+    built = [None if lo is None else _block_matrices(k, gates, params)[0]
              for _, lo, gates in blocks]
-    # sorted by read gate, the rows turned in a block follow its RY gates' D_j
+    # the rows turned in a block follow its RY gates' D_j
     firsts = np.searchsorted(starts, [0] + ends[:-1])
     out = np.empty(params.size)
     for part in _row_chunks(params.size, n):
-        # row 0 is the unturned row, row 1 + r the turned row order[part][r]
+        # row 0 is the unturned row, row 1 + r the row turned at RY gate part.start + r
         amps = np.empty((1 + len(starts[part]), 1 << n))
         amps[0] = 0.0
         amps[0, 0] = 1.0
@@ -256,7 +254,7 @@ def _batch_expectations(circuit, params, latent, measured) -> np.ndarray:
         active = 1
         for (_, lo, gates), mats, first, hi in zip(blocks, built, firsts, started):
             if lo is None:
-                _apply_gate(amps[:active], n, gates[0], None, latent)
+                _apply_gate(amps[:active], n, gates[0], None, None)
                 continue
             # views with the window's axis last, whose rows of 2^k amplitudes
             # are each multiplied by U^T (row j of a matrix is U e_j)
@@ -271,8 +269,7 @@ def _batch_expectations(circuit, params, latent, measured) -> np.ndarray:
             np.matmul(x[0], mats[turned, None], out=y[active:])
             amps, spare = spare, amps
             active = hi
-        amps[active:] = amps[0]
-        out[order[part]] = _z_expectation(amps[1:], n, measured)
+        out[slots[part]] = _z_expectation(amps[1:], n, 0)
     return out
 
 
@@ -433,7 +430,7 @@ def block_adjoint_gradients(circuit: GateList, blocks, params, z_weights, final)
         if lo is None:  # a CNOT wider than the window undoes itself
             _apply_gate(both, n, gates[0], None, None)
             continue
-        mats, slots = _block_matrices(k, gates, params, None)  # M^T, then each D_j^T
+        mats, slots = _block_matrices(k, gates, params)  # M^T, then each D_j^T
         # psi_in = M^T psi_out, and lam likewise, on views with the window's
         # axis second last; a window at the low end is one matmul over rows
         m = n - lo - k

@@ -135,24 +135,7 @@ def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
         )
     expanded = expand_encoding(assemble_head_circuit(spec), latent_dim // spec.qubits)
     lifted, occurrences = lift_data_slots(expanded)
-    n_params = count_parameters(spec)
-    # the noisy gradient's one-sweep identity needs each slot read by one RY
-    reads = np.bincount([g[2] for g in lifted.gates if g[0] == RY],
-                        minlength=n_params + occurrences.size)
-    if np.any(reads != 1):
-        slot = int(np.flatnonzero(reads != 1)[0])
-        raise ConfigurationError(
-            f"lifted circuit reads slot {slot} at {reads[slot]} RY gates; "
-            f"every slot must be read by exactly one"
-        )
-    return _PqcPlan(expanded, lifted, occurrences, n_params, latent_dim)
-
-
-def _check_theta(plan: _PqcPlan, theta_q: np.ndarray) -> None:
-    if theta_q.shape != (plan.n_params,):
-        raise ConfigurationError(
-            f"circuit expects {plan.n_params} parameters, got shape {theta_q.shape}"
-        )
+    return _PqcPlan(expanded, lifted, occurrences, count_parameters(spec), latent_dim)
 
 
 def _run_rows(circuit: GateList, params, latents, grads: bool) -> tuple:
@@ -177,16 +160,15 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
                   noise: noise_mod.NoiseModel, rng_traj, rng_shot, grads: bool):
     """z estimate of one noisy sample; with ``grads`` also dz/dtheta_q and dz/dlatent.
 
-    One trajectory of the lifted circuit, which reads each slot of
-    ``ext = concat(theta_q, latent[occurrences])`` at exactly one RY gate
-    (checked by ``_plan_pqc``). On that trajectory E(ext_j + s) is
-    a_j + b_j cos s + c_j sin s, so E(ext_j +/- pi/2) = a_j +/- c_j with
-    c = dE/d(ext). The unshifted row runs once, and one adjoint sweep from
-    its final state gives c. At finite shots the +/- pi/2 values are sampled
-    as common-random-number pairs, with a_j = [E + E(ext_j + pi)] / 2 from
-    ``_batch_expectations``; at infinite shots the gradient is c.
+    One trajectory of the lifted circuit, read on qubit 0, which reads each
+    slot of ``ext = concat(theta_q, latent[occurrences])`` at exactly one RY
+    gate. On that trajectory E(ext_j + s) is a_j + b_j cos s + c_j sin s, so
+    E(ext_j +/- pi/2) = a_j +/- c_j with c = dE/d(ext). The unshifted row
+    runs once, and one adjoint sweep from its final state gives c. At finite
+    shots the +/- pi/2 values are sampled as common-random-number pairs, with
+    a_j = [E + E(ext_j + pi)] / 2 from ``_batch_expectations``, which checks
+    that each slot is read once; at infinite shots the gradient is c.
     """
-    _check_theta(plan, theta_q)
     run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
     ext = np.concatenate([theta_q, latent[plan.occurrences]])
     run = _run_rows(run_list, ext[None], None, grads)
@@ -198,7 +180,7 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
         return z
     g_ext = run[1][0]
     if noise.shots is not None:
-        mid = (value + _batch_expectations(run_list, ext, None, 0)) / 2.0
+        mid = (value + _batch_expectations(run_list, ext)) / 2.0
         plus, minus = noise_mod.paired_shot_estimates(mid + g_ext, mid - g_ext,
                                                       noise.shots, rng_shot)
         g_ext = (plus - minus) / 2.0

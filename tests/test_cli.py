@@ -410,6 +410,18 @@ class TestEnergySettings:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("value, shown", [("5", "5"), ("[a, b]", "['a', 'b']")],
+                         ids=["number", "list"])
+@pytest.mark.parametrize("command", [["train"], ["ablate", "--mode", "nn-head"], ["sweep"]],
+                         ids=["train", "ablate", "sweep"])
+def test_out_dir_that_is_not_a_string_exits_2_and_writes_nothing(tmp_path, capsys, smoke_data,
+                                                                 command, value, shown):
+    cfg = _write_config(tmp_path, smoke_data, out_dir=value)
+    assert main(command + ["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: out_dir: expected a string, got {shown}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.txt", "smoke.emb"]
+
+
 class TestUnreadableInputsExit2:
     """Input files that cannot be read end in ``error: ...`` and exit 2, not a traceback."""
 

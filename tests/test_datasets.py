@@ -355,6 +355,15 @@ def test_malformed_csv_cell_names_line_and_cell(tmp_path, row, cell):
         load_embeddings(path, "csv")
 
 
+@pytest.mark.parametrize("cell", ["1e39", "-3.5e38"])
+def test_csv_cell_beyond_float32_names_line_and_cell(tmp_path, cell):
+    # finite as float64, but the float32 vectors would hold inf
+    path = tmp_path / "big.csv"
+    path.write_text(f"label,f0,f1\n0,1.0,2.0\n1,{cell},2.0\n")
+    with pytest.raises(DataError, match=f"line 3: f0 cell '{cell}' is beyond the float32 range"):
+        load_embeddings(path, "csv")
+
+
 @pytest.mark.parametrize("train, val", [(-1, 3), (3, -1), (-1, -3)])
 def test_negative_split_counts_name_their_field(train, val):
     ds = synthetic_clusters(dim=4, n_per_class=20, separation=2.0, seed=1)

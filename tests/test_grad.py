@@ -418,15 +418,22 @@ def _half_turn_rows(params):
     return _shift_rows(params, math.pi)[: 1 + params.size]
 
 
-def _check_half_turns(circuit, params, latent=None):
+def _check_half_turns(circuit, params):
     """``_batch_expectations`` against complex128 rows run alone and the per-gate engine."""
     rows = _half_turn_rows(params)
-    for measured in (0, circuit.num_qubits - 1):
-        got = _batch_expectations(circuit, params, latent, measured)
-        want = TestBatchExpectations._reference(circuit, rows[1:], latent, measured)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        per_gate = per_gate_expectations(circuit, rows, latent, measured)[1:]
-        np.testing.assert_allclose(got, per_gate, rtol=0, atol=1e-12)
+    got = _batch_expectations(circuit, params)
+    want = TestBatchExpectations._reference(circuit, rows[1:])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    per_gate = per_gate_expectations(circuit, rows, None, 0)[1:]
+    np.testing.assert_allclose(got, per_gate, rtol=0, atol=1e-12)
+
+
+def _expanded_trajectory(rng, qubits=4):
+    """A sampled trajectory of an expanded head circuit (with data records), its P and a latent."""
+    spec = CircuitSpec(qubits=qubits, main_layers=2, reupload_count=1, reupload_layers=1)
+    circuit = sample_pauli_insertions(expand_encoding(assemble_head_circuit(spec)),
+                                      NoiseModel(p1q=0.4, p2q=0.4), rng)
+    return circuit, count_parameters(spec), rng.uniform(-1, 1, qubits)
 
 
 class TestBatchExpectations:
@@ -445,53 +452,40 @@ class TestBatchExpectations:
         return np.array(out)
 
     @staticmethod
-    def _circuit(rng, qubits=4):
-        spec = CircuitSpec(qubits=qubits, main_layers=2, reupload_count=1, reupload_layers=1)
-        circuit = sample_pauli_insertions(expand_encoding(assemble_head_circuit(spec)),
-                                          NoiseModel(p1q=0.4, p2q=0.4), rng)
-        return circuit, count_parameters(spec), rng.uniform(-1, 1, qubits)
+    def _circuit(rng):
+        """A lifted head trajectory on 4 qubits and its slot values."""
+        return _head_trajectory(4, rng, reupload_count=1, p=0.4)
 
     def test_first_difference_read_late(self):
         rng = np.random.default_rng(5)
-        circuit, p, latent = self._circuit(rng)
-        params = rng.uniform(-3, 3, p)
+        circuit, params = self._circuit(rng)
         last = [g[2] for g in circuit.gates if g[0] == RY][-1]
-        got = _batch_expectations(circuit, params, latent, 0)
-        want = self._reference(circuit, _half_turn_rows(params)[1 + last][None], latent)
+        got = _batch_expectations(circuit, params)
+        want = self._reference(circuit, _half_turn_rows(params)[1 + last][None])
         np.testing.assert_allclose(got[last], want[0], rtol=0, atol=1e-12)
-        _check_half_turns(circuit, params, latent)
-
-    def test_unread_column_copies_row_zero(self):
-        rng = np.random.default_rng(6)
-        circuit, p, latent = self._circuit(rng)
-        params = rng.uniform(-3, 3, p + 1)  # no gate reads column p
-        got = _batch_expectations(circuit, params, latent, 0)
-        want = self._reference(circuit, params[None], latent)
-        np.testing.assert_allclose(got[p], want[0], rtol=0, atol=1e-12)
-        _check_half_turns(circuit, params, latent)
+        _check_half_turns(circuit, params)
 
     def test_chunk_boundaries(self, monkeypatch):
         rng = np.random.default_rng(7)
-        circuit, p, latent = self._circuit(rng)
-        params = rng.uniform(-3, 3, p)
-        whole = _batch_expectations(circuit, params, latent, 0)
+        circuit, params = self._circuit(rng)
+        whole = _batch_expectations(circuit, params)
         for per_chunk in (1, 2, 5):
             # chunks of per_chunk + 1 turned rows, each also running the unturned row
             monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << circuit.num_qubits)
-            np.testing.assert_array_equal(_batch_expectations(circuit, params, latent, 0), whole)
-        _check_half_turns(circuit, params, latent)
+            np.testing.assert_array_equal(_batch_expectations(circuit, params), whole)
+        _check_half_turns(circuit, params)
 
     def test_y_insertions_on_real_states(self):
         rng = np.random.default_rng(8)
-        circuit, p, latent = self._circuit(rng)
+        circuit, params = self._circuit(rng)
         labels = [g[2] for g in circuit.gates if g[0] == PAULI]
         assert "Y" in labels
-        _check_half_turns(circuit, rng.uniform(-3, 3, p), latent)
+        _check_half_turns(circuit, params)
 
     def test_rows_start_at_their_first_differing_gate(self, monkeypatch):
         # the kernel row counts of the per-gate reference engine
         rng = np.random.default_rng(10)
-        circuit, p, latent = self._circuit(rng)
+        circuit, p, latent = _expanded_trajectory(rng)
         rows = _shift_rows(rng.uniform(-3, 3, p), math.pi / 2)
         first = {}
         for i, g in enumerate(circuit.gates):
@@ -561,14 +555,14 @@ class TestRowsRunAlone:
     """Every row of the per-gate reference engine has the bits of that row run alone.
 
     The fused engine, ``_batch_expectations``, matches its half-turn rows to
-    1e-12 (``TestFusedBlocks``) and shares its error for a column read twice.
+    1e-12 (``TestFusedBlocks``), and rejects a column read twice or not at all.
     """
 
     @pytest.mark.parametrize("per_chunk", [None, 1, 2, 5])
     def test_bits_match_rows_run_alone(self, per_chunk, monkeypatch):
         rng = np.random.default_rng(12)
         lifted, slots = _lifted_head_trajectory(rng)
-        expanded, p, latent = TestBatchExpectations._circuit(rng)
+        expanded, p, latent = _expanded_trajectory(rng)
         assert any(g[0] == PAULI and g[2] == "Y" for c in (lifted, expanded) for g in c.gates)
         cases = [
             (lifted, _half_turn_rows(rng.uniform(-3, 3, slots)), None),
@@ -616,8 +610,12 @@ class TestRowsRunAlone:
     def test_column_read_by_two_gates_is_rejected(self):
         # only the parameter-shift references run circuits that read a slot twice,
         # and they run plain rows
-        with pytest.raises(ConfigurationError, match="column 0 is read by more than one RY gate"):
-            _batch_expectations(_SLOT_READ_TWICE, np.array([0.4, -1.1, 2.3]), None, 0)
+        with pytest.raises(ConfigurationError, match="column 0 is read by 2 RY gates"):
+            _batch_expectations(_SLOT_READ_TWICE, np.array([0.4, -1.1, 2.3]))
+
+    def test_unread_column_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="column 1 is read by 0 RY gates"):
+            _batch_expectations(GateList(2, [(RY, 0, 0), (CNOT, 0, 1)]), np.array([0.4, -1.1]))
 
 
 def _head_trajectory(qubits, rng, connectivity=1, main_layers=2, reupload_count=4, p=0.2):
@@ -650,7 +648,7 @@ class TestFusedBlocks:
         assert any(g[0] == PAULI for g in circuit.gates)
         _check_half_turns(circuit, ext)
         # the head's quarter turns: E(ext_j +/- pi/2) = [E + E(ext_j + pi)] / 2 +/- dE/dext_j
-        mid = (evaluate_expectation(circuit, ext) + _batch_expectations(circuit, ext, None, 0)) / 2
+        mid = (evaluate_expectation(circuit, ext) + _batch_expectations(circuit, ext)) / 2
         slope = adjoint_gradient(circuit, ext)
         want = TestBatchExpectations._reference(circuit, _shift_rows(ext, math.pi / 2)[1:])
         np.testing.assert_allclose(np.concatenate([mid + slope, mid - slope]), want,
@@ -700,37 +698,26 @@ class TestFusedBlocks:
         assert cases
         cols = [g[2] for pair in cases for g in pair]
         rows = _half_turn_rows(ext)[1:][cols]
-        got = _batch_expectations(circuit, ext, None, 0)[cols]
+        got = _batch_expectations(circuit, ext)[cols]
         np.testing.assert_allclose(got, TestBatchExpectations._reference(circuit, rows),
                                    rtol=0, atol=1e-12)
         _check_half_turns(circuit, ext)
 
-    def test_unread_column(self):
-        rng = np.random.default_rng(57)
-        circuit, ext = _head_trajectory(5, rng)
-        params = np.append(ext, 0.3)
-        got = _batch_expectations(circuit, params, None, 0)
-        unread = ext.size
-        assert got[unread] == pytest.approx(evaluate_expectation(circuit, ext), abs=1e-12)
-        _check_half_turns(circuit, params)
-
 
 def _random_block(rng, k, size=14):
-    """``size`` gate records on k qubits: RY slots, DATA reads, CNOTs and X/Y/Z records."""
+    """``size`` gate records on k qubits: RY slots, CNOTs and X/Y/Z records."""
     gates, slots = [], 0
-    for kind in rng.choice([RY, DATA, CNOT, PAULI], size=size):
+    for kind in rng.choice([RY, CNOT, PAULI], size=size):
         q = int(rng.integers(k))
         if kind == RY:
             gates.append((RY, q, slots))
             slots += 1
-        elif kind == DATA:
-            gates.append((DATA, q, int(rng.integers(3))))
         elif kind == CNOT:
             gates.append((CNOT, q, int((q + rng.integers(1, k)) % k)))
         else:
             gates.append((PAULI, q, str(rng.choice(["X", "Y", "Z"]))))
     gates += [(PAULI, 0, "Y"), (RY, k - 1, slots)]
-    return gates, rng.uniform(-3, 3, slots + 1), rng.uniform(-1, 1, 3)
+    return gates, rng.uniform(-3, 3, slots + 1)
 
 
 class TestBlockMatrices:
@@ -740,16 +727,16 @@ class TestBlockMatrices:
     def test_matches_the_dense_oracle(self, k):
         rng = np.random.default_rng(60 + k)
         for _ in range(4):
-            gates, params, latent = _random_block(rng, k)
-            assert {DATA, CNOT, PAULI} <= {g[0] for g in gates}
-            mats, slots = _block_matrices(k, gates, params, latent)
+            gates, params = _random_block(rng, k)
+            assert {CNOT, PAULI} <= {g[0] for g in gates}
+            mats, slots = _block_matrices(k, gates, params)
             assert slots == [g[2] for g in gates if g[0] == RY] == list(range(params.size))
             assert mats.shape == (1 + params.size, 1 << k, 1 << k)
             # real arrays apply Y as XZ = -iY
             phase = (-1j) ** sum(g[0] == PAULI and g[2] == "Y" for g in gates)
 
             def dense(p):
-                return np.column_stack([dense_run(gates, k, params=p, latent=latent, initial=e)
+                return np.column_stack([dense_run(gates, k, params=p, initial=e)
                                         for e in np.eye(1 << k)])
 
             np.testing.assert_allclose(mats[0].T, phase * dense(params), rtol=0, atol=1e-14)
@@ -758,7 +745,7 @@ class TestBlockMatrices:
                 turned[j] += math.pi
                 np.testing.assert_allclose(mats[1 + j].T, phase * dense(turned),
                                            rtol=0, atol=1e-14)
-                rebuilt = _block_matrices(k, gates, turned, latent)[0][0]
+                rebuilt = _block_matrices(k, gates, turned)[0][0]
                 np.testing.assert_allclose(mats[1 + j], rebuilt, rtol=0, atol=1e-15)
 
 

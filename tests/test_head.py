@@ -173,24 +173,27 @@ class TestPqcForward:
         with pytest.raises(ConfigurationError):
             pqc_forward(np.zeros(2), np.zeros(2), spec, NoiseModel(0, 0, 100), None)
 
-    @pytest.mark.parametrize("edit, message", [
-        ("repeat", "slot 0 at 2 RY gates"),
-        ("drop", "at 0 RY gates"),
-    ])
-    def test_plan_needs_each_lifted_slot_read_by_one_gate(self, monkeypatch, edit, message):
-        # the noisy gradient's sweep identity holds only for a slot read once
+    @pytest.mark.parametrize("edit", ["repeat", "drop"])
+    def test_a_step_needs_each_lifted_slot_read_by_one_gate(self, monkeypatch, edit):
+        # the finite-shot half-turn values need each slot read once; every
+        # sweep needs each slot read at all
         spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=1, reupload_layers=1)
         honest = assemble_head_circuit(spec)
         gates = list(honest.gates)
         if edit == "repeat":
             gates.insert(0, next(g for g in gates if g[0] == RY and g[2] == 0))
+            noise, message = NoiseModel(shots=256), "column 0 is read by 2 RY gates"
         else:
             last = count_parameters(spec) - 1
             gates.remove(next(g for g in gates if g[0] == RY and g[2] == last))
+            noise, message = None, f"{last} parameter slots but got {last + 1} parameters"
         monkeypatch.setattr(head_mod, "assemble_head_circuit",
                             lambda spec: GateList(honest.num_qubits, gates))
+        enc = EncoderConfig(num_encoders=1, encoder_qubits=3, encoder_layers=1)
+        model = build_hybrid_head(enc, spec, seed=30)
+        X = np.random.default_rng(30).standard_normal((2, 8))
         with pytest.raises(ConfigurationError, match=message):
-            head_mod._plan_pqc(spec, 3)
+            model.batch_loss_and_gradients(X, np.array([0, 1]), noise=noise)
 
 
 class TestLinearLogits:
