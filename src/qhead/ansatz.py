@@ -7,6 +7,7 @@ A circuit is a :class:`GateList` of plain tuples over a fixed register width:
     ("encode", step)          one full angle-encoding pass (expand before running)
     ("data", qubit, index)    encoding rotation reading ``latent[index]``
     ("pauli", qubit, label)   Pauli insertion from a noise trajectory
+    ("pauli", qubit, label, row)  the same, on row ``row`` of a batch only
 
 An entangling layer with offset c wires CNOT(i -> (i+c) mod Q) followed by a
 trainable RY on the target, for i = 0..Q-1, consuming Q parameters. A block of

@@ -121,12 +121,20 @@ def save_embeddings_csv(dataset: EmbeddingDataset, path) -> None:
             fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _parse_cell(parse, cell: str):
+    """``parse(cell)``, refusing the digit separators and non-ASCII digits
+    that Python's ``int`` and ``float`` take (``1_000``, full-width digits)."""
+    if "_" in cell or not cell.isascii():
+        raise ValueError(cell)
+    return parse(cell)
+
+
 def _bad_cell(fields: list[str], cells: list[str], lineno: int) -> str:
     """Name the first cell of a CSV line that is not an integer label or a number."""
     for name, cell in zip(fields, cells):
         parse, kind = (int, "an integer") if name == "label" else (float, "a number")
         try:
-            parse(cell)
+            _parse_cell(parse, cell)
         except ValueError:
             return f"line {lineno}: {name} cell {cell!r} is not {kind}"
     return f"line {lineno}: unreadable cells"
@@ -154,8 +162,8 @@ def _load_csv(path, num_classes: int | None) -> EmbeddingDataset:
                     f"line {lineno} has {len(cells)} fields, expected {dim + 1}"
                 )
             try:
-                labels.append(int(cells[0]))
-                row = np.array([float(c) for c in cells[1:]])
+                labels.append(_parse_cell(int, cells[0]))
+                row = np.array([_parse_cell(float, c) for c in cells[1:]])
             except ValueError:
                 raise DataFormatError(_bad_cell(fields, cells, lineno)) from None
             big = np.flatnonzero(np.isfinite(row) & (np.abs(row) > _FLOAT32_MAX))

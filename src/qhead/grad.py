@@ -7,7 +7,9 @@ Three gradient routes with different trade-offs:
   reference (noisy gradients come from ``qhead.head``'s one-sweep route);
 * adjoint reverse accumulation: one backward sweep over a unitary gate list
   (Jones & Gacon 2020, arXiv:2009.02823); a sampled trajectory is one, as
-  its Pauli records are un-applied like any other gate;
+  its Pauli records are un-applied like any other gate, and so are B
+  trajectories merged into one list whose Pauli records are tagged with
+  their row;
 * central finite differences: O(h^2) oracle used for cross-checking.
 
 Shifted evaluations run on real (rows, 2^Q) amplitude arrays from |0...0>,
@@ -72,8 +74,8 @@ def _apply_gate(amps: np.ndarray, n: int, g: tuple, params, latent) -> None:
         _cnot(amps, n, g[1], g[2])
     elif kind == DATA:
         _ry(amps, n, g[1], latent[..., g[2]])
-    elif kind == PAULI:
-        _pauli(amps, n, g[1], g[2])
+    elif kind == PAULI:  # a record tagged with a row acts on that row only
+        _pauli(amps if len(g) == 3 else amps[..., g[3], :], n, g[1], g[2])
     elif kind == ENCODE:
         raise ConfigurationError("encoding steps must be expanded before execution")
     else:
@@ -355,12 +357,13 @@ def adjoint_observable_gradients(circuit: GateList, params, latent, z_weights, f
 
     ``final`` holds the states the circuit ends in, as the caller ran them;
     the sweep copies them and does not run the circuit. The gate list must
-    be unitary: a noiseless circuit, or one sampled trajectory with its
-    Pauli records. Any of ``params`` (B, P), ``latent`` (B, L) or None,
-    ``z_weights`` (B, Q) and ``final`` (B, 2^Q) may carry a leading axis of
-    B rows; a 1-D value is shared by every row. Returns the per-row
-    gradients wrt params (B, P) and latent (B, L), with B = 1 when no
-    argument has a row axis. Real final states keep every state real.
+    be unitary: a noiseless circuit, one sampled trajectory with its Pauli
+    records, or B trajectories merged with row-tagged records. Any of
+    ``params`` (B, P), ``latent`` (B, L) or None, ``z_weights`` (B, Q) and
+    ``final`` (B, 2^Q) may carry a leading axis of B rows; a 1-D value is
+    shared by every row. Returns the per-row gradients wrt params (B, P) and
+    latent (B, L), with B = 1 when no argument has a row axis. Real final
+    states keep every state real.
     """
     params = np.asarray(params, dtype=np.float64)
     latent = None if latent is None else np.asarray(latent, dtype=np.float64)

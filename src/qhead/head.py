@@ -16,15 +16,16 @@ into row chunks of bounded memory. The readout is one matmul.
 
 The re-uploading circuit has one run-and-sweep routine, ``_run_rows``: B
 rows run from real |0...0> and, for gradients, one adjoint sweep from their
-final states. Noiseless batches call it on the expanded circuit once per
-row chunk, with one latent per row. Noisy samples call it one at a time, as
-one row, on their own trajectory of the lifted circuit (each encoding-gate
-occurrence its own angle slot, read by exactly one RY gate), sampled from
-their own trajectory and shot streams. On that trajectory the sweep's
-derivatives are exact, and at infinite shots they are the gradient. At
-finite shots the +/- pi/2 values a_j +/- c_j are sampled in pairs sharing
-one normal draw (common random numbers); a_j comes from the P + K values
-turned by pi (P circuit angles, K encoding-gate occurrences), run as one
+final states. It runs once per row chunk. Noiseless rows run the expanded
+circuit, with one latent per row. Noisy rows run the lifted circuit (each
+encoding-gate occurrence its own angle slot, read by exactly one RY gate):
+each sample draws its trajectory from its own stream, and the chunk's
+trajectories run as one array, each Pauli record tagged with its row
+(``_merge_trajectories``). On its trajectory a row's swept derivatives are
+exact, and at infinite shots they are the gradient. At finite shots the
++/- pi/2 values a_j +/- c_j are sampled in pairs sharing one normal draw
+(common random numbers); a_j comes from the P + K values turned by pi (P
+circuit angles, K encoding-gate occurrences), each sample's run as one
 real-valued batch of fused gate blocks (see ``qhead.grad``). A training step
 runs each encoder's circuit once and keeps the final states; since all rows
 share the encoder's angles, its gradient is one sweep back from them by the
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import seeding
-from .ansatz import RY, CircuitSpec, GateList, assemble_head_circuit, build_block, count_parameters, expand_encoding
+from .ansatz import PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, build_block, count_parameters, expand_encoding
 from .errors import ConfigurationError
 from .grad import (
     _batch_expectations,
@@ -156,37 +157,22 @@ def _run_rows(circuit: GateList, params, latents, grads: bool) -> tuple:
                                              np.eye(circuit.num_qubits)[0], amps))
 
 
-def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
-                  noise: noise_mod.NoiseModel, rng_traj, rng_shot, grads: bool):
-    """z estimate of one noisy sample; with ``grads`` also dz/dtheta_q and dz/dlatent.
+def _merge_trajectories(lifted: GateList, runs) -> GateList:
+    """One gate list for B trajectories of ``lifted``, each Pauli record tagged with its row.
 
-    One trajectory of the lifted circuit, read on qubit 0, which reads each
-    slot of ``ext = concat(theta_q, latent[occurrences])`` at exactly one RY
-    gate. On that trajectory E(ext_j + s) is a_j + b_j cos s + c_j sin s, so
-    E(ext_j +/- pi/2) = a_j +/- c_j with c = dE/d(ext). The unshifted row
-    runs once, and one adjoint sweep from its final state gives c. At finite
-    shots the +/- pi/2 values are sampled as common-random-number pairs, with
-    a_j = [E + E(ext_j + pi)] / 2 from ``_batch_expectations``, which checks
-    that each slot is read once; at infinite shots the gradient is c.
+    Every gate of ``lifted`` is followed by the records that row b's
+    trajectory ``runs[b]`` inserts after it, as ("pauli", qubit, label, b).
     """
-    run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
-    ext = np.concatenate([theta_q, latent[plan.occurrences]])
-    run = _run_rows(run_list, ext[None], None, grads)
-    value = float(run[0][0])
-    z = value
-    if noise.shots is not None:
-        z = noise_mod.shot_sample_expectation(value, noise.shots, rng_shot)
-    if not grads:
-        return z
-    g_ext = run[1][0]
-    if noise.shots is not None:
-        mid = (value + _batch_expectations(run_list, ext)) / 2.0
-        plus, minus = noise_mod.paired_shot_estimates(mid + g_ext, mid - g_ext,
-                                                      noise.shots, rng_shot)
-        g_ext = (plus - minus) / 2.0
-    glatent = np.zeros(plan.latent_dim)
-    np.add.at(glatent, plan.occurrences, g_ext[plan.n_params :])
-    return z, g_ext[: plan.n_params], glatent
+    after: list[list[tuple]] = [[] for _ in lifted.gates]
+    for row, run in enumerate(runs):
+        at = -1
+        for g in run.gates:
+            if g[0] == PAULI:
+                after[at].append((*g, row))
+            else:
+                at += 1
+    return GateList(lifted.num_qubits, [r for g, tail in zip(lifted.gates, after)
+                                        for r in (g, *tail)])
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +279,10 @@ class HybridHead:
     def _circuit(self, latent: np.ndarray, noise, seed_path, grads: bool):
         """Per-row z (B,); with ``grads`` also dz/dtheta_q (B, P) and dz/dlatent (B, L).
 
-        Noiseless rows run in ``_row_chunks``, for values and gradients
-        alike. Noisy rows run one at a time, each on its own trajectory and
-        shot streams at seed path ``(*seed_path, i)``.
+        Rows run in ``_row_chunks``, for values and gradients alike. Noisy
+        sample i draws its trajectory and shots from its streams at seed path
+        ``(*seed_path, i)``; a chunk's trajectories run and sweep as one
+        array, then each sample's shot work follows in index order.
         """
         if latent.shape[1:] != (self.plan.latent_dim,):
             raise ConfigurationError(f"expected latents of shape (rows, {self.plan.latent_dim}) "
@@ -305,15 +292,35 @@ class HybridHead:
                     for rows in _row_chunks(len(latent), self.spec.qubits) or [slice(0)]]
             out = tuple(map(np.concatenate, zip(*runs)))
             return out if grads else out[0]
-        per_row = [
-            _noisy_sample(self.plan, self.theta_q, row, noise,
-                          *self._streams(noise, seed_path, i), grads)
-            for i, row in enumerate(latent)
-        ]
+        plan, shots = self.plan, noise.shots
+        z = np.empty(len(latent))
+        g_ext = np.empty((len(latent), plan.n_params + plan.occurrences.size))
+        for rows in _row_chunks(len(latent), self.spec.qubits):
+            index = range(len(latent))[rows]
+            streams = [self._streams(noise, seed_path, i) for i in index]
+            runs = [noise_mod.sample_pauli_insertions(plan.lifted, noise, traj)
+                    for traj, _ in streams]
+            ext = np.column_stack([np.tile(self.theta_q, (len(index), 1)),
+                                   latent[rows][:, plan.occurrences]])
+            run = _run_rows(_merge_trajectories(plan.lifted, runs), ext, None, grads)
+            for b, (i, run_list, (_, rng_shot)) in enumerate(zip(index, runs, streams)):
+                value = float(run[0][b])
+                z[i] = value if shots is None else noise_mod.shot_sample_expectation(
+                    value, shots, rng_shot)
+                if not grads:
+                    continue
+                g_ext[i] = run[1][b]
+                if shots is not None:
+                    # E(ext_j +/- pi/2) = a_j +/- c_j, a_j = [E + E(ext_j + pi)] / 2
+                    mid = (value + _batch_expectations(run_list, ext[b])) / 2.0
+                    plus, minus = noise_mod.paired_shot_estimates(mid + g_ext[i], mid - g_ext[i],
+                                                                  shots, rng_shot)
+                    g_ext[i] = (plus - minus) / 2.0
         if not grads:
-            return np.array(per_row)
-        z, gtheta, glatent = zip(*per_row)
-        return np.array(z), np.stack(gtheta), np.stack(glatent)
+            return z
+        glatent = np.zeros((len(latent), plan.latent_dim))
+        np.add.at(glatent, (slice(None), plan.occurrences), g_ext[:, plan.n_params :])
+        return z, g_ext[:, : plan.n_params], glatent
 
     def _logits(self, latent: np.ndarray, z: np.ndarray):
         """(B, classes) logits and the readout features concat(latent, z).

@@ -24,7 +24,6 @@ from qhead.grad import (
 from qhead.head import (
     EncoderConfig,
     HybridHead,
-    _noisy_sample,
     _plan_pqc,
     _run_rows,
     build_hybrid_head,
@@ -35,7 +34,13 @@ from qhead.simcore import zero_state
 from qhead.trainer import load_parameters, softmax_cross_entropy_batch
 
 from oracles import dense_run, dense_z
-from reference import _pqc_value, _pqc_value_and_grads, encoder_backward, encoder_forward
+from reference import (
+    _noisy_sample,
+    _pqc_value,
+    _pqc_value_and_grads,
+    encoder_backward,
+    encoder_forward,
+)
 
 SPEC = CircuitSpec(qubits=4, main_layers=1, reupload_count=2, reupload_layers=1)
 HEAVY_NOISE = dict(p1q=0.2, p2q=0.2, seed=11)
@@ -249,6 +254,36 @@ def test_row_chunks_change_no_logit(noise, monkeypatch):
     # two 4-qubit rows per chunk: chunks of 2, 2, 2 and 1 rows
     monkeypatch.setattr("qhead.grad._CHUNK_ELEMENTS", 2 << 4)
     np.testing.assert_array_equal(model.predict_logits(X, noise=noise, seed_path=SEED_PATH), whole)
+
+
+@pytest.mark.parametrize("shots", [None, 500])
+def test_noisy_step_in_row_chunks_is_bit_identical(shots, monkeypatch):
+    """Sample i keeps its ``(*seed_path, i)`` streams when its rows run in chunks.
+
+    The MLP encoder runs no row chunks, so every bit of the step comes from
+    the circuit's rows (a quantum encoder's gradient sums its chunks in
+    another order).
+    """
+    model = _mlp_head()
+    noise = NoiseModel(shots=shots, **HEAVY_NOISE)
+    rng = np.random.default_rng(26)
+    X = rng.standard_normal((5, 16))
+    y = rng.integers(2, size=5)
+    whole_loss, whole = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=SEED_PATH)
+    # two 4-qubit rows per chunk: chunks of 2, 2 and 1 rows
+    monkeypatch.setattr("qhead.grad._CHUNK_ELEMENTS", 2 << 4)
+    rows = []
+
+    def counted(circuit, params, latents, grads):
+        rows.append(len(params))
+        return _run_rows(circuit, params, latents, grads)
+
+    monkeypatch.setattr("qhead.head._run_rows", counted)
+    loss, grads = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=SEED_PATH)
+    assert rows == [2, 2, 1]
+    assert loss == whole_loss
+    for key, g in whole.items():
+        np.testing.assert_array_equal(grads[key], g)
 
 
 @pytest.mark.parametrize("grads", [False, True])

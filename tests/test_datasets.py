@@ -355,6 +355,18 @@ def test_malformed_csv_cell_names_line_and_cell(tmp_path, row, cell):
         load_embeddings(path, "csv")
 
 
+@pytest.mark.parametrize("row, cell", [("1,1_000,2.0", "f0 cell '1_000'"),
+                                       ("1,1.0,\uff11.5", "f1 cell '\uff11.5'"),
+                                       ("1_0,1.0,2.0", "label cell '1_0'"),
+                                       ("\uff11,1.0,2.0", "label cell '\uff11'")])
+def test_csv_cell_in_python_only_number_syntax_names_line_and_cell(tmp_path, row, cell):
+    # Python's int and float take digit separators and non-ASCII digits
+    path = tmp_path / "syntax.csv"
+    path.write_text(f"label,f0,f1\n0,1.0,2.0\n{row}\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match=f"line 3: {cell} is not an? "):
+        load_embeddings(path, "csv")
+
+
 @pytest.mark.parametrize("cell", ["1e39", "-3.5e38"])
 def test_csv_cell_beyond_float32_names_line_and_cell(tmp_path, cell):
     # finite as float64, but the float32 vectors would hold inf

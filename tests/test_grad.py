@@ -35,7 +35,7 @@ from qhead.grad import (
     run_gates,
     trajectory_expectation,
 )
-from qhead.head import EncoderConfig, QuantumEncoder, encoder_circuit
+from qhead.head import EncoderConfig, QuantumEncoder, _merge_trajectories, _plan_pqc, encoder_circuit
 from qhead.noise import NoiseModel, sample_pauli_insertions
 from qhead.simcore import _z_expectation, amplitude_encode, amplitude_encode_rows
 
@@ -338,6 +338,42 @@ class TestBatchedAdjoint:
         params, latent, weights, _ = self._rows(64)
         with pytest.raises(ConfigurationError, match=message):
             adjoint_observable_gradients(circuit, params, latent, weights, np.zeros(shape))
+
+
+def test_row_tagged_pauli_records_act_on_their_row_only():
+    """B trajectories merged into one list, each Pauli record tagged with its
+    row, run and sweep as one array with the bits of each trajectory alone."""
+    plan = _plan_pqc(CircuitSpec(qubits=3, main_layers=1, reupload_count=1), 6)
+    lifted = plan.lifted.gates
+    first_ry = next(i for i, g in enumerate(lifted) if g[0] == RY)
+    first_cnot = next(i for i, g in enumerate(lifted) if g[0] == CNOT)
+    control, target = lifted[first_cnot][1:]
+
+    def inserted(after):
+        return GateList(3, [r for i, g in enumerate(lifted) for r in (g, *after.get(i, ()))])
+
+    runs = [
+        plan.lifted,
+        inserted({first_ry: [(PAULI, lifted[first_ry][1], "Y")]}),
+        inserted({first_cnot: [(PAULI, control, "X"), (PAULI, target, "Z")]}),
+        sample_pauli_insertions(plan.lifted, NoiseModel(p1q=0.3, p2q=0.3), np.random.default_rng(5)),
+        inserted({0: [(PAULI, 0, "Z")], len(lifted) - 1: [(PAULI, 0, "Y"), (PAULI, 2, "X")]}),
+    ]
+    merged = _merge_trajectories(plan.lifted, runs)
+    tags = [g[3] for g in merged.gates if g[0] == PAULI]
+    assert len(tags) == sum(len(r) - len(lifted) for r in runs)
+    assert sorted(set(tags)) == [1, 2, 3, 4]
+    rng = np.random.default_rng(71)
+    ext = rng.uniform(-math.pi, math.pi, (len(runs), plan.n_params + plan.occurrences.size))
+    weights = rng.standard_normal((len(runs), 3))
+    final = run_gates(np.repeat(np.eye(1, 8), len(runs), axis=0), merged, ext, None)
+    gp, gl = adjoint_observable_gradients(merged, ext, None, weights, final)
+    assert gl.shape == (len(runs), 0)
+    for b, run in enumerate(runs):
+        alone = run_gates(np.eye(1, 8), run, ext[b : b + 1], None)
+        np.testing.assert_array_equal(final[b], alone[0])
+        (one,), _ = adjoint_observable_gradients(run, ext[b : b + 1], None, weights[b : b + 1], alone)
+        np.testing.assert_array_equal(gp[b], one)
 
 
 class TestLiftDataSlots:

@@ -8,16 +8,16 @@ import pytest
 
 import qhead.head as head_mod
 import qhead.simcore as simcore
-from qhead.ansatz import RY, CircuitSpec, GateList, count_parameters, expand_encoding, assemble_head_circuit
+from qhead.ansatz import CNOT, RY, CircuitSpec, GateList, count_parameters, expand_encoding, assemble_head_circuit
 from qhead.checkpoint import load_checkpoint, save_checkpoint
 from qhead.errors import ConfigurationError, DegenerateInputError
 from qhead.grad import evaluate_expectation
 from qhead.head import EncoderConfig, build_hybrid_head, encoder_circuit
-from qhead.noise import NoiseModel
+from qhead.noise import NoiseModel, depolarizing_reference_expectation
 from qhead.seeding import PARAM_INIT, stream
 from qhead.trainer import load_parameters, softmax_cross_entropy_batch
 
-from oracles import dense_run, dense_z
+from oracles import dense_run, dense_z, density_z, depolarizing_density_run
 from reference import (
     HeadParams,
     count_head_parameters,
@@ -573,3 +573,63 @@ def test_checkpoint_text_that_is_not_utf8_names_its_byte(tmp_path, field, at):
     path.write_bytes(bytes(blob))
     with pytest.raises(DataFormatError, match=f"{field}: line 1 is not UTF-8 \\(byte {at}\\)"):
         load_checkpoint(path)
+
+
+def test_density_oracle_matches_the_two_qubit_channel_reference():
+    rng = np.random.default_rng(42)
+    gates = [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1), ("pauli", 1, "Y"), (CNOT, 1, 0), (RY, 0, 2)]
+    params = rng.uniform(-math.pi, math.pi, 3)
+    noise = NoiseModel(p1q=0.1, p2q=0.2)
+    for measured in (0, 1):
+        want = depolarizing_reference_expectation(GateList(2, gates), params, noise, measured)
+        rho = depolarizing_density_run(gates, 2, params, None, noise.p1q, noise.p2q)
+        assert abs(density_z(rho, measured, 2) - want) <= 1e-14
+
+
+# chi-squared with 16 degrees of freedom: P(X > 45.92) = 1.0e-4, from the
+# closed form exp(-x/2) sum_{i<8} (x/2)^i / i! of its survival function
+CHI2_16_UPPER_1E4 = 45.92
+
+
+@pytest.mark.parametrize("shots", [None, 1000])
+def test_noisy_route_averages_to_the_exact_channel(shots):
+    """Values and gradients of many noisy samples of one latent, against the
+    depolarizing channel's density matrix.
+
+    With the channel after each gate, each slot of ext = concat(theta_q,
+    latent[occurrences]) still enters E as one frequency, so the shift rule
+    gives the channel's exact gradient; dz/dlatent sums the slots of each
+    entry. The N samples go through ``HybridHead._circuit``, each on its own
+    trajectory and shot streams. The decision rule was fixed before the first
+    run: over the 1 + P + L = 16 components, z_c = (sample mean - exact) /
+    standard error; the sum of z_c^2 stays below the chi-squared(16) upper
+    1e-4 quantile, and every |z_c| below 4.5.
+    """
+    n, samples = 3, 4000
+    spec = CircuitSpec(qubits=n, main_layers=2, reupload_layers=1, reupload_count=2)
+    model = build_hybrid_head(EncoderConfig(1, n, 1), spec, seed=0)
+    plan = model.plan
+    latent = np.random.default_rng(0).uniform(-1, 1, n)
+    ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
+    noise = NoiseModel(p1q=0.02, p2q=0.05, shots=shots, seed=3)
+
+    def exact(e):
+        rho = depolarizing_density_run(plan.lifted.gates, n, e, None, noise.p1q, noise.p2q)
+        return density_z(rho, 0, n)
+
+    turns = (math.pi / 2) * np.eye(ext.size)
+    plus = np.array([exact(ext + t) for t in turns])
+    minus = np.array([exact(ext - t) for t in turns])
+    value = exact(ext)
+    # |E| well below 1, where the shot sampler's clamp would bias the mean
+    assert max(abs(value), np.abs(plus).max(), np.abs(minus).max()) < 0.5
+    g_ext = (plus - minus) / 2.0
+    g_latent = np.zeros(n)
+    np.add.at(g_latent, plan.occurrences, g_ext[plan.n_params :])
+    want = np.concatenate([[value], g_ext[: plan.n_params], g_latent])
+
+    z, g_theta, g_lat = model._circuit(np.tile(latent, (samples, 1)), noise, (0,), grads=True)
+    drawn = np.column_stack([z, g_theta, g_lat])
+    assert drawn.shape == (samples, want.size) == (samples, 16)
+    scores = (drawn.mean(axis=0) - want) / (drawn.std(axis=0, ddof=1) / math.sqrt(samples))
+    assert np.sum(scores**2) < CHI2_16_UPPER_1E4 and np.abs(scores).max() < 4.5, scores
