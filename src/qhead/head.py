@@ -14,22 +14,21 @@ is exact: the inputs are amplitude-encoded into one array, and each encoder
 runs its circuit once over all rows. Forward passes split very large batches
 into row chunks of bounded memory. The readout is one matmul.
 
-The re-uploading circuit has one run-and-sweep routine, ``_run_rows``: B
-rows run from real |0...0> and, for gradients, one adjoint sweep from their
-final states. It runs once per row chunk. Noiseless rows run the expanded
-circuit, with one latent per row. Noisy rows run the lifted circuit (each
-encoding-gate occurrence its own angle slot, read by exactly one RY gate):
-each sample draws its trajectory from its own stream, and the chunk's
-trajectories run as one array, each Pauli record tagged with its row
-(``_merge_trajectories``). On its trajectory a row's swept derivatives are
-exact, and at infinite shots they are the gradient. At finite shots the
-+/- pi/2 values a_j +/- c_j are sampled in pairs sharing one normal draw
-(common random numbers); a_j comes from the P + K values turned by pi (P
-circuit angles, K encoding-gate occurrences), each sample's run as one
-real-valued batch of fused gate blocks (see ``qhead.grad``). A training step
-runs each encoder's circuit once and keeps the final states; since all rows
-share the encoder's angles, its gradient is one sweep back from them by the
-same fused blocks. This is the package's one head API (``EncoderConfig``,
+The re-uploading circuit runs one plan circuit whose k-th encoding rotation
+reads angle k: each row carries its K occurrence angles latent[occurrences],
+and all rows share the P trainable angles. ``_run_rows`` runs B rows from
+real |0...0> and, for gradients, one adjoint sweep from their final states,
+once per row chunk, clean or noisy. Under gate noise each sample draws its
+trajectory from its own stream, and the chunk's trajectories run as one
+array, each Pauli record tagged with its row (``_merge_trajectories``). On
+its trajectory a row's swept derivatives are exact, and at infinite shots
+they are the gradient. At finite shots the +/- pi/2 values a_j +/- c_j are
+sampled in pairs sharing one normal draw (common random numbers); a_j comes
+from the P + K values turned by pi, each sample's run as one real-valued
+batch of fused gate blocks (see ``qhead.grad``). A training step runs each
+encoder's circuit once and keeps the final states; since all rows share the
+encoder's angles, its gradient is one sweep back from them by the same fused
+blocks. This is the package's one head API (``EncoderConfig``,
 ``QuantumEncoder``, ``HybridHead``, ``build_hybrid_head``); the tests check
 it against the per-sample references in ``tests/reference.py``, hand-built
 +/- pi/2 rows and the parameter-shift rule.
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import seeding
-from .ansatz import PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, build_block, count_parameters, expand_encoding
+from .ansatz import DATA, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, build_block, count_parameters, expand_encoding
 from .errors import ConfigurationError
 from .grad import (
     _batch_expectations,
@@ -113,10 +112,13 @@ def encoder_circuit(config: EncoderConfig) -> GateList:
 
 @dataclass
 class _PqcPlan:
-    """Precomputed circuit structure for one (spec, latent length) pairing."""
+    """Precomputed circuit structure for one (spec, latent length) pairing.
 
-    expanded: GateList
-    lifted: GateList
+    ``circuit`` is the expanded head circuit whose k-th DATA record reads
+    angle k; a row's angles are ``latent[occurrences]``, one per occurrence.
+    """
+
+    circuit: GateList
     occurrences: np.ndarray
     n_params: int
     latent_dim: int
@@ -134,36 +136,39 @@ def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
             f"latent length {latent_dim} is not a positive multiple of the circuit "
             f"width {spec.qubits}"
         )
-    expanded = expand_encoding(assemble_head_circuit(spec), latent_dim // spec.qubits)
-    lifted, occurrences = lift_data_slots(expanded)
-    return _PqcPlan(expanded, lifted, occurrences, count_parameters(spec), latent_dim)
+    expanded = expand_encoding(assemble_head_circuit(spec), latent_dim // spec.qubits).gates
+    occurrences = np.array([g[2] for g in expanded if g[0] == DATA], dtype=np.intp)
+    k = iter(range(occurrences.size))
+    circuit = GateList(spec.qubits, [(DATA, g[1], next(k)) if g[0] == DATA else g
+                                     for g in expanded])
+    return _PqcPlan(circuit, occurrences, count_parameters(spec), latent_dim)
 
 
-def _run_rows(circuit: GateList, params, latents, grads: bool) -> tuple:
+def _run_rows(circuit: GateList, params, angles, grads: bool) -> tuple:
     """(z,) on qubit 0 of B rows run from real |0...0>; with ``grads`` also the gradients.
 
-    ``params`` (P,) or (B, P) and ``latents`` (B, L) or None; B is the length
-    of ``latents``, or of ``params`` without them. With ``grads`` the result
-    is (z, dz/dparams (B, P), dz/dlatents (B, L)), from one adjoint sweep
-    that starts at the rows' final states.
+    ``params`` (P,) are shared by every row and ``angles`` (B, K) are each
+    row's DATA angles. With ``grads`` the result is (z, dz/dparams (B, P),
+    dz/dangles (B, K)), from one adjoint sweep that starts at the rows'
+    final states.
     """
-    amps = np.zeros((len(params if latents is None else latents), 1 << circuit.num_qubits))
+    amps = np.zeros((len(angles), 1 << circuit.num_qubits))
     amps[:, 0] = 1.0
-    run_gates(amps, circuit, params, latents)
+    run_gates(amps, circuit, params, angles)
     z = _z_expectation(amps, circuit.num_qubits, 0)
     if not grads:
         return (z,)
-    return (z, *adjoint_observable_gradients(circuit, params, latents,
+    return (z, *adjoint_observable_gradients(circuit, params, angles,
                                              np.eye(circuit.num_qubits)[0], amps))
 
 
-def _merge_trajectories(lifted: GateList, runs) -> GateList:
-    """One gate list for B trajectories of ``lifted``, each Pauli record tagged with its row.
+def _merge_trajectories(circuit: GateList, runs) -> GateList:
+    """One gate list for B trajectories of ``circuit``, each Pauli record tagged with its row.
 
-    Every gate of ``lifted`` is followed by the records that row b's
+    Every gate of ``circuit`` is followed by the records that row b's
     trajectory ``runs[b]`` inserts after it, as ("pauli", qubit, label, b).
     """
-    after: list[list[tuple]] = [[] for _ in lifted.gates]
+    after: list[list[tuple]] = [[] for _ in circuit.gates]
     for row, run in enumerate(runs):
         at = -1
         for g in run.gates:
@@ -171,8 +176,8 @@ def _merge_trajectories(lifted: GateList, runs) -> GateList:
                 after[at].append((*g, row))
             else:
                 at += 1
-    return GateList(lifted.num_qubits, [r for g, tail in zip(lifted.gates, after)
-                                        for r in (g, *tail)])
+    return GateList(circuit.num_qubits, [r for g, tail in zip(circuit.gates, after)
+                                         for r in (g, *tail)])
 
 
 # ---------------------------------------------------------------------------
@@ -270,51 +275,46 @@ class HybridHead:
             arrays["linear"] = self.linear
         return arrays
 
-    @staticmethod
-    def _streams(noise, seed_path, sample_index):
-        """The trajectory and shot streams of one noisy sample."""
-        return (seeding.stream(noise.seed, seeding.TRAJECTORY, *seed_path, sample_index),
-                seeding.stream(noise.seed, seeding.SHOTS, *seed_path, sample_index))
-
     def _circuit(self, latent: np.ndarray, noise, seed_path, grads: bool):
         """Per-row z (B,); with ``grads`` also dz/dtheta_q (B, P) and dz/dlatent (B, L).
 
-        Rows run in ``_row_chunks``, for values and gradients alike. Noisy
-        sample i draws its trajectory and shots from its streams at seed path
-        ``(*seed_path, i)``; a chunk's trajectories run and sweep as one
-        array, then each sample's shot work follows in index order.
+        Every row runs ``plan.circuit`` at its occurrence angles, one
+        ``_run_rows`` call per row chunk. Under gate noise, sample i draws
+        its trajectory from its stream at seed path ``(*seed_path, i)`` and
+        the chunk's trajectories run and sweep as one array. At finite shots
+        each sample's shot work follows, in index order, from its SHOTS
+        stream; dz/dlatent sums the occurrences of each latent entry.
         """
         if latent.shape[1:] != (self.plan.latent_dim,):
             raise ConfigurationError(f"expected latents of shape (rows, {self.plan.latent_dim}) "
                                      f"from the encoder, got {latent.shape}")
-        if noise is None or noise.is_noiseless:
-            runs = [_run_rows(self.plan.expanded, self.theta_q, latent[rows], grads)
-                    for rows in _row_chunks(len(latent), self.spec.qubits) or [slice(0)]]
-            out = tuple(map(np.concatenate, zip(*runs)))
-            return out if grads else out[0]
-        plan, shots = self.plan, noise.shots
+        plan, noise = self.plan, noise or noise_mod.NoiseModel()
+        gate_noise = noise.p1q > 0.0 or noise.p2q > 0.0
+        angles = latent[:, plan.occurrences]
         z = np.empty(len(latent))
         g_ext = np.empty((len(latent), plan.n_params + plan.occurrences.size))
         for rows in _row_chunks(len(latent), self.spec.qubits):
             index = range(len(latent))[rows]
-            streams = [self._streams(noise, seed_path, i) for i in index]
-            runs = [noise_mod.sample_pauli_insertions(plan.lifted, noise, traj)
-                    for traj, _ in streams]
-            ext = np.column_stack([np.tile(self.theta_q, (len(index), 1)),
-                                   latent[rows][:, plan.occurrences]])
-            run = _run_rows(_merge_trajectories(plan.lifted, runs), ext, None, grads)
-            for b, (i, run_list, (_, rng_shot)) in enumerate(zip(index, runs, streams)):
-                value = float(run[0][b])
-                z[i] = value if shots is None else noise_mod.shot_sample_expectation(
-                    value, shots, rng_shot)
-                if not grads:
-                    continue
-                g_ext[i] = run[1][b]
-                if shots is not None:
+            runs, circuit = [plan.circuit] * len(index), plan.circuit
+            if gate_noise:
+                runs = [noise_mod.sample_pauli_insertions(plan.circuit, noise, seeding.stream(
+                    noise.seed, seeding.TRAJECTORY, *seed_path, i)) for i in index]
+                circuit = _merge_trajectories(plan.circuit, runs)
+            z[rows], *swept = _run_rows(circuit, self.theta_q, angles[rows], grads)
+            if grads:
+                g_ext[rows, : plan.n_params], g_ext[rows, plan.n_params :] = swept
+            if noise.shots is None:
+                continue
+            for i, run_list in zip(index, runs):
+                rng_shot = seeding.stream(noise.seed, seeding.SHOTS, *seed_path, i)
+                value = z[i]
+                z[i] = noise_mod.shot_sample_expectation(value, noise.shots, rng_shot)
+                if grads:
                     # E(ext_j +/- pi/2) = a_j +/- c_j, a_j = [E + E(ext_j + pi)] / 2
-                    mid = (value + _batch_expectations(run_list, ext[b])) / 2.0
+                    ext = np.concatenate([self.theta_q, angles[i]])
+                    mid = (value + _batch_expectations(lift_data_slots(run_list)[0], ext)) / 2.0
                     plus, minus = noise_mod.paired_shot_estimates(mid + g_ext[i], mid - g_ext[i],
-                                                                  shots, rng_shot)
+                                                                  noise.shots, rng_shot)
                     g_ext[i] = (plus - minus) / 2.0
         if not grads:
             return z

@@ -40,10 +40,6 @@ class NoiseModel:
         if self.shots is not None and self.shots < 1:
             raise ConfigurationError(f"shots must be >= 1 when finite, got {self.shots}")
 
-    @property
-    def is_noiseless(self) -> bool:
-        return self.p1q == 0.0 and self.p2q == 0.0 and self.shots is None
-
 
 def _require_rng(rng, what: str) -> np.random.Generator:
     """``rng``, or a ConfigurationError when draws are due and there is none."""

@@ -7,10 +7,13 @@ against these simpler routes:
   state from ``amplitude_encode``; ``encoder_backward(method="shift")``
   takes the full shift-rule Jacobian of ``parameter_shift_jacobian``, whose
   +/- pi/2 rows each run alone through ``run_gates``;
-* ``_noisy_sample`` runs one noisy sample alone: one row forward and one
-  one-row adjoint sweep on its own trajectory, then its shot work; the head
-  runs a row chunk's trajectories as one array. ``pqc_forward``,
-  ``_pqc_value`` and ``_pqc_value_and_grads`` run one sample through it;
+* ``_noisy_sample`` runs one noisy sample alone, on its own trajectory of
+  the lifted plan circuit (each encoding occurrence an RY slot, every angle
+  in one per-row vector): one row forward and one one-row adjoint sweep,
+  then its shot work. The head runs a row chunk's trajectories of the plan
+  circuit as one array, its trainable angles shared by every row.
+  ``pqc_forward``, ``_pqc_value`` and ``_pqc_value_and_grads`` run one
+  sample through it;
 * ``per_gate_expectations`` runs shifted rows one kernel call per gate,
   each row from its first differing gate: the check on
   ``grad._batch_expectations``, whose half-turn rows it runs as
@@ -36,6 +39,7 @@ from qhead.grad import (
     _prepare,
     _shift_rows,
     adjoint_observable_gradients,
+    lift_data_slots,
     run_gates,
 )
 from qhead.head import (
@@ -44,7 +48,6 @@ from qhead.head import (
     QuantumEncoder,
     _plan_pqc,
     _PqcPlan,
-    _run_rows,
     build_hybrid_head,
     encoder_circuit,
 )
@@ -137,25 +140,28 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
                   noise: noise_mod.NoiseModel, rng_traj, rng_shot, grads: bool):
     """z estimate of one noisy sample; with ``grads`` also dz/dtheta_q and dz/dlatent.
 
-    One trajectory of the lifted circuit, read on qubit 0, which reads each
-    slot of ``ext = concat(theta_q, latent[occurrences])`` at exactly one RY
-    gate. On that trajectory E(ext_j + s) is a_j + b_j cos s + c_j sin s, so
-    E(ext_j +/- pi/2) = a_j +/- c_j with c = dE/d(ext). The unshifted row
-    runs once, and one adjoint sweep from its final state gives c. At finite
+    One trajectory of the lifted plan circuit, read on qubit 0, which reads
+    each slot of ``ext = concat(theta_q, latent[occurrences])`` at exactly
+    one RY gate. On that trajectory E(ext_j + s) is a_j + b_j cos s +
+    c_j sin s, so E(ext_j +/- pi/2) = a_j +/- c_j with c = dE/d(ext). The
+    unshifted row runs once through ``run_gates``, and one adjoint sweep
+    from its final state gives c. At finite
     shots the +/- pi/2 values are sampled as common-random-number pairs, with
     a_j = [E + E(ext_j + pi)] / 2 from ``_batch_expectations``, which checks
     that each slot is read once; at infinite shots the gradient is c.
     """
-    run_list = noise_mod.sample_pauli_insertions(plan.lifted, noise, rng_traj)
+    run_list = noise_mod.sample_pauli_insertions(lift_data_slots(plan.circuit)[0], noise,
+                                                 rng_traj)
     ext = np.concatenate([theta_q, latent[plan.occurrences]])
-    run = _run_rows(run_list, ext[None], None, grads)
-    value = float(run[0][0])
+    n = run_list.num_qubits
+    final = run_gates(np.eye(1, 1 << n), run_list, ext, None)
+    value = float(_z_expectation(final, n, 0)[0])
     z = value
     if noise.shots is not None:
         z = noise_mod.shot_sample_expectation(value, noise.shots, rng_shot)
     if not grads:
         return z
-    g_ext = run[1][0]
+    g_ext = adjoint_observable_gradients(run_list, ext, None, np.eye(n)[0], final)[0][0]
     if noise.shots is not None:
         mid = (value + _batch_expectations(run_list, ext)) / 2.0
         plus, minus = noise_mod.paired_shot_estimates(mid + g_ext, mid - g_ext,

@@ -32,7 +32,13 @@ from qhead.datasets import (
     synthetic_clusters,
 )
 from qhead.energy import find_crossover
-from qhead.grad import adjoint_gradient, parameter_shift_gradient, run_gates, trajectory_expectation
+from qhead.grad import (
+    adjoint_gradient,
+    lift_data_slots,
+    parameter_shift_gradient,
+    run_gates,
+    trajectory_expectation,
+)
 from qhead.head import EncoderConfig, build_hybrid_head
 from qhead.noise import (
     NoiseModel,
@@ -138,7 +144,8 @@ def _noisy_shift_deviation(model, latent, noise, trial, *path):
     got = _pqc_value_and_grads(plan, model.theta_q, latent, noise,
                                stream(trial, TRAJECTORY, *path), stream(trial, SHOTS, *path))
 
-    run_list = sample_pauli_insertions(plan.lifted, noise, stream(trial, TRAJECTORY, *path))
+    run_list = sample_pauli_insertions(lift_data_slots(plan.circuit)[0], noise,
+                                       stream(trial, TRAJECTORY, *path))
     ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
     total = ext.size
     rows = [ext]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qhead.ansatz import PAULI, CircuitSpec
+from qhead.ansatz import PAULI, CircuitSpec, assemble_head_circuit, expand_encoding
 from qhead.baselines import MlpConfig, MlpEncoder
 from qhead.errors import ConfigurationError
 from qhead.grad import (
@@ -85,18 +85,22 @@ def _sample_latent(model, x):
     return np.concatenate([encoder_forward(x, t, encoder.config) for t in encoder.theta])
 
 
+def _expanded(spec, latent_dim):
+    """The spec's head circuit whose DATA records read the latent itself."""
+    return expand_encoding(assemble_head_circuit(spec), latent_dim // spec.qubits)
+
+
 def _sample_circuit(model, latent, noise, i, grads):
-    plan = model.plan
     if noise is not None:
         run = _pqc_value_and_grads if grads else _pqc_value
-        return run(plan, model.theta_q, latent, noise, *_streams(noise, i))
-    z = evaluate_expectation(plan.expanded, model.theta_q, latent, 0)
+        return run(model.plan, model.theta_q, latent, noise, *_streams(noise, i))
+    expanded = _expanded(model.spec, latent.size)
+    z = evaluate_expectation(expanded, model.theta_q, latent, 0)
     if not grads:
         return z
-    final = run_gates(zero_state(model.spec.qubits).amplitudes, plan.expanded, model.theta_q,
-                      latent)
+    final = run_gates(zero_state(model.spec.qubits).amplitudes, expanded, model.theta_q, latent)
     (gtheta,), (glatent,) = adjoint_observable_gradients(
-        plan.expanded, model.theta_q, latent, np.eye(model.spec.qubits)[0], final
+        expanded, model.theta_q, latent, np.eye(model.spec.qubits)[0], final
     )
     return z, gtheta, glatent
 
@@ -184,9 +188,26 @@ def test_noisy_heads_insert_y():
     ys = 0
     for i in range(5):
         traj, _ = _streams(noise, i)
-        run_list = sample_pauli_insertions(model.plan.lifted, noise, traj)
+        run_list = sample_pauli_insertions(model.plan.circuit, noise, traj)
         ys += sum(g[0] == PAULI and g[2] == "Y" for g in run_list.gates)
     assert ys > 0
+
+
+@pytest.mark.parametrize("shots", [None, 500])
+def test_noisy_rows_build_only_the_streams_they_draw_from(shots, monkeypatch):
+    """Each noisy sample builds its TRAJECTORY stream, and its SHOTS stream
+    only at finite shots."""
+    model = _quantum_head()
+    latent = model.encoder.forward(np.random.default_rng(27).standard_normal((5, 16)))
+    tags = []
+
+    def recorded(seed, *path):
+        tags.append(path[0])
+        return stream(seed, *path)
+
+    monkeypatch.setattr("qhead.seeding.stream", recorded)
+    model._circuit(latent, NoiseModel(shots=shots, **HEAVY_NOISE), SEED_PATH, grads=True)
+    assert sorted(tags) == [TRAJECTORY] * 5 + [SHOTS] * (0 if shots is None else 5)
 
 
 @pytest.mark.parametrize("shots", [None, 500])
@@ -194,22 +215,24 @@ def test_noisy_values_match_the_dense_oracle_on_their_trajectory(shots):
     """``_pqc_value`` and ``trajectory_expectation`` on real rows against complex
     dense matrices run over the same sampled gate list, Pauli records included.
 
-    The reference samples the trajectory of ``plan.expanded`` from a fresh copy
-    of the stream ``_pqc_value`` samples ``plan.lifted`` from.
+    The reference samples the trajectory of the spec's latent-indexed expanded
+    circuit from a fresh copy of the stream ``_pqc_value`` samples the lifted
+    plan circuit from.
     """
     noise = NoiseModel(p1q=0.2, p2q=0.2, shots=shots, seed=13)
     ys = 0
     for q in (2, 3, 4):
         spec = CircuitSpec(qubits=q, main_layers=1, reupload_count=2, reupload_layers=1)
         plan = _plan_pqc(spec, q * (1 + q % 2))
+        expanded = _expanded(spec, plan.latent_dim)
         rng = np.random.default_rng(q)
         for i in range(8):
             theta = rng.uniform(-np.pi, np.pi, plan.n_params)
             latent = rng.uniform(-1, 1, plan.latent_dim)
-            run_list = sample_pauli_insertions(plan.expanded, noise, stream(13, TRAJECTORY, q, i))
+            run_list = sample_pauli_insertions(expanded, noise, stream(13, TRAJECTORY, q, i))
             ys += sum(g[0] == PAULI and g[2] == "Y" for g in run_list.gates)
             want = dense_z(dense_run(run_list.gates, q, theta, latent), 0, q)
-            traj = trajectory_expectation(plan.expanded, theta, latent, noise,
+            traj = trajectory_expectation(expanded, theta, latent, noise,
                                           stream(13, TRAJECTORY, q, i))
             assert abs(traj - want) <= 1e-12
             if shots is not None:
@@ -240,9 +263,10 @@ def test_latents_and_clean_values_are_bit_identical_to_single_rows():
     load_parameters(no_linear, arrays)
     logits_no_linear = no_linear.predict_logits(X)
     latents = model.encoder.forward(X)
+    expanded = _expanded(SPEC, model.plan.latent_dim)
     for i, x in enumerate(X):
         np.testing.assert_array_equal(latents[i], _sample_latent(model, x))
-        z = evaluate_expectation(model.plan.expanded, model.theta_q, latents[i], 0)
+        z = evaluate_expectation(expanded, model.theta_q, latents[i], 0)
         assert logits_no_linear[i, 0] == z
 
 
@@ -275,7 +299,7 @@ def test_noisy_step_in_row_chunks_is_bit_identical(shots, monkeypatch):
     rows = []
 
     def counted(circuit, params, latents, grads):
-        rows.append(len(params))
+        rows.append(len(latents))
         return _run_rows(circuit, params, latents, grads)
 
     monkeypatch.setattr("qhead.head._run_rows", counted)
@@ -417,11 +441,13 @@ def test_batched_step_keeps_out_of_range_labels_an_error():
 
 @pytest.mark.parametrize("final_linear", [True, False])
 @pytest.mark.parametrize("num_encoders", [1, 2])
-def test_noiseless_noisy_sample_matches_the_clean_route(num_encoders, final_linear, monkeypatch):
+def test_noiseless_noisy_sample_matches_the_clean_route(num_encoders, final_linear):
     """Without noise, a noisy sample's one row and sweep give the clean batch's numbers.
 
-    The noisy route runs the lifted circuit, the clean route the expanded one;
-    dz/dlatent sums the lifted slots of each latent entry in another order.
+    The reference runs the lifted plan circuit with every angle in one vector,
+    the head the plan circuit with shared trainable angles; both sum the
+    occurrences of each latent entry in occurrence order. A step under a
+    noise model with zero rates and infinite shots has the clean step's bits.
     """
     model = _quantum_head(num_encoders=num_encoders, final_linear=final_linear)
     X = np.random.default_rng(12).standard_normal((6, 16))
@@ -433,19 +459,14 @@ def test_noiseless_noisy_sample_matches_the_clean_route(num_encoders, final_line
         got = _noisy_sample(model.plan, model.theta_q, latent, noise, None, None, grads=True)
         assert got[0] == z[i]
         np.testing.assert_array_equal(got[1], gtheta[i])
-        np.testing.assert_allclose(got[2], glatent[i], rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(got[2], glatent[i])
         assert _noisy_sample(model.plan, model.theta_q, latent, noise, None, None,
                              grads=False) == z[i]
     clean_loss, clean_grads = model.batch_loss_and_gradients(X, y)
-    # the head takes the per-sample route for any model that is not noiseless
-    monkeypatch.setattr(NoiseModel, "is_noiseless", property(lambda self: False))
     loss, grads = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=SEED_PATH)
     assert loss == clean_loss
     for key, g in clean_grads.items():
-        if key.startswith("encoder_"):
-            np.testing.assert_allclose(grads[key], g, rtol=0, atol=1e-15)
-        else:
-            np.testing.assert_array_equal(grads[key], g)
+        np.testing.assert_array_equal(grads[key], g)
 
 
 @pytest.mark.parametrize("name", ["clean", "noisy-exact", "no-linear", "no-linear-noisy"])

@@ -344,7 +344,8 @@ def test_row_tagged_pauli_records_act_on_their_row_only():
     """B trajectories merged into one list, each Pauli record tagged with its
     row, run and sweep as one array with the bits of each trajectory alone."""
     plan = _plan_pqc(CircuitSpec(qubits=3, main_layers=1, reupload_count=1), 6)
-    lifted = plan.lifted.gates
+    lifted_circuit = lift_data_slots(plan.circuit)[0]
+    lifted = lifted_circuit.gates
     first_ry = next(i for i, g in enumerate(lifted) if g[0] == RY)
     first_cnot = next(i for i, g in enumerate(lifted) if g[0] == CNOT)
     control, target = lifted[first_cnot][1:]
@@ -353,13 +354,13 @@ def test_row_tagged_pauli_records_act_on_their_row_only():
         return GateList(3, [r for i, g in enumerate(lifted) for r in (g, *after.get(i, ()))])
 
     runs = [
-        plan.lifted,
+        lifted_circuit,
         inserted({first_ry: [(PAULI, lifted[first_ry][1], "Y")]}),
         inserted({first_cnot: [(PAULI, control, "X"), (PAULI, target, "Z")]}),
-        sample_pauli_insertions(plan.lifted, NoiseModel(p1q=0.3, p2q=0.3), np.random.default_rng(5)),
+        sample_pauli_insertions(lifted_circuit, NoiseModel(p1q=0.3, p2q=0.3), np.random.default_rng(5)),
         inserted({0: [(PAULI, 0, "Z")], len(lifted) - 1: [(PAULI, 0, "Y"), (PAULI, 2, "X")]}),
     ]
-    merged = _merge_trajectories(plan.lifted, runs)
+    merged = _merge_trajectories(lifted_circuit, runs)
     tags = [g[3] for g in merged.gates if g[0] == PAULI]
     assert len(tags) == sum(len(r) - len(lifted) for r in runs)
     assert sorted(set(tags)) == [1, 2, 3, 4]

@@ -1,6 +1,7 @@
 """Hybrid head: encoders, noisy circuit stage, linear readout, end-to-end gradients."""
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 
 import qhead.head as head_mod
 import qhead.simcore as simcore
-from qhead.ansatz import CNOT, RY, CircuitSpec, GateList, count_parameters, expand_encoding, assemble_head_circuit
+from qhead.ansatz import CNOT, DATA, RY, CircuitSpec, GateList, count_parameters, expand_encoding, assemble_head_circuit
 from qhead.checkpoint import load_checkpoint, save_checkpoint
 from qhead.errors import ConfigurationError, DegenerateInputError
-from qhead.grad import evaluate_expectation
+from qhead.grad import evaluate_expectation, lift_data_slots
 from qhead.head import EncoderConfig, build_hybrid_head, encoder_circuit
 from qhead.noise import NoiseModel, depolarizing_reference_expectation
 from qhead.seeding import PARAM_INIT, stream
@@ -142,6 +143,30 @@ class TestPqcForward:
         a = pqc_forward(latent, theta, spec, NoiseModel(0, 0, None), None)
         b = evaluate_expectation(assemble_head_circuit(spec), theta, latent)
         assert a == b
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_plan_circuit_numbers_each_encoding_rotation_by_occurrence(self, rounds):
+        spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=2, reupload_layers=1)
+        plan = head_mod._plan_pqc(spec, 3 * rounds)
+        expanded = expand_encoding(assemble_head_circuit(spec), rounds)
+        p, k = plan.n_params, plan.occurrences.size
+        assert k == 3 * 3 * rounds
+        data = [g for g in plan.circuit.gates if g[0] == DATA]
+        assert [g[2] for g in data] == list(range(k))
+        # record k reads latent[occurrences[k]]: the same gates as the spec's
+        # own expanded circuit, which reads the latent itself
+        renumbered = iter((DATA, g[1], plan.occurrences[g[2]]) for g in data)
+        assert [next(renumbered) if g[0] == DATA else g for g in plan.circuit.gates] \
+            == expanded.gates
+        lifted, occurrences = lift_data_slots(plan.circuit)
+        np.testing.assert_array_equal(occurrences, np.arange(k))
+        assert lifted.gates == [(RY, g[1], p + g[2]) if g[0] == DATA else g
+                                for g in plan.circuit.gates]
+        rng = np.random.default_rng(rounds)
+        theta = rng.uniform(-math.pi, math.pi, p)
+        latent = rng.uniform(-1, 1, 3 * rounds)
+        assert evaluate_expectation(plan.circuit, theta, latent[plan.occurrences]) \
+            == evaluate_expectation(expanded, theta, latent)
 
     def test_two_qubit_case_matches_dense_oracle(self):
         spec = CircuitSpec(qubits=2, main_layers=1, reupload_count=1, reupload_layers=1)
@@ -586,9 +611,54 @@ def test_density_oracle_matches_the_two_qubit_channel_reference():
         assert abs(density_z(rho, measured, 2) - want) <= 1e-14
 
 
-# chi-squared with 16 degrees of freedom: P(X > 45.92) = 1.0e-4, from the
-# closed form exp(-x/2) sum_{i<8} (x/2)^i / i! of its survival function
+# chi-squared upper 1e-4 quantiles: with 16 degrees of freedom P(X > 45.92)
+# = 1.0e-4, from the closed form exp(-x/2) sum_{i<8} (x/2)^i / i! of its
+# survival function; with 21, P(X > 53.96) = 1.0e-4, from the series of the
+# regularized lower incomplete gamma function P(10.5, x/2)
 CHI2_16_UPPER_1E4 = 45.92
+CHI2_21_UPPER_1E4 = 53.96
+CHANNEL_NOISE = dict(p1q=0.02, p2q=0.05, seed=3)
+
+
+@functools.cache
+def _exact_channel(n):
+    """A head of width n, one latent, and the channel's exact value and
+    gradients [E, dE/dtheta_q, dE/dlatent] there, from density matrices.
+
+    Also returns the largest |E| at the latent and at its +/- pi/2 shifts.
+    """
+    spec = CircuitSpec(qubits=n, main_layers=2, reupload_layers=1, reupload_count=2)
+    model = build_hybrid_head(EncoderConfig(1, n, 1), spec, seed=0)
+    plan = model.plan
+    lifted = lift_data_slots(plan.circuit)[0].gates
+    latent = np.random.default_rng(0).uniform(-1, 1, n)
+    ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
+
+    def exact(e):
+        rho = depolarizing_density_run(lifted, n, e, None, CHANNEL_NOISE["p1q"],
+                                       CHANNEL_NOISE["p2q"])
+        return density_z(rho, 0, n)
+
+    turns = (math.pi / 2) * np.eye(ext.size)
+    plus = np.array([exact(ext + t) for t in turns])
+    minus = np.array([exact(ext - t) for t in turns])
+    value = exact(ext)
+    g_ext = (plus - minus) / 2.0
+    g_latent = np.zeros(n)
+    np.add.at(g_latent, plan.occurrences, g_ext[plan.n_params :])
+    want = np.concatenate([[value], g_ext[: plan.n_params], g_latent])
+    return model, latent, want, max(abs(value), np.abs(plus).max(), np.abs(minus).max())
+
+
+def _channel_scores(n, shots, samples=4000):
+    """z_c = (sample mean - exact) / standard error of each component, over
+    ``samples`` noisy rows of one latent through ``HybridHead._circuit``."""
+    model, latent, want, _ = _exact_channel(n)
+    noise = NoiseModel(shots=shots, **CHANNEL_NOISE)
+    z, g_theta, g_lat = model._circuit(np.tile(latent, (samples, 1)), noise, (0,), grads=True)
+    drawn = np.column_stack([z, g_theta, g_lat])
+    assert drawn.shape == (samples, want.size)
+    return (drawn.mean(axis=0) - want) / (drawn.std(axis=0, ddof=1) / math.sqrt(samples))
 
 
 @pytest.mark.parametrize("shots", [None, 1000])
@@ -605,31 +675,21 @@ def test_noisy_route_averages_to_the_exact_channel(shots):
     standard error; the sum of z_c^2 stays below the chi-squared(16) upper
     1e-4 quantile, and every |z_c| below 4.5.
     """
-    n, samples = 3, 4000
-    spec = CircuitSpec(qubits=n, main_layers=2, reupload_layers=1, reupload_count=2)
-    model = build_hybrid_head(EncoderConfig(1, n, 1), spec, seed=0)
-    plan = model.plan
-    latent = np.random.default_rng(0).uniform(-1, 1, n)
-    ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
-    noise = NoiseModel(p1q=0.02, p2q=0.05, shots=shots, seed=3)
-
-    def exact(e):
-        rho = depolarizing_density_run(plan.lifted.gates, n, e, None, noise.p1q, noise.p2q)
-        return density_z(rho, 0, n)
-
-    turns = (math.pi / 2) * np.eye(ext.size)
-    plus = np.array([exact(ext + t) for t in turns])
-    minus = np.array([exact(ext - t) for t in turns])
-    value = exact(ext)
     # |E| well below 1, where the shot sampler's clamp would bias the mean
-    assert max(abs(value), np.abs(plus).max(), np.abs(minus).max()) < 0.5
-    g_ext = (plus - minus) / 2.0
-    g_latent = np.zeros(n)
-    np.add.at(g_latent, plan.occurrences, g_ext[plan.n_params :])
-    want = np.concatenate([[value], g_ext[: plan.n_params], g_latent])
-
-    z, g_theta, g_lat = model._circuit(np.tile(latent, (samples, 1)), noise, (0,), grads=True)
-    drawn = np.column_stack([z, g_theta, g_lat])
-    assert drawn.shape == (samples, want.size) == (samples, 16)
-    scores = (drawn.mean(axis=0) - want) / (drawn.std(axis=0, ddof=1) / math.sqrt(samples))
+    assert _exact_channel(3)[3] < 0.5
+    scores = _channel_scores(3, shots)
+    assert scores.size == 16
     assert np.sum(scores**2) < CHI2_16_UPPER_1E4 and np.abs(scores).max() < 4.5, scores
+
+
+@pytest.mark.parametrize("shots", [None, 1000])
+def test_noisy_route_averages_to_the_exact_channel_at_four_qubits(shots):
+    """The test above at Q = Qc = 4, M = 2, R = 2, N = 1: 1 + P + L = 21
+    components. The rule was fixed before the first run: the sum of z_c^2
+    below the chi-squared(21) upper 1e-4 quantile, every |z_c| below 4.5.
+    The density-matrix means are computed once for both shot counts.
+    """
+    assert _exact_channel(4)[3] < 0.5
+    scores = _channel_scores(4, shots)
+    assert scores.size == 21
+    assert np.sum(scores**2) < CHI2_21_UPPER_1E4 and np.abs(scores).max() < 4.5, scores

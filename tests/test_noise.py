@@ -30,11 +30,6 @@ class TestNoiseModel:
         with pytest.raises(ConfigurationError):
             NoiseModel(shots=0)
 
-    def test_noiseless_flag(self):
-        assert NoiseModel(0.0, 0.0, None).is_noiseless
-        assert not NoiseModel(0.0, 0.0, 100).is_noiseless
-        assert not NoiseModel(1e-4, 0.0, None).is_noiseless
-
 
 class TestSamplePauliInsertions:
     def test_zero_rates_unchanged(self):
