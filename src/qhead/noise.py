@@ -13,6 +13,7 @@ no derivative of z_hat: it samples each +/- pi/2 pair of the shift rule with
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,8 @@ def sample_pauli_insertions(circuit: GateList, model: NoiseModel,
 
 def gaussian_shot_estimate(z, shots: int, eps):
     """clamp(z + eps * sqrt((1 - z^2)/shots), -1, 1); broadcasts over arrays."""
+    if shots < 1:
+        raise ConfigurationError(f"shots must be >= 1, got {shots}")
     z = np.asarray(z, dtype=np.float64)
     sigma = np.sqrt(np.clip(1.0 - z * z, 0.0, None) / shots)
     return np.clip(z + np.asarray(eps) * sigma, -1.0, 1.0)
@@ -106,8 +109,6 @@ def shot_sample_expectation(z: float, shots: int | None,
     z = min(max(z, -1.0), 1.0)
     if shots is None:
         return z
-    if shots < 1:
-        raise ConfigurationError(f"shots must be >= 1, got {shots}")
     eps = _require_rng(rng, "shot sampling").standard_normal()
     return float(gaussian_shot_estimate(z, shots, eps))
 
@@ -135,89 +136,65 @@ def multinomial_z_estimate(z: float, shots: int, rng: np.random.Generator) -> fl
 
 
 # ---------------------------------------------------------------------------
-# small density-matrix reference (<= 2 qubits), the oracle for trajectory noise
+# dense density-matrix reference (1 to 10 qubits), the oracle for trajectory noise
 
-_I2 = np.eye(2, dtype=np.complex128)
-_PAULI_MATS = {
-    "I": _I2,
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-
-def _ry_mat(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=np.complex128)
+_MAX_REFERENCE_QUBITS = 10  # the paper's width; a 2^10 x 2^10 float64 rho is 8 MB
+_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+_Z = np.diag([1.0, -1.0])
+# Y enters as XZ = -iY, which conjugates rho as Y does and keeps it real
+_PAULI_MATS = {"I": np.eye(2), "X": _X, "Y": _X @ _Z, "Z": _Z}
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 
 
-def _embed1(mat: np.ndarray, qubit: int, num_qubits: int) -> np.ndarray:
-    if num_qubits == 1:
-        return mat
-    return np.kron(mat, _I2) if qubit == 0 else np.kron(_I2, mat)
-
-
-def _cnot_mat(control: int, target: int) -> np.ndarray:
-    u = np.zeros((4, 4), dtype=np.complex128)
-    for i in range(4):
-        bits = [(i >> 1) & 1, i & 1]
-        if bits[control]:
-            bits[target] ^= 1
-        u[(bits[0] << 1) | bits[1], i] = 1.0
-    return u
-
-
-def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float,
-                num_qubits: int) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    if len(qubits) == 1:
-        terms = [_embed1(_PAULI_MATS[l], qubits[0], num_qubits) for l in "XYZ"]
-    else:
-        terms = []
-        for la in _PAULI_LABELS:
-            for lb in _PAULI_LABELS:
-                if la == lb == "I":
-                    continue
-                mat = _embed1(_PAULI_MATS[la], qubits[0], num_qubits) @ _embed1(
-                    _PAULI_MATS[lb], qubits[1], num_qubits
-                )
-                terms.append(mat)
-    mixed = sum(t @ rho @ t.conj().T for t in terms)
-    return (1.0 - p) * rho + (p / len(terms)) * mixed
+def _dense(factors: dict, n: int) -> np.ndarray:
+    """Kronecker product of ``factors[q]`` over qubits q = 0..n-1, qubit 0 most
+    significant, with the identity on every qubit ``factors`` does not name."""
+    for q in factors:
+        if not 0 <= q < n:
+            raise ConfigurationError(f"qubit {q} is outside the {n}-qubit register")
+    out = np.ones((1, 1))
+    for q in range(n):
+        out = np.kron(out, factors.get(q, _PAULI_MATS["I"]))
+    return out
 
 
 def depolarizing_reference_expectation(circuit: GateList, params,
                                        model: NoiseModel | None = None,
                                        measured: int = 0) -> float:
-    """Exact <Z> under the depolarizing channel, by density-matrix evolution.
+    """Exact <Z_measured> under the depolarizing channel, by density-matrix evolution.
 
-    Restricted to <= 2 qubits and to RY, CNOT and Pauli records; this is the
-    reference the Monte-Carlo trajectory average must converge to.
+    Takes 1 to 10 qubits and RY, CNOT and Pauli records; this is the
+    reference the Monte-Carlo trajectory average must converge to. After each
+    RY (rate p1q) and CNOT (rate p2q), rho becomes the uniform mixture over
+    the 3 or 15 non-identity Pauli strings on the gate's qubits. Every matrix
+    is real: Y is applied as XZ = -iY, and (XZ) rho (XZ)^T = Y rho Y^dagger.
     """
     n = circuit.num_qubits
-    if n > 2:
-        raise ConfigurationError(f"density-matrix reference supports <= 2 qubits, got {n}")
+    if not 1 <= n <= _MAX_REFERENCE_QUBITS:
+        raise ConfigurationError(
+            f"density-matrix reference takes 1 to {_MAX_REFERENCE_QUBITS} qubits, got {n}")
     params = np.asarray(params if params is not None else [], dtype=np.float64)
-    p1q = model.p1q if model is not None else 0.0
-    p2q = model.p2q if model is not None else 0.0
+    p1q, p2q = (model.p1q, model.p2q) if model is not None else (0.0, 0.0)
+    observable = _dense({measured: _Z}, n)
 
-    dim = 1 << n
-    rho = np.zeros((dim, dim), dtype=np.complex128)
+    rho = np.zeros((1 << n, 1 << n))
     rho[0, 0] = 1.0
     for g in circuit.gates:
         if g[0] == RY:
-            u = _embed1(_ry_mat(params[g[2]]), g[1], n)
-            rho = u @ rho @ u.conj().T
-            rho = _depolarize(rho, (g[1],), p1q, n)
+            c, s = np.cos(params[g[2]] / 2.0), np.sin(params[g[2]] / 2.0)
+            u, qubits, p = _dense({g[1]: np.array([[c, -s], [s, c]])}, n), g[1:2], p1q
         elif g[0] == CNOT:
-            u = _cnot_mat(g[1], g[2])
-            rho = u @ rho @ u.conj().T
-            rho = _depolarize(rho, (g[1], g[2]), p2q, n)
+            u = _dense({g[1]: _P0}, n) + _dense({g[1]: _P1, g[2]: _X}, n)
+            qubits, p = g[1:3], p2q
         elif g[0] == PAULI:
-            u = _embed1(_PAULI_MATS[g[2]], g[1], n)
-            rho = u @ rho @ u.conj().T
+            u, p = _dense({g[1]: _PAULI_MATS[g[2]]}, n), 0.0
         else:
             raise ConfigurationError(f"unknown gate record {g!r}")
-    obs = _embed1(_PAULI_MATS["Z"], measured, n)
-    return float(np.trace(obs @ rho).real)
+        rho = u @ rho @ u.T
+        if p > 0.0:
+            strings = (_dense({q: _PAULI_MATS[l] for q, l in zip(qubits, labels)}, n)
+                       for labels in itertools.product(_PAULI_LABELS, repeat=len(qubits)))
+            next(strings)  # the identity
+            mixed = sum(t @ rho @ t.T for t in strings)
+            rho = (1.0 - p) * rho + (p / (4 ** len(qubits) - 1)) * mixed
+    return float(np.trace(observable @ rho))

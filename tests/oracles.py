@@ -60,31 +60,3 @@ def gate_mat(g, n: int, params=None, latent=None) -> np.ndarray:
 def dense_z(psi: np.ndarray, qubit: int, n: int) -> float:
     return float((psi.conj() @ embed(Z, qubit, n) @ psi).real)
 
-
-def depolarizing_density_run(gates, n: int, params, latent=None,
-                             p1q: float = 0.0, p2q: float = 0.0) -> np.ndarray:
-    """Density matrix of a gate-record list run from |0...0>, each gate followed
-    by its depolarizing channel.
-
-    The channel applies, with probability p1q after an RY or data rotation
-    and p2q after a CNOT, one non-identity Pauli string on the gate's qubits,
-    uniformly: 3 strings on one qubit, 15 on two. Pauli records run bare.
-    """
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    for g in gates:
-        u = gate_mat(g, n, params, latent)
-        rho = u @ rho @ u.conj().T
-        if g[0] == "pauli":
-            continue
-        qubits, p = ((g[1], g[2]), p2q) if g[0] == "cnot" else ((g[1],), p1q)
-        strings = [np.eye(2**n, dtype=complex)]
-        for q in qubits:
-            strings = [s @ embed(m, q, n) for s in strings for m in (I2, X, Y, Z)]
-        mixed = sum(s @ rho @ s.conj().T for s in strings[1:])
-        rho = (1.0 - p) * rho + (p / (len(strings) - 1)) * mixed
-    return rho
-
-
-def density_z(rho: np.ndarray, qubit: int, n: int) -> float:
-    return float(np.trace(embed(Z, qubit, n) @ rho).real)

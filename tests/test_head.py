@@ -9,7 +9,7 @@ import pytest
 
 import qhead.head as head_mod
 import qhead.simcore as simcore
-from qhead.ansatz import CNOT, DATA, RY, CircuitSpec, GateList, count_parameters, expand_encoding, assemble_head_circuit
+from qhead.ansatz import DATA, RY, CircuitSpec, GateList, count_parameters, expand_encoding, assemble_head_circuit
 from qhead.checkpoint import load_checkpoint, save_checkpoint
 from qhead.errors import ConfigurationError, DegenerateInputError
 from qhead.grad import evaluate_expectation, lift_data_slots
@@ -18,7 +18,7 @@ from qhead.noise import NoiseModel, depolarizing_reference_expectation
 from qhead.seeding import PARAM_INIT, stream
 from qhead.trainer import load_parameters, softmax_cross_entropy_batch
 
-from oracles import dense_run, dense_z, density_z, depolarizing_density_run
+from oracles import dense_run, dense_z
 from reference import (
     HeadParams,
     count_head_parameters,
@@ -600,17 +600,6 @@ def test_checkpoint_text_that_is_not_utf8_names_its_byte(tmp_path, field, at):
         load_checkpoint(path)
 
 
-def test_density_oracle_matches_the_two_qubit_channel_reference():
-    rng = np.random.default_rng(42)
-    gates = [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1), ("pauli", 1, "Y"), (CNOT, 1, 0), (RY, 0, 2)]
-    params = rng.uniform(-math.pi, math.pi, 3)
-    noise = NoiseModel(p1q=0.1, p2q=0.2)
-    for measured in (0, 1):
-        want = depolarizing_reference_expectation(GateList(2, gates), params, noise, measured)
-        rho = depolarizing_density_run(gates, 2, params, None, noise.p1q, noise.p2q)
-        assert abs(density_z(rho, measured, 2) - want) <= 1e-14
-
-
 # chi-squared upper 1e-4 quantiles: with 16 degrees of freedom P(X > 45.92)
 # = 1.0e-4, from the closed form exp(-x/2) sum_{i<8} (x/2)^i / i! of its
 # survival function; with 21, P(X > 53.96) = 1.0e-4, from the series of the
@@ -623,21 +612,21 @@ CHANNEL_NOISE = dict(p1q=0.02, p2q=0.05, seed=3)
 @functools.cache
 def _exact_channel(n):
     """A head of width n, one latent, and the channel's exact value and
-    gradients [E, dE/dtheta_q, dE/dlatent] there, from density matrices.
+    gradients [E, dE/dtheta_q, dE/dlatent] there, from the package's
+    density-matrix reference run on the lifted circuit.
 
     Also returns the largest |E| at the latent and at its +/- pi/2 shifts.
     """
     spec = CircuitSpec(qubits=n, main_layers=2, reupload_layers=1, reupload_count=2)
     model = build_hybrid_head(EncoderConfig(1, n, 1), spec, seed=0)
     plan = model.plan
-    lifted = lift_data_slots(plan.circuit)[0].gates
+    lifted = lift_data_slots(plan.circuit)[0]
     latent = np.random.default_rng(0).uniform(-1, 1, n)
     ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
+    noise = NoiseModel(p1q=CHANNEL_NOISE["p1q"], p2q=CHANNEL_NOISE["p2q"])
 
     def exact(e):
-        rho = depolarizing_density_run(lifted, n, e, None, CHANNEL_NOISE["p1q"],
-                                       CHANNEL_NOISE["p2q"])
-        return density_z(rho, 0, n)
+        return depolarizing_reference_expectation(lifted, e, noise)
 
     turns = (math.pi / 2) * np.eye(ext.size)
     plus = np.array([exact(ext + t) for t in turns])
@@ -664,7 +653,7 @@ def _channel_scores(n, shots, samples=4000):
 @pytest.mark.parametrize("shots", [None, 1000])
 def test_noisy_route_averages_to_the_exact_channel(shots):
     """Values and gradients of many noisy samples of one latent, against the
-    depolarizing channel's density matrix.
+    depolarizing channel's exact value from ``depolarizing_reference_expectation``.
 
     With the channel after each gate, each slot of ext = concat(theta_q,
     latent[occurrences]) still enters E as one frequency, so the shift rule
@@ -687,7 +676,7 @@ def test_noisy_route_averages_to_the_exact_channel_at_four_qubits(shots):
     """The test above at Q = Qc = 4, M = 2, R = 2, N = 1: 1 + P + L = 21
     components. The rule was fixed before the first run: the sum of z_c^2
     below the chi-squared(21) upper 1e-4 quantile, every |z_c| below 4.5.
-    The density-matrix means are computed once for both shot counts.
+    The reference's exact values are computed once for both shot counts.
     """
     assert _exact_channel(4)[3] < 0.5
     scores = _channel_scores(4, shots)

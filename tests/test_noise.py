@@ -15,10 +15,13 @@ from qhead.noise import (
     gaussian_shot_estimate,
     multinomial_oracle,
     multinomial_z_estimate,
+    paired_shot_estimates,
     sample_pauli_insertions,
     shot_sample_expectation,
 )
 from qhead.seeding import TRAJECTORY, stream
+
+from oracles import dense_run, dense_z
 
 
 class TestNoiseModel:
@@ -132,22 +135,56 @@ class TestDepolarizingReference:
         assert abs(mean - ours) < 4 * stderr
         assert abs(mean - other) > 10 * stderr
 
-    def test_two_qubit_trajectory_average_matches(self):
-        circuit = GateList(2, [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1)])
-        params = [0.9, -0.4]
+    @pytest.mark.parametrize("circuit, params, measured", [
+        (GateList(2, [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1)]), [0.9, -0.4], 1),
+        (GateList(3, [(RY, 0, 0), (CNOT, 0, 1), (RY, 1, 1), (CNOT, 1, 2), (RY, 2, 2),
+                      (CNOT, 2, 0)]), [0.9, -0.4, 1.3], 0),
+    ], ids=["two_qubit_chain", "three_qubit_ring"])
+    def test_trajectory_average_matches(self, circuit, params, measured):
         model = NoiseModel(p1q=0.1, p2q=0.2)
-        want = depolarizing_reference_expectation(circuit, params, model=model, measured=1)
+        want = depolarizing_reference_expectation(circuit, params, model=model, measured=measured)
         trials = 20000
         vals = np.array([
-            trajectory_expectation(circuit, params, None, model, stream(33, TRAJECTORY, t), measured=1)
+            trajectory_expectation(circuit, params, None, model, stream(33, TRAJECTORY, t),
+                                   measured=measured)
             for t in range(trials)
         ])
         stderr = vals.std(ddof=1) / math.sqrt(trials)
         assert abs(vals.mean() - want) < 4 * stderr
 
+    def test_long_range_cnot_closed_form(self):
+        # 8 of the 15 two-qubit strings hold X or Y on the control, each
+        # flipping Z_0: the CNOT's channel scales <Z_0> by 1 - 16 p2q / 15
+        theta, p1q, p2q = 1.1, 0.07, 0.3
+        circuit = GateList(3, [(RY, 0, 0), (CNOT, 0, 2)])
+        v = depolarizing_reference_expectation(circuit, [theta], NoiseModel(p1q=p1q, p2q=p2q))
+        want = (1 - 4 * p1q / 3) * (1 - 16 * p2q / 15) * math.cos(theta)
+        assert v == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_noiseless_matches_the_dense_oracle(self, n):
+        rng = np.random.default_rng(n)
+        gates = [(RY, q, q) for q in range(n)] + [(PAULI, n - 1, "Y")]
+        gates += [(CNOT, q, q - 1) for q in range(n - 1, 0, -1)] + [(CNOT, 0, n - 1)] if n > 1 else []
+        gates += [(RY, q, n + q) for q in range(n)] + [(PAULI, 0, "Y"), (PAULI, n // 2, "X")]
+        params = rng.uniform(-math.pi, math.pi, 2 * n)
+        psi = dense_run(gates, n, params)
+        for measured in range(n):
+            v = depolarizing_reference_expectation(GateList(n, gates), params, measured=measured)
+            assert abs(v - dense_z(psi, measured, n)) <= 1e-12
+
     def test_oracle_scope_limit(self):
-        with pytest.raises(ConfigurationError):
-            depolarizing_reference_expectation(GateList(3, [(RY, 0, 0)]), [0.1])
+        with pytest.raises(ConfigurationError, match="1 to 10 qubits, got 11"):
+            depolarizing_reference_expectation(GateList(11, [(RY, 0, 0)]), [0.1])
+
+    @pytest.mark.parametrize("n, record, measured", [
+        (2, (RY, 1, 0), 5),
+        (2, (RY, 3, 0), 0),
+        (1, (RY, 0, 0), -1),
+    ], ids=["measured_5_of_2", "ry_on_3_of_2", "measured_minus_1_of_1"])
+    def test_qubit_outside_the_register_rejected(self, n, record, measured):
+        with pytest.raises(ConfigurationError, match="outside the"):
+            depolarizing_reference_expectation(GateList(n, [record]), [0.8], measured=measured)
 
     @pytest.mark.parametrize("record", [(ENCODE, 0), (DATA, 1, 0)])
     def test_encoding_records_rejected(self, record):
@@ -181,6 +218,13 @@ class TestShotSampling:
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             shot_sample_expectation(1.2, 100, stream(0, 5))
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_nonpositive_shots_rejected(self, shots):
+        with pytest.raises(ConfigurationError, match=f"shots must be >= 1, got {shots}"):
+            paired_shot_estimates(np.zeros(3), np.zeros(3), shots, stream(0, 5))
+        with pytest.raises(ConfigurationError, match=f"shots must be >= 1, got {shots}"):
+            shot_sample_expectation(0.3, shots, stream(0, 5))
 
     @pytest.mark.parametrize("shots", [100, None])
     def test_nan_rejected(self, shots):
