@@ -93,8 +93,19 @@ def run_gates(amps: np.ndarray, circuit: GateList, params=None, latent=None) -> 
     return amps
 
 
+def _check_records(circuit: GateList) -> None:
+    """Reject a record on a qubit outside the register, or a CNOT onto its own control."""
+    n = circuit.num_qubits
+    for g in circuit.gates:
+        for q in g[1:3] if g[0] == CNOT else g[1:2] if g[0] != ENCODE else ():
+            if not 0 <= q < n:
+                raise ConfigurationError(f"qubit {q} of {g!r} is outside the {n}-qubit register")
+        if g[0] == CNOT and g[1] == g[2]:
+            raise ConfigurationError(f"{g!r} has its control as its target")
+
+
 def _prepare(circuit: GateList, params, latent, measured: int | None = None):
-    """Validate shapes and ``measured``; expand any encoding steps against ``latent``."""
+    """Validate shapes, records and ``measured``; expand encoding steps against ``latent``."""
     if not 1 <= circuit.num_qubits <= MAX_QUBITS:
         raise ConfigurationError(
             f"register width must be in [1, {MAX_QUBITS}] for simulation, "
@@ -120,6 +131,7 @@ def _prepare(circuit: GateList, params, latent, measured: int | None = None):
                 f"latent length {latent.size} is not a multiple of the register width {q}"
             )
         circuit = expand_encoding(circuit, latent.size // q)
+    _check_records(circuit)
     n_slots = parameter_slot_count(circuit)
     if params.size != n_slots:
         raise ConfigurationError(

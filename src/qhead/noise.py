@@ -13,7 +13,6 @@ no derivative of z_hat: it samples each +/- pi/2 pair of the shift rule with
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,26 +135,16 @@ def multinomial_z_estimate(z: float, shots: int, rng: np.random.Generator) -> fl
 
 
 # ---------------------------------------------------------------------------
-# dense density-matrix reference (1 to 10 qubits), the oracle for trajectory noise
+# density-matrix reference (1 to 10 qubits) on the statevector kernels, the oracle for trajectories
 
 _MAX_REFERENCE_QUBITS = 10  # the paper's width; a 2^10 x 2^10 float64 rho is 8 MB
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.diag([1.0, -1.0])
-# Y enters as XZ = -iY, which conjugates rho as Y does and keeps it real
-_PAULI_MATS = {"I": np.eye(2), "X": _X, "Y": _X @ _Z, "Z": _Z}
-_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
 
 
-def _dense(factors: dict, n: int) -> np.ndarray:
-    """Kronecker product of ``factors[q]`` over qubits q = 0..n-1, qubit 0 most
-    significant, with the identity on every qubit ``factors`` does not name."""
-    for q in factors:
-        if not 0 <= q < n:
-            raise ConfigurationError(f"qubit {q} is outside the {n}-qubit register")
-    out = np.ones((1, 1))
-    for q in range(n):
-        out = np.kron(out, factors.get(q, _PAULI_MATS["I"]))
-    return out
+def _twirl(rho: np.ndarray, n: int, q: int) -> None:
+    """rho <- (I/2) (x) Tr_q rho in place: average qubit q's diagonal blocks, zero the others."""
+    v = rho.reshape(1 << q, 2, 1 << (n - q - 1), 1 << q, 2, 1 << (n - q - 1))
+    v[:, 0, :, :, 0] = v[:, 1, :, :, 1] = (v[:, 0, :, :, 0] + v[:, 1, :, :, 1]) / 2.0
+    v[:, 0, :, :, 1] = v[:, 1, :, :, 0] = 0.0
 
 
 def depolarizing_reference_expectation(circuit: GateList, params,
@@ -163,38 +152,37 @@ def depolarizing_reference_expectation(circuit: GateList, params,
                                        measured: int = 0) -> float:
     """Exact <Z_measured> under the depolarizing channel, by density-matrix evolution.
 
-    Takes 1 to 10 qubits and RY, CNOT and Pauli records; this is the
-    reference the Monte-Carlo trajectory average must converge to. After each
-    RY (rate p1q) and CNOT (rate p2q), rho becomes the uniform mixture over
-    the 3 or 15 non-identity Pauli strings on the gate's qubits. Every matrix
-    is real: Y is applied as XZ = -iY, and (XZ) rho (XZ)^T = Y rho Y^dagger.
+    Takes 1 to 10 qubits and RY, CNOT and untagged Pauli records; this is the
+    reference the Monte-Carlo trajectory average must converge to. rho is
+    real, held as (2^n, 2^n) rows: ``grad._apply_gate`` gives rho U^T on the
+    rows, then U rho U^T on rho as one 2n-qubit row, whose first n qubits
+    index the rows. Y enters as XZ = -iY, and (XZ) rho (XZ)^T = Y rho Y^dagger.
+    After an RY (rate p1q) or a CNOT (rate p2q) on k qubits S, rho becomes the
+    uniform mixture over the 4^k - 1 non-identity Pauli strings on S, in closed
+    form (1 - p - p/(4^k - 1)) rho + p 4^k/(4^k - 1) T_S(rho), with the twirl
+    T_S = I_S/2^k (x) Tr_S taken one qubit of S at a time.
     """
+    from .grad import _apply_gate, _check_records, _z_diagonal
+
     n = circuit.num_qubits
     if not 1 <= n <= _MAX_REFERENCE_QUBITS:
         raise ConfigurationError(
             f"density-matrix reference takes 1 to {_MAX_REFERENCE_QUBITS} qubits, got {n}")
+    if not 0 <= measured < n:
+        raise ConfigurationError(f"qubit {measured} is outside the {n}-qubit register")
+    _check_records(circuit)
     params = np.asarray(params if params is not None else [], dtype=np.float64)
     p1q, p2q = (model.p1q, model.p2q) if model is not None else (0.0, 0.0)
-    observable = _dense({measured: _Z}, n)
-
-    rho = np.zeros((1 << n, 1 << n))
-    rho[0, 0] = 1.0
+    rho = np.diag(np.eye(1, 1 << n)[0])  # |0...0><0...0|
     for g in circuit.gates:
-        if g[0] == RY:
-            c, s = np.cos(params[g[2]] / 2.0), np.sin(params[g[2]] / 2.0)
-            u, qubits, p = _dense({g[1]: np.array([[c, -s], [s, c]])}, n), g[1:2], p1q
-        elif g[0] == CNOT:
-            u = _dense({g[1]: _P0}, n) + _dense({g[1]: _P1, g[2]: _X}, n)
-            qubits, p = g[1:3], p2q
-        elif g[0] == PAULI:
-            u, p = _dense({g[1]: _PAULI_MATS[g[2]]}, n), 0.0
-        else:
+        if g[0] not in (RY, CNOT, PAULI) or len(g) != 3:
             raise ConfigurationError(f"unknown gate record {g!r}")
-        rho = u @ rho @ u.T
+        _apply_gate(rho, n, g, params, None)  # rho U^T
+        _apply_gate(rho.reshape(-1), 2 * n, g, params, None)  # U rho U^T
+        qubits, p = (g[1:2], p1q) if g[0] == RY else (g[1:3], p2q) if g[0] == CNOT else ((), 0.0)
         if p > 0.0:
-            strings = (_dense({q: _PAULI_MATS[l] for q, l in zip(qubits, labels)}, n)
-                       for labels in itertools.product(_PAULI_LABELS, repeat=len(qubits)))
-            next(strings)  # the identity
-            mixed = sum(t @ rho @ t.T for t in strings)
-            rho = (1.0 - p) * rho + (p / (4 ** len(qubits) - 1)) * mixed
-    return float(np.trace(observable @ rho))
+            twirled, d = rho.copy(), 4 ** len(qubits)
+            for q in qubits:
+                _twirl(twirled, n, q)
+            rho = (1.0 - p - p / (d - 1)) * rho + (p * d / (d - 1)) * twirled
+    return float(_z_diagonal(np.eye(n)[measured], n) @ np.diagonal(rho))

@@ -13,7 +13,8 @@ import pytest
 import qhead
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-# 04 trains a head for about 14 s and is left out of the fast suite
+# 04 trains a head for about 14 s, and 07 checks 8,000 noisy samples of the
+# paper-width circuit for about a minute; both are left out of the fast suite
 FAST_DEMOS = [
     "01_statevector_basics.py",
     "02_circuits_and_gradients.py",

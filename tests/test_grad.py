@@ -36,7 +36,7 @@ from qhead.grad import (
     trajectory_expectation,
 )
 from qhead.head import EncoderConfig, QuantumEncoder, _merge_trajectories, _plan_pqc, encoder_circuit
-from qhead.noise import NoiseModel, sample_pauli_insertions
+from qhead.noise import NoiseModel, depolarizing_reference_expectation, sample_pauli_insertions
 from qhead.simcore import _z_expectation, amplitude_encode, amplitude_encode_rows
 
 from oracles import dense_run, dense_z
@@ -448,6 +448,20 @@ def test_measured_qubit_outside_the_register_is_rejected(name, measured):
     circuit = GateList(2, [(RY, 0, 0)])
     with pytest.raises(ConfigurationError, match=f"measured qubit {measured} out of range"):
         _MEASURED_CALLS[name](circuit, [0.1], measured)
+
+
+@pytest.mark.parametrize("record, match", [
+    ((CNOT, 0, 0), "control as its target"),
+    ((RY, 3, 0), "qubit 3 of .* is outside the 2-qubit register"),
+    ((CNOT, 0, 5), "qubit 5 of .* is outside the 2-qubit register"),
+], ids=["cnot_0_to_0", "ry_on_3_of_2", "cnot_0_to_5_of_2"])
+@pytest.mark.parametrize("call", [evaluate_expectation, adjoint_gradient,
+                                  depolarizing_reference_expectation])
+def test_bad_records_rejected(call, record, match):
+    """A record off the register or a CNOT onto its own control is rejected by
+    the one record check, not misread by the kernels or the reference."""
+    with pytest.raises(ConfigurationError, match=match):
+        call(GateList(2, [(RY, 0, 0), record]), [0.8])
 
 
 def _half_turn_rows(params):

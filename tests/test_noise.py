@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from qhead.ansatz import CNOT, DATA, ENCODE, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, expand_encoding, gate_counts
+from qhead.ansatz import CNOT, DATA, ENCODE, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, expand_encoding, gate_counts, parameter_slot_count
 from qhead.errors import ConfigurationError
-from qhead.grad import trajectory_expectation
+from qhead.grad import evaluate_expectation, lift_data_slots, trajectory_expectation
 from qhead.noise import (
     NoiseModel,
     depolarizing_reference_expectation,
@@ -118,6 +118,14 @@ class TestDepolarizingReference:
             v = depolarizing_reference_expectation(circuit, [1.1], model=NoiseModel(p1q=p))
             assert v == pytest.approx((1 - 4 * p / 3) * math.cos(1.1), abs=1e-12)
 
+    def test_two_rotations_closed_form(self):
+        # the channel contracts the whole Bloch vector, so the coherence the
+        # first rotation makes is contracted before the second turns it into Z
+        a, b, p = 0.7, 0.9, 0.3
+        circuit = GateList(1, [(RY, 0, 0), (RY, 0, 1)])
+        v = depolarizing_reference_expectation(circuit, [a, b], model=NoiseModel(p1q=p))
+        assert v == pytest.approx((1 - 4 * p / 3) ** 2 * math.cos(a + b), abs=1e-12)
+
     def test_trajectory_average_discriminates_convention(self):
         # at p = 0.25 the (1 - 4p/3) and (1 - p) conventions differ by ~0.08 cos
         circuit = GateList(1, [(RY, 0, 0)])
@@ -154,12 +162,14 @@ class TestDepolarizingReference:
 
     def test_long_range_cnot_closed_form(self):
         # 8 of the 15 two-qubit strings hold X or Y on the control, each
-        # flipping Z_0: the CNOT's channel scales <Z_0> by 1 - 16 p2q / 15
+        # flipping Z_0: the CNOT's channel scales <Z_0> by 1 - 16 p2q / 15;
+        # on 3 qubits, and across the paper's 10-qubit register
         theta, p1q, p2q = 1.1, 0.07, 0.3
-        circuit = GateList(3, [(RY, 0, 0), (CNOT, 0, 2)])
-        v = depolarizing_reference_expectation(circuit, [theta], NoiseModel(p1q=p1q, p2q=p2q))
         want = (1 - 4 * p1q / 3) * (1 - 16 * p2q / 15) * math.cos(theta)
-        assert v == pytest.approx(want, abs=1e-12)
+        for n in (3, 10):
+            circuit = GateList(n, [(RY, 0, 0), (CNOT, 0, n - 1)])
+            v = depolarizing_reference_expectation(circuit, [theta], NoiseModel(p1q=p1q, p2q=p2q))
+            assert v == pytest.approx(want, abs=1e-12), n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_noiseless_matches_the_dense_oracle(self, n):
@@ -172,6 +182,16 @@ class TestDepolarizingReference:
         for measured in range(n):
             v = depolarizing_reference_expectation(GateList(n, gates), params, measured=measured)
             assert abs(v - dense_z(psi, measured, n)) <= 1e-12
+
+    def test_noiseless_head_at_the_paper_width_matches_the_statevector(self):
+        """The lifted Q = 10 head circuit (M = 2, R = 4, N = 1) without noise:
+        the density matrix's <Z_0> equals the statevector route's."""
+        spec = CircuitSpec(qubits=10, main_layers=2, reupload_layers=1, reupload_count=4)
+        circuit = lift_data_slots(expand_encoding(assemble_head_circuit(spec), 1))[0]
+        params = np.random.default_rng(10).uniform(-math.pi, math.pi,
+                                                   parameter_slot_count(circuit))
+        want = evaluate_expectation(circuit, params)
+        assert abs(depolarizing_reference_expectation(circuit, params) - want) <= 1e-12
 
     def test_oracle_scope_limit(self):
         with pytest.raises(ConfigurationError, match="1 to 10 qubits, got 11"):
@@ -186,7 +206,7 @@ class TestDepolarizingReference:
         with pytest.raises(ConfigurationError, match="outside the"):
             depolarizing_reference_expectation(GateList(n, [record]), [0.8], measured=measured)
 
-    @pytest.mark.parametrize("record", [(ENCODE, 0), (DATA, 1, 0)])
+    @pytest.mark.parametrize("record", [(ENCODE, 0), (DATA, 1, 0), (PAULI, 1, "X", 0)])
     def test_encoding_records_rejected(self, record):
         circuit = GateList(2, [(RY, 0, 0), record, (CNOT, 0, 1)])
         with pytest.raises(ConfigurationError, match="unknown gate record"):
