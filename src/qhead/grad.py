@@ -4,42 +4,32 @@ Three gradient routes with different trade-offs:
 
 * parameter-shift: exact for RY-parameterized circuits, two shifted
   evaluations per angle on explicit +/- rows: the noiseless, independent
-  reference (noisy gradients come from ``qhead.head``'s one-sweep route);
+  reference;
 * adjoint reverse accumulation: one backward sweep over a unitary gate list
-  (Jones & Gacon 2020, arXiv:2009.02823); a sampled trajectory is one, as
-  its Pauli records are un-applied like any other gate, and so are B
-  trajectories merged into one list whose Pauli records are tagged with
-  their row;
+  (Jones & Gacon 2020, arXiv:2009.02823): a sampled trajectory, or B of them
+  merged into one list whose Pauli records are tagged with their row;
 * central finite differences: O(h^2) oracle used for cross-checking.
 
-Shifted evaluations run on real (rows, 2^Q) amplitude arrays from |0...0>,
-in row chunks that bound peak memory (``_row_chunks``), and read one
-qubit's <Z>. The two references run their 2P +/- rows plainly: one
-``run_gates`` call per chunk, every row with its own angles. The head's
-finite-shot noisy gradient takes E(params + pi e_j) for every column j
-from ``_batch_expectations``, read on qubit 0 of a circuit that reads each
-column at exactly one RY gate. That engine fuses gates (as statevector
-simulators such as Qulacs do; Suzuki et al. 2021, Quantum 5, 559): each run
-of consecutive gates within a window of at most four qubits becomes one
-matrix, applied to the rows as one matmul. ``_block_matrices`` builds a block's matrix M and,
-per RY gate j, D_j = M_{>j} (-iY_j) M_{<=j}, all at the shared angles.
-Since RY(t + pi) = -iY RY(t), D_j is the block with gate j turned by pi: the
-row turned at gate j starts as D_j applied to the unturned row's state at
-its block's input. The states stay real, because every gate is real up to a
-global phase: on real arrays Y is applied as XZ = -iY, and the dropped phase
-never reaches |amplitude|^2.
+States are real (rows, 2^Q) arrays from |0...0>, run in row chunks that
+bound peak memory (``_row_chunks``): every gate is real up to a global
+phase, and on real arrays Y is applied as XZ = -iY. Single circuit values
+(``evaluate_expectation``, ``trajectory_expectation``) run one row through
+``_single_value``; the two references run their 2P +/- rows plainly.
 
-Single circuit values (``evaluate_expectation`` and
-``trajectory_expectation``) run one real row through ``_single_value``.
+Two engines fuse gates (as statevector simulators such as Qulacs do;
+Suzuki et al. 2021, Quantum 5, 559): each run of consecutive gates within a
+window of at most four qubits becomes one matrix. ``_block_matrices`` builds
+a block's M and, per rotation j, D_j = M_{>j} (-iY_j) M_{<=j}, for a stack of
+angle rows at once. As RY(t + pi) = -iY RY(t), D_j is the block with
+rotation j turned by pi, and 2 dM/dtheta_j.
 
-The adjoint sweep starts from the final states its caller ran: a
-(B, 2^Q) batch of real rows, each with its own latent and observable
-weights. It takes each RY derivative as the real overlap
-<lambda|(-iY)|psi> before un-applying the gate. Where every row shares the
-angles (the encoders), ``block_adjoint_gradients`` sweeps by fused blocks
-instead, from the same builder: one matmul per block un-applies M from psi
-and lam, and one Gram matrix of the two, summed over the rows, gives the
-block's derivatives through its D_j.
+* ``_batch_expectations``, the head's finite-shot engine, runs each row's
+  state psi and its states turned by pi, psi_j = 2 dpsi/dtheta_j, which
+  give E(theta_j + pi) = psi_j^T Z psi_j and c_j = psi^T Z psi_j.
+* ``block_adjoint_gradients`` sweeps the encoders, whose rows share their
+  angles: one matmul per block un-applies M from psi and lam, and one Gram
+  matrix of the two, summed over the rows, gives the block's derivatives
+  through its D_j. The blocks of one gate pattern are built as one stack.
 """
 from __future__ import annotations
 
@@ -75,11 +65,20 @@ def _apply_gate(amps: np.ndarray, n: int, g: tuple, params, latent) -> None:
     elif kind == DATA:
         _ry(amps, n, g[1], latent[..., g[2]])
     elif kind == PAULI:  # a record tagged with a row acts on that row only
-        _pauli(amps if len(g) == 3 else amps[..., g[3], :], n, g[1], g[2])
+        if len(g) > 3:
+            amps = amps[..., _tagged_row(g, amps.shape[-2] if amps.ndim > 1 else 0), :]
+        _pauli(amps, n, g[1], g[2])
     elif kind == ENCODE:
         raise ConfigurationError("encoding steps must be expanded before execution")
     else:
         raise ConfigurationError(f"unknown gate record {g!r}")
+
+
+def _tagged_row(g: tuple, rows: int) -> int:
+    """The row that a tagged Pauli record acts on, one of the ``rows`` there are."""
+    if not (isinstance(g[3], (int, np.integer)) and 0 <= g[3] < rows):
+        raise ConfigurationError(f"{g!r} is tagged with row {g[3]!r}, not one of {rows} rows")
+    return g[3]
 
 
 def run_gates(amps: np.ndarray, circuit: GateList, params=None, latent=None) -> np.ndarray:
@@ -212,79 +211,107 @@ def _blocks(circuit: GateList) -> tuple[int, list[tuple]]:
     return k, blocks
 
 
-def _block_matrices(k: int, gates, params) -> tuple[np.ndarray, list]:
-    """A fused block's matrices at the angles every row shares, and its RY gates' slots.
+def _block_matrices(k: int, gates, angles) -> np.ndarray:
+    """A fused block's matrices (S, 1 + J, 2^k, 2^k), one stack per row of ``angles`` (S, J).
 
-    ``mats`` (1 + J, 2^k, 2^k), for J RY gates, holds M^T, then each D_j^T:
-    row a of a matrix is its image of basis state a. The real
-    D_j = M_{>j} (-iY_j) M_{<=j} is the sweep's derivative block of RY gate
-    j and, as RY(t + pi) = -iY RY(t), the block with that gate turned by pi.
+    The j-th rotation (RY or DATA record) of ``gates`` turns by ``angles[:, j]``.
+    Each stack holds M^T, then each D_j^T (row a of a matrix is its image of
+    basis state a); the S builds share each gate's one kernel call.
     """
-    slots = [g[2] for g in gates if g[0] == RY]
-    mats = np.empty((1 + len(slots), 1 << k, 1 << k))
-    mats[0] = np.eye(1 << k)
+    mats = np.empty((len(angles), 1 + angles.shape[1], 1 << k, 1 << k))
+    mats[:, 0] = np.eye(1 << k)
     started = 1
     for g in gates:
-        _apply_gate(mats[:started], k, g, params, None)
-        if g[0] == RY:
-            mats[started] = _pauli(mats[0].copy(), k, g[1], "Y")  # -iY on real rows
+        if g[0] in (RY, DATA):
+            _ry(mats[:, :started], k, g[1], angles[:, started - 1, None, None])
+            mats[:, started] = _pauli(mats[:, 0].copy(), k, g[1], "Y")  # -iY on real rows
             started += 1
-    return mats, slots
+        else:
+            _apply_gate(mats[:, :started], k, g, None, None)
+    return mats
 
 
-def _batch_expectations(circuit, params) -> np.ndarray:
-    """<Z_0> at ``params`` + pi e_j from |0...0>, for each column j of params (P,).
+def _batch_expectations(circuit, params, latent=None) -> tuple[np.ndarray, np.ndarray]:
+    """E(theta_j + pi) and c_j = dE/dtheta_j of <Z_0> from |0...0>, per column j of each row.
 
-    Every column is read by exactly one RY gate, or ``ConfigurationError`` is
-    raised; the turned rows are then the RY gates in gate order. The
-    unturned row runs the gates in ``_blocks``, each block as its matrix M at
-    the shared angles; the row turned at an RY gate starts in that gate's
-    block, as D_j (``_block_matrices``) applied to the unturned row's state
-    at the block's input, and then takes M of every later block. The states
-    are real (``_pauli`` drops Y's global phase on real arrays). Rows run in
-    ``_row_chunks``, each chunk led by the unturned row.
+    ``circuit`` holds RY records reading ``params`` (P,), shared by every
+    row, DATA records reading each row's ``latent`` (B, K) (None: one row,
+    K = 0), and Pauli records, untagged or tagged with their row. Column
+    j < P is params[j] and P + i is latent[:, i]; each must be read by
+    exactly one rotation. Returns the values and c, each (B, P + K). The
+    blocks are cut once; one that reads DATA angles is built as a stack of
+    B, and a row's tagged records rebuild the blocks they fall in, or act
+    after a block whose window they lie outside (and so commute with). The
+    state turned at rotation j starts as D_j applied to the unturned state
+    at its block's input, and takes M of every later block.
     """
     n = circuit.num_qubits
-    slots = np.array([g[2] for g in circuit.gates if g[0] == RY], dtype=np.intp)
-    reads = np.bincount(slots, minlength=params.size)
+    latent = np.zeros((1, 0)) if latent is None else latent
+    rows, p = len(latent), params.size
+    shared, tagged = [], []  # tagged: (row, index of the shared gate after it, record)
+    for g in circuit.gates:
+        if g[0] == PAULI and len(g) > 3:
+            tagged.append((_tagged_row(g, rows), len(shared), g))
+        else:
+            shared.append(g)
+    turns = [(i, g[2] + p * (g[0] == DATA)) for i, g in enumerate(shared) if g[0] in (RY, DATA)]
+    starts, cols = np.array(turns, dtype=np.intp).reshape(-1, 2).T
+    reads = np.bincount(cols, minlength=p + latent.shape[1])
     if np.any(reads != 1):
         col = int(np.flatnonzero(reads != 1)[0])
         raise ConfigurationError(f"column {col} is read by {reads[col]} RY gates, not one")
-    starts = np.flatnonzero([g[0] == RY for g in circuit.gates])
-    k, blocks = _blocks(circuit)
+    k, blocks = _blocks(GateList(n, shared))
     ends = [end for end, _, _ in blocks]
-    built = [None if lo is None else _block_matrices(k, gates, params)[0]
-             for _, lo, gates in blocks]
-    # the rows turned in a block follow its RY gates' D_j
-    firsts = np.searchsorted(starts, [0] + ends[:-1])
-    out = np.empty(params.size)
-    for part in _row_chunks(params.size, n):
-        # row 0 is the unturned row, row 1 + r the row turned at RY gate part.start + r
-        amps = np.empty((1 + len(starts[part]), 1 << n))
-        amps[0] = 0.0
-        amps[0, 0] = 1.0
-        spare = np.empty_like(amps)
-        started = 1 + np.searchsorted(starts[part], ends)
-        active = 1
-        for (_, lo, gates), mats, first, hi in zip(blocks, built, firsts, started):
-            if lo is None:
-                _apply_gate(amps[:active], n, gates[0], None, None)
-                continue
-            # views with the window's axis last, whose rows of 2^k amplitudes
-            # are each multiplied by U^T (row j of a matrix is U e_j)
-            m = n - lo - k
-            if m:
-                shape = (hi, 1 << lo, 1 << k, 1 << m)
-                x, y = (a[:hi].reshape(shape).swapaxes(2, 3) for a in (amps, spare))
-            else:  # a window at the low end: one contiguous (2^lo, 2^k) block per row
-                x, y = (a[:hi].reshape(hi, 1, 1 << lo, 1 << k) for a in (amps, spare))
-            np.matmul(x[:active], mats[0], out=y[:active])
-            turned = slice(part.start + active - first, part.start + hi - first)
-            np.matmul(x[0], mats[turned, None], out=y[active:])
-            amps, spare = spare, amps
-            active = hi
-        out[slots[part]] = _z_expectation(amps[1:], n, 0)
-    return out
+    # block i holds rotations bounds[i]:bounds[i + 1]; a stack of 1 serves every row
+    bounds = np.searchsorted(starts, [0] + ends)
+    ext = np.concatenate([np.broadcast_to(params, (rows, p)), latent], axis=1)
+    built = [None if lo is None else _block_matrices(
+        k, gates, ext[: rows if any(g[0] == DATA for g in gates) else 1, cols[a:b]])
+        for (_, lo, gates), a, b in zip(blocks, bounds, bounds[1:])]
+    own, after = {}, {}  # (row, block): the row's gates of the block, or its records after it
+    for row, at, g in tagged:
+        i = int(np.searchsorted(ends, max(at - 1, 0), side="right"))
+        _, lo, gates = blocks[i]
+        if lo is not None and lo <= g[1] < lo + k:
+            mine = own.setdefault((row, i), list(gates))
+            at += len(mine) - len(gates) - (ends[i - 1] if i else 0)  # after its earlier records
+            mine.insert(at, (PAULI, g[1] - lo, g[2]))
+        else:
+            after.setdefault((row, i), []).append(g[:3])
+    own = {(row, i): _block_matrices(k, gates, ext[row : row + 1, cols[bounds[i] : bounds[i + 1]]])
+           for (row, i), gates in own.items()}
+    z_0 = _z_diagonal(np.eye(n)[0], n)
+    values, slopes = np.empty((2, rows, cols.size))
+    for row in range(rows):
+        for part in _row_chunks(cols.size, n):
+            # row 0 is the unturned state, row 1 + r the state turned at rotation part.start + r
+            amps = np.empty((1 + len(starts[part]), 1 << n))
+            amps[0] = np.eye(1, 1 << n)
+            spare = np.empty_like(amps)
+            started = 1 + np.searchsorted(starts[part], ends)
+            active = 1
+            for i, (_, lo, gates) in enumerate(blocks):
+                if lo is None:
+                    _apply_gate(amps[:active], n, gates[0], None, None)
+                else:
+                    # views with the window's axis last, each 2^k row multiplied by U^T
+                    hi, m = started[i], n - lo - k
+                    if m:
+                        shape = (hi, 1 << lo, 1 << k, 1 << m)
+                        x, y = (a[:hi].reshape(shape).swapaxes(2, 3) for a in (amps, spare))
+                    else:  # a window at the low end: one contiguous (2^lo, 2^k) block per row
+                        x, y = (a[:hi].reshape(hi, 1, 1 << lo, 1 << k) for a in (amps, spare))
+                    mats = own[row, i][0] if (row, i) in own else built[i][row % len(built[i])]
+                    np.matmul(x[:active], mats[0], out=y[:active])
+                    turned = slice(part.start + active - bounds[i], part.start + hi - bounds[i])
+                    np.matmul(x[0], mats[turned, None], out=y[active:])
+                    amps, spare, active = spare, amps, hi
+                for g in after.get((row, i), ()):
+                    _apply_gate(amps[:active], n, g, None, None)
+            values[row, cols[part]] = _z_expectation(amps[1:], n, 0)
+            # summed along each row, so that the bits do not depend on the chunk's row count
+            slopes[row, cols[part]] = (amps[1:] * (z_0 * amps[0])).sum(axis=1)
+    return values, slopes
 
 
 def _shift_rows(base: np.ndarray, delta: float) -> np.ndarray:
@@ -436,16 +463,26 @@ def block_adjoint_gradients(circuit: GateList, blocks, params, z_weights, final)
     un-applies a block's matrix M from psi and lam. Its RY gate j adds
     sum_ab D_j[a, b] C[a, b], with D_j from ``_block_matrices`` and C =
     sum lam_out psi_in^T over the rows and the qubits outside the window.
+    The blocks of one gate pattern are built as one stack.
     """
     n, (k, cut) = circuit.num_qubits, blocks
     dim = 1 << k
+    patterns: dict[tuple, list] = {}  # windowed blocks by their gates but for the slots
+    for i, (_, lo, gates) in enumerate(cut):
+        if lo is not None:
+            patterns.setdefault(tuple(g[:2] if g[0] == RY else g for g in gates), []).append(i)
+    built = {}
+    for members in patterns.values():
+        slots = [[g[2] for g in cut[i][2] if g[0] == RY] for i in members]
+        angles = params[np.array(slots, dtype=np.intp).reshape(len(members), -1)]
+        built.update(zip(members, _block_matrices(k, cut[members[0]][2], angles)))
     both = np.stack([final, _z_diagonal(np.asarray(z_weights, dtype=np.float64), n) * final])
     grad = np.zeros(len(params))
-    for _, lo, gates in reversed(cut):
+    for i, (_, lo, gates) in reversed(list(enumerate(cut))):
         if lo is None:  # a CNOT wider than the window undoes itself
             _apply_gate(both, n, gates[0], None, None)
             continue
-        mats, slots = _block_matrices(k, gates, params)  # M^T, then each D_j^T
+        mats, slots = built[i], [g[2] for g in gates if g[0] == RY]  # M^T, then each D_j^T
         # psi_in = M^T psi_out, and lam likewise, on views with the window's
         # axis second last; a window at the low end is one matmul over rows
         m = n - lo - k

@@ -9,29 +9,24 @@ encoders are always evaluated exactly; noise applies to the re-uploading
 circuit only. When the latent is longer than the circuit width, each encoding
 step applies stacked rotation passes, one per width-sized latent slice.
 
-A batch of B samples runs as real (B, 2^Q) arrays wherever the computation
-is exact: the inputs are amplitude-encoded into one array, and each encoder
-runs its circuit once over all rows. Forward passes split very large batches
-into row chunks of bounded memory. The readout is one matmul.
+A batch of B samples runs as real (B, 2^Q) arrays, in row chunks of bounded
+memory. Each encoder runs its circuit once over all rows and, in a training
+step, keeps the final states: its rows share its angles, so its gradient is
+one sweep back from them by fused blocks. The readout is one matmul.
 
 The re-uploading circuit runs one plan circuit whose k-th encoding rotation
 reads angle k: each row carries its K occurrence angles latent[occurrences],
-and all rows share the P trainable angles. ``_run_rows`` runs B rows from
-real |0...0> and, for gradients, one adjoint sweep from their final states,
-once per row chunk, clean or noisy. Under gate noise each sample draws its
-trajectory from its own stream, and the chunk's trajectories run as one
-array, each Pauli record tagged with its row (``_merge_trajectories``). On
-its trajectory a row's swept derivatives are exact, and at infinite shots
-they are the gradient. At finite shots the +/- pi/2 values a_j +/- c_j are
-sampled in pairs sharing one normal draw (common random numbers); a_j comes
-from the P + K values turned by pi, each sample's run as one real-valued
-batch of fused gate blocks (see ``qhead.grad``). A training step runs each
-encoder's circuit once and keeps the final states; since all rows share the
-encoder's angles, its gradient is one sweep back from them by the same fused
-blocks. This is the package's one head API (``EncoderConfig``,
-``QuantumEncoder``, ``HybridHead``, ``build_hybrid_head``); the tests check
-it against the per-sample references in ``tests/reference.py``, hand-built
-+/- pi/2 rows and the parameter-shift rule.
+and all rows share the P trainable angles. Under gate noise each sample
+draws its trajectory from its own stream, and a row chunk's trajectories
+run as one array, each Pauli record tagged with its row
+(``_merge_trajectories``). At infinite shots one adjoint sweep from the
+chunk's final states gives each row's exact derivatives c. At finite shots
+the +/- pi/2 values a_j +/- c_j are sampled in pairs sharing one normal
+draw (common random numbers); one fused pass over the chunk's half-turn
+rows (``qhead.grad._batch_expectations``) gives c and a_j. The tests check
+this API (``EncoderConfig``, ``QuantumEncoder``, ``HybridHead``,
+``build_hybrid_head``) against the per-sample references in
+``tests/reference.py``, hand-built +/- pi/2 rows and the parameter-shift rule.
 """
 from __future__ import annotations
 
@@ -50,7 +45,6 @@ from .grad import (
     _row_chunks,
     adjoint_observable_gradients,
     block_adjoint_gradients,
-    lift_data_slots,
     run_gates,
 )
 from .simcore import (
@@ -145,12 +139,9 @@ def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
 
 
 def _run_rows(circuit: GateList, params, angles, grads: bool) -> tuple:
-    """(z,) on qubit 0 of B rows run from real |0...0>; with ``grads`` also the gradients.
-
-    ``params`` (P,) are shared by every row and ``angles`` (B, K) are each
-    row's DATA angles. With ``grads`` the result is (z, dz/dparams (B, P),
-    dz/dangles (B, K)), from one adjoint sweep that starts at the rows'
-    final states.
+    """(z,) on qubit 0 of B rows run from real |0...0> at shared ``params`` (P,) and
+    each row's DATA ``angles`` (B, K); with ``grads`` also dz/dparams (B, P) and
+    dz/dangles (B, K), from one adjoint sweep back from the rows' final states.
     """
     amps = np.zeros((len(angles), 1 << circuit.num_qubits))
     amps[:, 0] = 1.0
@@ -279,11 +270,11 @@ class HybridHead:
         """Per-row z (B,); with ``grads`` also dz/dtheta_q (B, P) and dz/dlatent (B, L).
 
         Every row runs ``plan.circuit`` at its occurrence angles, one
-        ``_run_rows`` call per row chunk. Under gate noise, sample i draws
-        its trajectory from its stream at seed path ``(*seed_path, i)`` and
-        the chunk's trajectories run and sweep as one array. At finite shots
-        each sample's shot work follows, in index order, from its SHOTS
-        stream; dz/dlatent sums the occurrences of each latent entry.
+        ``_run_rows`` call per row chunk. Under gate noise, sample i draws its
+        trajectory from its stream at seed path ``(*seed_path, i)``. Gradients
+        take one sweep per chunk at infinite shots, and one
+        ``_batch_expectations`` call at finite shots, where each sample's shot
+        work follows in index order from its SHOTS stream.
         """
         if latent.shape[1:] != (self.plan.latent_dim,):
             raise ConfigurationError(f"expected latents of shape (rows, {self.plan.latent_dim}) "
@@ -295,24 +286,26 @@ class HybridHead:
         g_ext = np.empty((len(latent), plan.n_params + plan.occurrences.size))
         for rows in _row_chunks(len(latent), self.spec.qubits):
             index = range(len(latent))[rows]
-            runs, circuit = [plan.circuit] * len(index), plan.circuit
+            circuit = plan.circuit
             if gate_noise:
-                runs = [noise_mod.sample_pauli_insertions(plan.circuit, noise, seeding.stream(
-                    noise.seed, seeding.TRAJECTORY, *seed_path, i)) for i in index]
-                circuit = _merge_trajectories(plan.circuit, runs)
-            z[rows], *swept = _run_rows(circuit, self.theta_q, angles[rows], grads)
-            if grads:
+                circuit = _merge_trajectories(plan.circuit, [
+                    noise_mod.sample_pauli_insertions(plan.circuit, noise, seeding.stream(
+                        noise.seed, seeding.TRAJECTORY, *seed_path, i)) for i in index])
+            z[rows], *swept = _run_rows(circuit, self.theta_q, angles[rows],
+                                        grads and noise.shots is None)
+            if swept:
                 g_ext[rows, : plan.n_params], g_ext[rows, plan.n_params :] = swept
             if noise.shots is None:
                 continue
-            for i, run_list in zip(index, runs):
+            if grads:  # the half-turn values and the slopes c, from one pass
+                turned, g_ext[rows] = _batch_expectations(circuit, self.theta_q, angles[rows])
+            for i in index:
                 rng_shot = seeding.stream(noise.seed, seeding.SHOTS, *seed_path, i)
                 value = z[i]
                 z[i] = noise_mod.shot_sample_expectation(value, noise.shots, rng_shot)
                 if grads:
                     # E(ext_j +/- pi/2) = a_j +/- c_j, a_j = [E + E(ext_j + pi)] / 2
-                    ext = np.concatenate([self.theta_q, angles[i]])
-                    mid = (value + _batch_expectations(lift_data_slots(run_list)[0], ext)) / 2.0
+                    mid = (value + turned[i - rows.start]) / 2.0
                     plus, minus = noise_mod.paired_shot_estimates(mid + g_ext[i], mid - g_ext[i],
                                                                   noise.shots, rng_shot)
                     g_ext[i] = (plus - minus) / 2.0

@@ -10,14 +10,17 @@ against these simpler routes:
 * ``_noisy_sample`` runs one noisy sample alone, on its own trajectory of
   the lifted plan circuit (each encoding occurrence an RY slot, every angle
   in one per-row vector): one row forward and one one-row adjoint sweep,
-  then its shot work. The head runs a row chunk's trajectories of the plan
-  circuit as one array, its trainable angles shared by every row.
+  then its shot work, whose half-turn values come from
+  ``per_gate_expectations``. The head runs a row chunk's trajectories of
+  the plan circuit as one array, its trainable angles shared by every row,
+  and at finite shots takes both from one pass of
+  ``grad._batch_expectations``, which this reference does not run.
   ``pqc_forward``, ``_pqc_value`` and ``_pqc_value_and_grads`` run one
   sample through it;
 * ``per_gate_expectations`` runs shifted rows one kernel call per gate,
   each row from its first differing gate: the check on
-  ``grad._batch_expectations``, whose half-turn rows it runs as
-  ``_shift_rows(params, pi)[: 1 + P]``;
+  ``grad._batch_expectations``, whose half-turn rows of one sample it runs
+  as ``_shift_rows(ext, pi)[: 1 + P]`` on that sample's lifted trajectory;
 * ``HeadParams`` with ``head_forward``, ``head_gradient``,
   ``init_head_params``, ``linear_logits`` and ``count_head_parameters`` is a
   functional view of the same head.
@@ -35,7 +38,6 @@ from qhead import noise as noise_mod
 from qhead.ansatz import RY, CircuitSpec, GateList, count_parameters
 from qhead.errors import ConfigurationError
 from qhead.grad import (
-    _batch_expectations,
     _prepare,
     _shift_rows,
     adjoint_observable_gradients,
@@ -147,8 +149,8 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
     unshifted row runs once through ``run_gates``, and one adjoint sweep
     from its final state gives c. At finite
     shots the +/- pi/2 values are sampled as common-random-number pairs, with
-    a_j = [E + E(ext_j + pi)] / 2 from ``_batch_expectations``, which checks
-    that each slot is read once; at infinite shots the gradient is c.
+    a_j = [E + E(ext_j + pi)] / 2 from ``per_gate_expectations``, which checks
+    that no slot is read twice; at infinite shots the gradient is c.
     """
     run_list = noise_mod.sample_pauli_insertions(lift_data_slots(plan.circuit)[0], noise,
                                                  rng_traj)
@@ -163,7 +165,8 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
         return z
     g_ext = adjoint_observable_gradients(run_list, ext, None, np.eye(n)[0], final)[0][0]
     if noise.shots is not None:
-        mid = (value + _batch_expectations(run_list, ext)) / 2.0
+        half_turns = _shift_rows(ext, math.pi)[: 1 + ext.size]
+        mid = (value + per_gate_expectations(run_list, half_turns, None, 0)[1:]) / 2.0
         plus, minus = noise_mod.paired_shot_estimates(mid + g_ext, mid - g_ext,
                                                       noise.shots, rng_shot)
         g_ext = (plus - minus) / 2.0
@@ -198,7 +201,7 @@ def per_gate_expectations(circuit, rows, latent, measured) -> np.ndarray:
     """<Z_measured> of shifted rows (R, P), run one kernel call per gate.
 
     It accepts more than ``grad._batch_expectations``, which takes the
-    unturned angles (P,) and turns each column by pi: here every row may
+    unturned angles and turns each column by pi: here every row may
     differ from row 0 by any amount, in one column at most (or
     ``ConfigurationError`` is raised, as for a column read by two RY gates).
     A row shifted in a read column starts at that gate, from a copy of row

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qhead import head as head_mod
 from qhead.ansatz import PAULI, CircuitSpec, assemble_head_circuit, expand_encoding
 from qhead.baselines import MlpConfig, MlpEncoder
 from qhead.errors import ConfigurationError
@@ -308,6 +309,42 @@ def test_noisy_step_in_row_chunks_is_bit_identical(shots, monkeypatch):
     assert loss == whole_loss
     for key, g in whole.items():
         np.testing.assert_array_equal(grads[key], g)
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 2])
+@pytest.mark.parametrize("shots", [None, 500])
+def test_gradient_calls_per_row_chunk(shots, rows_per_chunk, monkeypatch):
+    """A finite-shot step makes one half-turn pass per row chunk and no adjoint
+    sweep; an infinite-shot step one sweep per chunk and no pass. Values make
+    neither call, and chunked steps keep the whole batch's bits."""
+    model = _mlp_head()
+    noise = NoiseModel(shots=shots, **HEAVY_NOISE)
+    rng = np.random.default_rng(28)
+    X = rng.standard_normal((5, 16))
+    y = rng.integers(2, size=5)
+    whole_loss, whole = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=SEED_PATH)
+    chunks = [5]
+    if rows_per_chunk is not None:  # chunks of 2, 2 and 1 rows
+        monkeypatch.setattr("qhead.grad._CHUNK_ELEMENTS", rows_per_chunk << 4)
+        chunks = [2, 2, 1]
+    calls = []
+    for name in ("adjoint_observable_gradients", "_batch_expectations"):
+        original = getattr(head_mod, name)
+
+        def counted(circuit, params, latent, *rest, name=name, original=original):
+            calls.append((name, len(latent)))
+            return original(circuit, params, latent, *rest)
+
+        monkeypatch.setattr(head_mod, name, counted)
+    loss, grads = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=SEED_PATH)
+    called = "adjoint_observable_gradients" if shots is None else "_batch_expectations"
+    assert calls == [(called, rows) for rows in chunks]
+    assert loss == whole_loss
+    for key, g in whole.items():
+        np.testing.assert_array_equal(grads[key], g)
+    calls.clear()
+    model.predict_logits(X, noise=noise, seed_path=SEED_PATH)
+    assert calls == []
 
 
 @pytest.mark.parametrize("grads", [False, True])

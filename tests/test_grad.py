@@ -472,7 +472,7 @@ def _half_turn_rows(params):
 def _check_half_turns(circuit, params):
     """``_batch_expectations`` against complex128 rows run alone and the per-gate engine."""
     rows = _half_turn_rows(params)
-    got = _batch_expectations(circuit, params)
+    got = _batch_expectations(circuit, params)[0][0]
     want = TestBatchExpectations._reference(circuit, rows[1:])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     per_gate = per_gate_expectations(circuit, rows, None, 0)[1:]
@@ -511,7 +511,7 @@ class TestBatchExpectations:
         rng = np.random.default_rng(5)
         circuit, params = self._circuit(rng)
         last = [g[2] for g in circuit.gates if g[0] == RY][-1]
-        got = _batch_expectations(circuit, params)
+        got = _batch_expectations(circuit, params)[0][0]
         want = self._reference(circuit, _half_turn_rows(params)[1 + last][None])
         np.testing.assert_allclose(got[last], want[0], rtol=0, atol=1e-12)
         _check_half_turns(circuit, params)
@@ -519,11 +519,11 @@ class TestBatchExpectations:
     def test_chunk_boundaries(self, monkeypatch):
         rng = np.random.default_rng(7)
         circuit, params = self._circuit(rng)
-        whole = _batch_expectations(circuit, params)
+        whole = _batch_expectations(circuit, params)[0][0]
         for per_chunk in (1, 2, 5):
             # chunks of per_chunk + 1 turned rows, each also running the unturned row
             monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", (per_chunk + 1) << circuit.num_qubits)
-            np.testing.assert_array_equal(_batch_expectations(circuit, params), whole)
+            np.testing.assert_array_equal(_batch_expectations(circuit, params)[0][0], whole)
         _check_half_turns(circuit, params)
 
     def test_y_insertions_on_real_states(self):
@@ -699,7 +699,7 @@ class TestFusedBlocks:
         assert any(g[0] == PAULI for g in circuit.gates)
         _check_half_turns(circuit, ext)
         # the head's quarter turns: E(ext_j +/- pi/2) = [E + E(ext_j + pi)] / 2 +/- dE/dext_j
-        mid = (evaluate_expectation(circuit, ext) + _batch_expectations(circuit, ext)) / 2
+        mid = (evaluate_expectation(circuit, ext) + _batch_expectations(circuit, ext)[0][0]) / 2
         slope = adjoint_gradient(circuit, ext)
         want = TestBatchExpectations._reference(circuit, _shift_rows(ext, math.pi / 2)[1:])
         np.testing.assert_allclose(np.concatenate([mid + slope, mid - slope]), want,
@@ -749,10 +749,88 @@ class TestFusedBlocks:
         assert cases
         cols = [g[2] for pair in cases for g in pair]
         rows = _half_turn_rows(ext)[1:][cols]
-        got = _batch_expectations(circuit, ext)[cols]
+        got = _batch_expectations(circuit, ext)[0][0][cols]
         np.testing.assert_allclose(got, TestBatchExpectations._reference(circuit, rows),
                                    rtol=0, atol=1e-12)
         _check_half_turns(circuit, ext)
+
+
+def _own_records(merged, row):
+    """Row ``row``'s gate list of a merged circuit: its tagged records untagged, no others."""
+    return GateList(merged.num_qubits, [g[:3] for g in merged.gates
+                                        if g[0] != PAULI or len(g) == 3 or g[3] == row])
+
+
+class TestOneFusedPass:
+    """``_batch_expectations`` on a row chunk: plan circuit, shared angles, per-row latents.
+
+    Each row's half-turn values match the per-gate engine run on that row's
+    own lifted trajectory, and its slopes c the per-gate adjoint sweep of
+    the merged rows.
+    """
+
+    @staticmethod
+    def _chunk(qubits, rows, seed):
+        """A merged chunk with a tagged Y inside a block, tagged records on the
+        control and the target of a wide CNOT (Q - 1, 0), and an untagged record."""
+        rng = np.random.default_rng(seed)
+        plan = _plan_pqc(CircuitSpec(qubits=qubits, main_layers=2, reupload_count=2,
+                                     reupload_layers=1), qubits)
+        runs = [sample_pauli_insertions(plan.circuit, NoiseModel(p1q=0.2, p2q=0.2), rng)
+                for _ in range(rows)]
+        gates = list(_merge_trajectories(plan.circuit, runs).gates)
+        wide = gates.index((CNOT, qubits - 1, 0))
+        k, blocks = _blocks(plan.circuit)
+        assert [g for _, lo, g in blocks if lo is None][0] == [(CNOT, qubits - 1, 0)]
+        gates[wide + 1 : wide + 1] = [(PAULI, qubits - 1, "X", rows - 1), (PAULI, 0, "Z", rows - 1)]
+        rys = [i for i, g in enumerate(gates) if g[0] == RY]
+        middle = rys[len(rys) // 2]
+        gates.insert(middle + 1, (PAULI, gates[middle][1], "Y", 0))
+        gates.insert(2, (PAULI, 1, "Y"))
+        params = rng.uniform(-np.pi, np.pi, plan.n_params)
+        return GateList(qubits, gates), params, rng.uniform(-1, 1, (rows, plan.occurrences.size))
+
+    @pytest.mark.parametrize("rows", [1, 5, 16])
+    @pytest.mark.parametrize("qubits", [3, 4, 6, 10])
+    def test_matches_the_per_gate_engine_and_the_sweep(self, qubits, rows):
+        merged, params, latent = self._chunk(qubits, rows, 90 + qubits + rows)
+        values, slopes = _batch_expectations(merged, params, latent)
+        assert values.shape == slopes.shape == (rows, params.size + latent.shape[1])
+        final = run_gates(np.repeat(np.eye(1, 1 << qubits), rows, axis=0), merged, params, latent)
+        gp, gl = adjoint_observable_gradients(merged, params, latent, np.eye(qubits)[0], final)
+        np.testing.assert_allclose(slopes, np.hstack([gp, gl]), rtol=0, atol=1e-14)
+        for row in range(rows):
+            lifted, _ = lift_data_slots(_own_records(merged, row))
+            ext = np.concatenate([params, latent[row]])
+            want = per_gate_expectations(lifted, _half_turn_rows(ext), None, 0)[1:]
+            # fused and per-gate arithmetic round apart by up to about 1.1e-15
+            np.testing.assert_allclose(values[row], want, rtol=0, atol=2e-15)
+
+    def test_rows_keep_their_bits_in_any_chunk(self, monkeypatch):
+        merged, params, latent = self._chunk(4, 5, 3)
+        whole = _batch_expectations(merged, params, latent)
+        # two turned rows per inner chunk, each led again by the unturned row
+        monkeypatch.setattr(grad_mod, "_CHUNK_ELEMENTS", 3 << 4)
+        for lo, hi in ((0, 2), (2, 5), (4, 5)):
+            part = GateList(4, [g if g[0] != PAULI or len(g) == 3 else (*g[:3], g[3] - lo)
+                                for g in merged.gates if g[0] != PAULI or len(g) == 3
+                                or lo <= g[3] < hi])
+            for got, want in zip(_batch_expectations(part, params, latent[lo:hi]), whole):
+                np.testing.assert_array_equal(got, want[lo:hi])
+
+
+@pytest.mark.parametrize("tag", [-1, 7, 1.0])
+def test_row_tags_outside_the_rows_are_rejected(tag):
+    """A tagged record must name one of the rows: -1 must not act on the last."""
+    circuit = GateList(2, [(RY, 0, 0), (PAULI, 1, "X", tag), (CNOT, 0, 1)])
+    params = np.array([0.3])
+    amps = np.repeat(np.eye(1, 4), 2, axis=0)
+    with pytest.raises(ConfigurationError, match="tagged with row"):
+        run_gates(amps.copy(), circuit, params)
+    with pytest.raises(ConfigurationError, match="tagged with row"):
+        adjoint_observable_gradients(circuit, params, None, np.eye(2)[0], amps)
+    with pytest.raises(ConfigurationError, match="tagged with row"):
+        _batch_expectations(circuit, params, np.zeros((2, 0)))
 
 
 def _random_block(rng, k, size=14):
@@ -780,8 +858,8 @@ class TestBlockMatrices:
         for _ in range(4):
             gates, params = _random_block(rng, k)
             assert {CNOT, PAULI} <= {g[0] for g in gates}
-            mats, slots = _block_matrices(k, gates, params)
-            assert slots == [g[2] for g in gates if g[0] == RY] == list(range(params.size))
+            assert [g[2] for g in gates if g[0] == RY] == list(range(params.size))
+            (mats,) = _block_matrices(k, gates, params[None])
             assert mats.shape == (1 + params.size, 1 << k, 1 << k)
             # real arrays apply Y as XZ = -iY
             phase = (-1j) ** sum(g[0] == PAULI and g[2] == "Y" for g in gates)
@@ -796,7 +874,7 @@ class TestBlockMatrices:
                 turned[j] += math.pi
                 np.testing.assert_allclose(mats[1 + j].T, phase * dense(turned),
                                            rtol=0, atol=1e-14)
-                rebuilt = _block_matrices(k, gates, turned)[0][0]
+                rebuilt = _block_matrices(k, gates, turned[None])[0][0]
                 np.testing.assert_allclose(mats[1 + j], rebuilt, rtol=0, atol=1e-15)
 
 
