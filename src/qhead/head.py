@@ -21,11 +21,11 @@ draws its trajectory from its own stream, and a row chunk's trajectories
 run as one array, each Pauli record tagged with its row
 (``_merge_trajectories``). At infinite shots one adjoint sweep from the
 chunk's final states gives each row's exact derivatives c. At finite shots
-the +/- pi/2 values a_j +/- c_j are sampled in pairs sharing one normal
-draw (common random numbers); one fused pass over the chunk's half-turn
-rows (``qhead.grad._batch_expectations``) gives c and a_j. The tests check
-this API (``EncoderConfig``, ``QuantumEncoder``, ``HybridHead``,
-``build_hybrid_head``) against the per-sample references in
+one fused pass over its half-turn rows (``qhead.grad._batch_expectations``)
+gives c and a_j. The chunk's values, and its +/- pi/2 values a_j +/- c_j
+with one shared normal draw per pair, take one ``gaussian_shot_estimate``
+call each. The tests check this API (``EncoderConfig``, ``QuantumEncoder``,
+``HybridHead``, ``build_hybrid_head``) against the per-sample references in
 ``tests/reference.py``, hand-built +/- pi/2 rows and the parameter-shift rule.
 """
 from __future__ import annotations
@@ -157,18 +157,18 @@ def _merge_trajectories(circuit: GateList, runs) -> GateList:
     """One gate list for B trajectories of ``circuit``, each Pauli record tagged with its row.
 
     Every gate of ``circuit`` is followed by the records that row b's
-    trajectory ``runs[b]`` inserts after it, as ("pauli", qubit, label, b).
+    trajectory ``runs[b]`` inserts after it, as ("pauli", qubit, label, b);
+    records before a trajectory's first gate come before the first gate.
     """
-    after: list[list[tuple]] = [[] for _ in circuit.gates]
+    slots: list[list[tuple]] = [[]] + [[g] for g in circuit.gates]
     for row, run in enumerate(runs):
-        at = -1
+        at = 0
         for g in run.gates:
             if g[0] == PAULI:
-                after[at].append((*g, row))
+                slots[at].append((*g, row))
             else:
                 at += 1
-    return GateList(circuit.num_qubits, [r for g, tail in zip(circuit.gates, after)
-                                         for r in (g, *tail)])
+    return GateList(circuit.num_qubits, [r for slot in slots for r in slot])
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +270,11 @@ class HybridHead:
         """Per-row z (B,); with ``grads`` also dz/dtheta_q (B, P) and dz/dlatent (B, L).
 
         Every row runs ``plan.circuit`` at its occurrence angles, one
-        ``_run_rows`` call per row chunk. Under gate noise, sample i draws its
-        trajectory from its stream at seed path ``(*seed_path, i)``. Gradients
-        take one sweep per chunk at infinite shots, and one
-        ``_batch_expectations`` call at finite shots, where each sample's shot
-        work follows in index order from its SHOTS stream.
+        ``_run_rows`` call per row chunk. Sample i draws its trajectory (under
+        gate noise) and all its normals (at finite shots, in one call) from its
+        streams at seed path ``(*seed_path, i)``. Gradients take one sweep per
+        chunk at infinite shots, and one ``_batch_expectations`` call at finite
+        shots; there the chunk's shot estimates are one vector pass.
         """
         if latent.shape[1:] != (self.plan.latent_dim,):
             raise ConfigurationError(f"expected latents of shape (rows, {self.plan.latent_dim}) "
@@ -297,18 +297,17 @@ class HybridHead:
                 g_ext[rows, : plan.n_params], g_ext[rows, plan.n_params :] = swept
             if noise.shots is None:
                 continue
+            # sample i's normals from its SHOTS stream: its value's, then one per +/- pair
+            eps = np.array([seeding.stream(noise.seed, seeding.SHOTS, *seed_path, i)
+                            .standard_normal(1 + grads * g_ext.shape[1]) for i in index])
             if grads:  # the half-turn values and the slopes c, from one pass
-                turned, g_ext[rows] = _batch_expectations(circuit, self.theta_q, angles[rows])
-            for i in index:
-                rng_shot = seeding.stream(noise.seed, seeding.SHOTS, *seed_path, i)
-                value = z[i]
-                z[i] = noise_mod.shot_sample_expectation(value, noise.shots, rng_shot)
-                if grads:
-                    # E(ext_j +/- pi/2) = a_j +/- c_j, a_j = [E + E(ext_j + pi)] / 2
-                    mid = (value + turned[i - rows.start]) / 2.0
-                    plus, minus = noise_mod.paired_shot_estimates(mid + g_ext[i], mid - g_ext[i],
-                                                                  noise.shots, rng_shot)
-                    g_ext[i] = (plus - minus) / 2.0
+                turned, c = _batch_expectations(circuit, self.theta_q, angles[rows])
+                # E(ext_j +/- pi/2) = a_j +/- c_j, a_j = [E + E(ext_j + pi)] / 2
+                mid = (z[rows, None] + turned) / 2.0
+                plus = noise_mod.gaussian_shot_estimate(mid + c, noise.shots, eps[:, 1:])
+                minus = noise_mod.gaussian_shot_estimate(mid - c, noise.shots, eps[:, 1:])
+                g_ext[rows] = (plus - minus) / 2.0
+            z[rows] = noise_mod.gaussian_shot_estimate(z[rows], noise.shots, eps[:, 0])
         if not grads:
             return z
         glatent = np.zeros((len(latent), plan.latent_dim))

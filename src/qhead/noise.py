@@ -6,10 +6,12 @@ non-identity pairs). Under this convention a single-qubit rate p contracts
 Bloch vectors by (1 - 4p/3).
 
 Shot noise is the Gaussian limit of the two-outcome multinomial estimator:
-z_hat = clamp(z + eps * sqrt((1 - z^2)/S), -1, 1) with eps ~ N(0, 1).
-``shot_sample_expectation`` draws one such value. A finite-shot gradient is
-no derivative of z_hat: it samples each +/- pi/2 pair of the shift rule with
-``paired_shot_estimates``, one shared draw per pair.
+z_hat = clamp(z + eps * sqrt((1 - z^2)/S), -1, 1) with eps ~ N(0, 1), applied
+elementwise by ``gaussian_shot_estimate``. A finite-shot gradient is no
+derivative of z_hat: each +/- pi/2 pair of the shift rule shares one draw
+(common random numbers), so qhead simulates correlated pairs, not separate
+executions; at the paper shape and 8192 shots the pair's shot noise mostly
+cancels, to a median of about 2e-4 of what separate executions would give.
 """
 from __future__ import annotations
 
@@ -80,35 +82,27 @@ def sample_pauli_insertions(circuit: GateList, model: NoiseModel,
     return GateList(circuit.num_qubits, gates)
 
 
-def gaussian_shot_estimate(z, shots: int, eps):
-    """clamp(z + eps * sqrt((1 - z^2)/shots), -1, 1); broadcasts over arrays."""
+def gaussian_shot_estimate(z, shots: int | None, eps):
+    """clamp(z + eps * sqrt((1 - z^2)/shots), -1, 1) elementwise; the clamped z at shots None.
+
+    |z| may pass 1 by rounding and is clamped first; beyond 1 + 1e-9, or NaN, it is rejected.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    worst = float(np.max(np.abs(z), initial=0.0))
+    if not worst <= 1.0 + 1e-9:  # also rejects NaN
+        raise ConfigurationError(f"|z| must be <= 1, got {worst!r}")
+    z = np.clip(z, -1.0, 1.0)
+    if shots is None:
+        return z
     if shots < 1:
         raise ConfigurationError(f"shots must be >= 1, got {shots}")
-    z = np.asarray(z, dtype=np.float64)
-    sigma = np.sqrt(np.clip(1.0 - z * z, 0.0, None) / shots)
-    return np.clip(z + np.asarray(eps) * sigma, -1.0, 1.0)
-
-
-def paired_shot_estimates(plus, minus, shots: int, rng: np.random.Generator | None):
-    """Finite-shot estimates of each +/- pair, sharing one normal draw per pair.
-
-    The shared draw (common random numbers) keeps the shot noise of a shifted
-    pair correlated, so it largely cancels in their difference.
-    """
-    eps = _require_rng(rng, "shot sampling").standard_normal(len(plus))
-    return gaussian_shot_estimate(plus, shots, eps), gaussian_shot_estimate(minus, shots, eps)
+    return np.clip(z + np.asarray(eps) * np.sqrt((1.0 - z * z) / shots), -1.0, 1.0)
 
 
 def shot_sample_expectation(z: float, shots: int | None,
                             rng: np.random.Generator | None) -> float:
-    """Sample a finite-shot estimate of <Z> = z; exact at z = +/-1 and S = inf."""
-    z = float(z)
-    if not abs(z) <= 1.0 + 1e-9:  # also rejects NaN
-        raise ConfigurationError(f"|z| must be <= 1, got {z!r}")
-    z = min(max(z, -1.0), 1.0)
-    if shots is None:
-        return z
-    eps = _require_rng(rng, "shot sampling").standard_normal()
+    """One finite-shot estimate of <Z> = z; exact at z = +/-1 and S = inf."""
+    eps = None if shots is None else _require_rng(rng, "shot sampling").standard_normal()
     return float(gaussian_shot_estimate(z, shots, eps))
 
 

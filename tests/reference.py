@@ -11,10 +11,12 @@ against these simpler routes:
   the lifted plan circuit (each encoding occurrence an RY slot, every angle
   in one per-row vector): one row forward and one one-row adjoint sweep,
   then its shot work, whose half-turn values come from
-  ``per_gate_expectations``. The head runs a row chunk's trajectories of
-  the plan circuit as one array, its trainable angles shared by every row,
-  and at finite shots takes both from one pass of
-  ``grad._batch_expectations``, which this reference does not run.
+  ``per_gate_expectations``. It draws one normal for the value, then one
+  per +/- pi/2 pair, shared by both of the pair's estimates. The head runs
+  a row chunk's trajectories of the plan circuit as one array, its
+  trainable angles shared by every row; at finite shots it takes c and a_j
+  from one pass of ``grad._batch_expectations``, which this reference does
+  not run, and draws each sample's normals in one call.
   ``pqc_forward``, ``_pqc_value`` and ``_pqc_value_and_grads`` run one
   sample through it;
 * ``per_gate_expectations`` runs shifted rows one kernel call per gate,
@@ -148,7 +150,7 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
     c_j sin s, so E(ext_j +/- pi/2) = a_j +/- c_j with c = dE/d(ext). The
     unshifted row runs once through ``run_gates``, and one adjoint sweep
     from its final state gives c. At finite
-    shots the +/- pi/2 values are sampled as common-random-number pairs, with
+    shots the +/- pi/2 values are sampled in pairs sharing one normal draw, with
     a_j = [E + E(ext_j + pi)] / 2 from ``per_gate_expectations``, which checks
     that no slot is read twice; at infinite shots the gradient is c.
     """
@@ -167,8 +169,9 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
     if noise.shots is not None:
         half_turns = _shift_rows(ext, math.pi)[: 1 + ext.size]
         mid = (value + per_gate_expectations(run_list, half_turns, None, 0)[1:]) / 2.0
-        plus, minus = noise_mod.paired_shot_estimates(mid + g_ext, mid - g_ext,
-                                                      noise.shots, rng_shot)
+        eps = rng_shot.standard_normal(g_ext.size)  # common random numbers
+        plus = noise_mod.gaussian_shot_estimate(mid + g_ext, noise.shots, eps)
+        minus = noise_mod.gaussian_shot_estimate(mid - g_ext, noise.shots, eps)
         g_ext = (plus - minus) / 2.0
     glatent = np.zeros(plan.latent_dim)
     np.add.at(glatent, plan.occurrences, g_ext[plan.n_params :])

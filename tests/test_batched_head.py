@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qhead import head as head_mod
+from qhead import noise as noise_mod
 from qhead.ansatz import PAULI, CircuitSpec, assemble_head_circuit, expand_encoding
 from qhead.baselines import MlpConfig, MlpEncoder
 from qhead.errors import ConfigurationError
@@ -316,7 +317,9 @@ def test_noisy_step_in_row_chunks_is_bit_identical(shots, monkeypatch):
 def test_gradient_calls_per_row_chunk(shots, rows_per_chunk, monkeypatch):
     """A finite-shot step makes one half-turn pass per row chunk and no adjoint
     sweep; an infinite-shot step one sweep per chunk and no pass. Values make
-    neither call, and chunked steps keep the whole batch's bits."""
+    neither call, and chunked steps keep the whole batch's bits. A row chunk's
+    shot estimates are one vector pass: three estimator calls (values, + rows,
+    - rows) in a finite-shot step, one in finite-shot prediction."""
     model = _mlp_head()
     noise = NoiseModel(shots=shots, **HEAVY_NOISE)
     rng = np.random.default_rng(28)
@@ -336,15 +339,26 @@ def test_gradient_calls_per_row_chunk(shots, rows_per_chunk, monkeypatch):
             return original(circuit, params, latent, *rest)
 
         monkeypatch.setattr(head_mod, name, counted)
+    estimates = []
+
+    def estimate(z, shots, eps, original=noise_mod.gaussian_shot_estimate):
+        estimates.append(len(z))
+        return original(z, shots, eps)
+
+    monkeypatch.setattr(noise_mod, "gaussian_shot_estimate", estimate)
     loss, grads = model.batch_loss_and_gradients(X, y, noise=noise, seed_path=SEED_PATH)
     called = "adjoint_observable_gradients" if shots is None else "_batch_expectations"
     assert calls == [(called, rows) for rows in chunks]
+    per_chunk = 0 if shots is None else 3
+    assert estimates == [rows for rows in chunks for _ in range(per_chunk)]
     assert loss == whole_loss
     for key, g in whole.items():
         np.testing.assert_array_equal(grads[key], g)
     calls.clear()
+    estimates.clear()
     model.predict_logits(X, noise=noise, seed_path=SEED_PATH)
     assert calls == []
+    assert estimates == ([] if shots is None else chunks)
 
 
 @pytest.mark.parametrize("grads", [False, True])

@@ -377,6 +377,12 @@ def test_row_tagged_pauli_records_act_on_their_row_only():
         np.testing.assert_array_equal(gp[b], one)
 
 
+def test_record_before_a_trajectorys_first_gate_stays_before_it():
+    merged = _merge_trajectories(GateList(1, [(RY, 0, 0)]),
+                                 [GateList(1, [(PAULI, 0, "X"), (RY, 0, 0)])])
+    assert merged.gates == [(PAULI, 0, "X", 0), (RY, 0, 0)]
+
+
 class TestLiftDataSlots:
     def test_occurrence_bookkeeping(self):
         circuit = GateList(2, [(DATA, 0, 0), (RY, 0, 0), (DATA, 1, 1), (DATA, 0, 0)])

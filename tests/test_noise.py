@@ -15,7 +15,6 @@ from qhead.noise import (
     gaussian_shot_estimate,
     multinomial_oracle,
     multinomial_z_estimate,
-    paired_shot_estimates,
     sample_pauli_insertions,
     shot_sample_expectation,
 )
@@ -238,11 +237,13 @@ class TestShotSampling:
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError):
             shot_sample_expectation(1.2, 100, stream(0, 5))
+        with pytest.raises(ConfigurationError, match="got 1.2"):
+            gaussian_shot_estimate(np.array([0.3, -1.2]), 100, np.zeros(2))
 
     @pytest.mark.parametrize("shots", [0, -5])
     def test_nonpositive_shots_rejected(self, shots):
         with pytest.raises(ConfigurationError, match=f"shots must be >= 1, got {shots}"):
-            paired_shot_estimates(np.zeros(3), np.zeros(3), shots, stream(0, 5))
+            gaussian_shot_estimate(np.zeros(3), shots, np.zeros(3))
         with pytest.raises(ConfigurationError, match=f"shots must be >= 1, got {shots}"):
             shot_sample_expectation(0.3, shots, stream(0, 5))
 
@@ -251,6 +252,8 @@ class TestShotSampling:
         # abs(nan) > 1 is false, so a plain range test lets NaN through
         with pytest.raises(ConfigurationError, match="got nan"):
             shot_sample_expectation(float("nan"), shots, stream(0, 5))
+        with pytest.raises(ConfigurationError, match="got nan"):
+            gaussian_shot_estimate(np.array([0.3, np.nan]), shots, np.zeros(2))
 
 
 class TestMultinomialOracle:
