@@ -87,8 +87,8 @@ class _BatchNorm:
         if training:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean = (1 - _BN_MOMENTUM) * self.running_mean + _BN_MOMENTUM * mean
-            self.running_var = (1 - _BN_MOMENTUM) * self.running_var + _BN_MOMENTUM * var
+            self.running_mean[...] = (1 - _BN_MOMENTUM) * self.running_mean + _BN_MOMENTUM * mean
+            self.running_var[...] = (1 - _BN_MOMENTUM) * self.running_var + _BN_MOMENTUM * var
             self.updates += 1
         else:
             if self.updates == 0:
@@ -143,6 +143,11 @@ class _Mlp:
             arrays["bn_gamma"] = self.bn.gamma
             arrays["bn_beta"] = self.bn.beta
         return arrays
+
+    def statistic_arrays(self) -> dict[str, np.ndarray]:
+        """Arrays that training updates in place outside the optimizer."""
+        bn = self.bn
+        return {} if bn is None else {"bn_mean": bn.running_mean, "bn_var": bn.running_var}
 
     def _forward(self, X: np.ndarray, training: bool):
         """Output rows and the cache ``_backward`` reads."""

@@ -12,7 +12,9 @@ Three gradient routes with different trade-offs:
 
 States are real (rows, 2^Q) arrays from |0...0>, run in row chunks that
 bound peak memory (``_row_chunks``): every gate is real up to a global
-phase, and on real arrays Y is applied as XZ = -iY. Single circuit values
+phase, and on real arrays Y is applied as XZ = -iY. ``run_gates`` and the
+per-gate adjoint sweep run a chunk amplitude-major, as (2^Q, rows), and
+states are measured rows first. Single circuit values
 (``evaluate_expectation``, ``trajectory_expectation``) run one row through
 ``_single_value``; the two references run their 2P +/- rows plainly.
 
@@ -55,8 +57,9 @@ _CHUNK_ELEMENTS = 1 << 22
 _BLOCK_QUBITS = 4
 
 
-def _apply_gate(amps: np.ndarray, n: int, g: tuple, params, latent) -> None:
-    """Apply one expanded gate record in place; angles broadcast row-wise."""
+def _apply_gate(amps: np.ndarray, n: int, g: tuple, params, latent, rows: int = 0) -> None:
+    """Apply one expanded gate record in place; angles broadcast row-wise, and a
+    record tagged with row b of ``rows`` acts on the columns b, b + rows, ..."""
     kind = g[0]
     if kind == RY:
         _ry(amps, n, g[1], params[..., g[2]])
@@ -66,7 +69,7 @@ def _apply_gate(amps: np.ndarray, n: int, g: tuple, params, latent) -> None:
         _ry(amps, n, g[1], latent[..., g[2]])
     elif kind == PAULI:  # a record tagged with a row acts on that row only
         if len(g) > 3:
-            amps = amps[..., _tagged_row(g, amps.shape[-2] if amps.ndim > 1 else 0), :]
+            amps = amps.reshape(*amps.shape[:-1], -1, max(rows, 1))[..., _tagged_row(g, rows)]
         _pauli(amps, n, g[1], g[2])
     elif kind == ENCODE:
         raise ConfigurationError("encoding steps must be expanded before execution")
@@ -82,13 +85,17 @@ def _tagged_row(g: tuple, rows: int) -> int:
 
 
 def run_gates(amps: np.ndarray, circuit: GateList, params=None, latent=None) -> np.ndarray:
-    """Execute an expanded gate list in place on ``amps`` (last axis = state).
+    """Execute an expanded gate list in place on one row (2^Q,) or B rows (B, 2^Q).
 
-    ``params`` and ``latent`` may carry leading batch axes matching ``amps``;
-    angles broadcast row-wise.
+    ``params`` (B, P) and ``latent`` (B, K) give each row its own angles;
+    1-D ones are shared. B rows run amplitude-major on a (2^Q, B) copy, and
+    each amplitude takes the same operations as in its row run alone.
     """
+    flat, rows = (amps, 0) if amps.ndim == 1 else (amps.T.copy().reshape(-1), len(amps))
     for g in circuit.gates:
-        _apply_gate(amps, circuit.num_qubits, g, params, latent)
+        _apply_gate(flat, circuit.num_qubits, g, params, latent, rows)
+    if rows:
+        amps[...] = flat.reshape(-1, rows).T
     return amps
 
 
@@ -171,7 +178,8 @@ def _row_chunks(rows: int, num_qubits: int) -> list[slice]:
 
     Batched passes run chunk by chunk, so that evaluating many rows holds a
     bounded amount of state. Rows are independent, so the chunking changes
-    no value.
+    no value. While ``run_gates`` runs, its amplitude-major copy doubles a
+    chunk's amplitudes.
     """
     step = max(1, _CHUNK_ELEMENTS >> num_qubits)
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
@@ -382,9 +390,12 @@ def finite_difference_oracle(circuit: GateList, params, latent=None, measured: i
 
 
 def _z_diagonal(z_weights: np.ndarray, n: int) -> np.ndarray:
-    """Diagonal of sum_j w_j Z_j for each row of weights, shape (..., 2^n)."""
-    bits = (np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
-    return z_weights @ (1.0 - 2.0 * bits)
+    """Diagonal of sum_j w_j Z_j for each row of weights, shape (..., 2^n).
+
+    Summed in order of j, as a matmul may round a row by how many come with it.
+    """
+    signs = 1.0 - 2.0 * ((np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]) & 1)
+    return sum(z_weights[..., j, None] * signs[j] for j in range(n))
 
 
 def _first_row(values):
@@ -402,7 +413,8 @@ def adjoint_observable_gradients(circuit: GateList, params, latent, z_weights, f
     ``final`` (B, 2^Q) may carry a leading axis of B rows; a 1-D value is
     shared by every row. Returns the per-row gradients wrt params (B, P) and
     latent (B, L), with B = 1 when no argument has a row axis. Real final
-    states keep every state real.
+    states keep every state real. A row's gradients have the same bits
+    alone, as a 1-D final, or in a chunk of any size.
     """
     params = np.asarray(params, dtype=np.float64)
     latent = None if latent is None else np.asarray(latent, dtype=np.float64)
@@ -422,12 +434,11 @@ def adjoint_observable_gradients(circuit: GateList, params, latent, z_weights, f
     if final.shape not in ((dim,), (rows, dim)):
         raise ConfigurationError(f"final must have shape ({dim},) or ({rows}, {dim}), "
                                  f"got {final.shape}")
-    # psi and lam share one (2, rows, 2^Q) array, so that one kernel call
-    # un-applies a gate from both
-    both = np.empty((2, rows, dim), dtype=np.result_type(np.float64, final))
-    psi, lam = both
-    psi[...] = final
-    lam[...] = _z_diagonal(z_weights, n) * psi
+    # psi and lam share one (2, 2^Q * rows) array, each amplitude-major, so
+    # that one kernel call un-applies a gate from both
+    psi = np.broadcast_to(final, (rows, dim))
+    both = np.stack([psi.T, (_z_diagonal(z_weights, n) * psi).T]).reshape(2, -1)
+    terms = np.empty((rows, dim >> 1), dtype=both.dtype)  # row-major, summed by one rule
 
     grad_params = np.zeros((rows, params.shape[-1]))
     grad_latent = np.zeros((rows, latent.shape[-1] if latent is not None else 0))
@@ -435,15 +446,16 @@ def adjoint_observable_gradients(circuit: GateList, params, latent, z_weights, f
         if g[0] not in (RY, DATA):
             # CNOT and Paulis undo themselves; on real rows Y is XZ, whose
             # square is -1, and that sign reaches psi and lam alike
-            _apply_gate(both, n, g, params, latent)
+            _apply_gate(both, n, g, params, latent, rows)
             continue
         # dRY(t)/dt = (-iY/2) RY(t) with -iY real, so the derivative term is
         # <lam|(-iY)|psi> on the state after the gate (the 1/2 cancels the 2
         # of 2 Re<.>); only then is the gate un-applied from both states
-        pv = _qubit_view(psi, n, g[1])
-        lv = _qubit_view(lam, n, g[1]).conj()
-        contrib = (np.einsum("...ij,...ij->...", lv[..., 1, :], pv[..., 0, :])
-                   - np.einsum("...ij,...ij->...", lv[..., 0, :], pv[..., 1, :])).real
+        pv, lv = _qubit_view(both, n, g[1])
+        prod = lv[:, 1].conj() * pv[:, 0]
+        prod -= lv[:, 0].conj() * pv[:, 1]
+        terms[...] = prod.reshape(-1, rows).T
+        contrib = terms.sum(axis=1).real
         if g[0] == RY:
             grad_params[:, g[2]] += contrib
             angle = params[..., g[2]]

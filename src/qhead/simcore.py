@@ -5,13 +5,18 @@ qubits the amplitude order is |00>, |01>, |10>, |11>. Gates act in place on the
 amplitude array through strided views (never via full 2^Q x 2^Q matrices) and
 return the state, so calls can be chained.
 
-The private ``_*`` kernels operate on bare arrays whose *last* axis is the 2^Q
-state dimension; any leading axes are independent batch entries, and rotation
-angles broadcast against them. The arrays are complex, or real where the
-caller only reads |amplitude|^2: Y on a real array applies XZ = -iY. The
-public functions wrap a single complex :class:`StateVector`, which is the
-shape the rest of the package exposes; the one batched exception is
-:func:`amplitude_encode_rows`, which loads many inputs as real (B, 2^Q) rows.
+The private ``_*`` kernels operate on bare arrays whose last axis holds 2^Q
+amplitudes times a row factor R = ``amps.shape[-1] >> Q``. With R = 1 any
+leading axes are batch entries and angles broadcast against them (the fused
+engines, the exact channel, the public functions and every measurement).
+With R > 1 the last axis holds R rows amplitude-major, as a flat (2^Q, R)
+array, and an angle with R values gives each row its own (``grad.run_gates``
+and the adjoint sweep). ``amps.size >> Q`` counts a call's rows either way.
+The arrays are complex, or real where the caller only reads |amplitude|^2:
+Y on a real array applies XZ = -iY. The public functions wrap a single
+complex :class:`StateVector`, which is the shape the rest of the package
+exposes; the one batched exception is :func:`amplitude_encode_rows`, which
+loads many inputs as real (B, 2^Q) rows.
 """
 from __future__ import annotations
 
@@ -43,29 +48,31 @@ class StateVector:
 
 
 def _qubit_view(amps: np.ndarray, num_qubits: int, qubit: int) -> np.ndarray:
-    """Reshape so the chosen qubit sits alone on axis -2."""
-    lead = amps.shape[:-1]
-    return amps.reshape(*lead, 1 << qubit, 2, 1 << (num_qubits - qubit - 1))
+    """Reshape to (..., 2^q, 2, 2^(Q-q-1), R): the chosen qubit alone on axis -3."""
+    rows = amps.shape[-1] >> num_qubits
+    return amps.reshape(*amps.shape[:-1], 1 << qubit, 2, 1 << (num_qubits - qubit - 1), rows)
 
 
 def _ry(amps: np.ndarray, num_qubits: int, qubit: int, theta) -> np.ndarray:
     v = _qubit_view(amps, num_qubits, qubit)
     half = 0.5 * np.asarray(theta, dtype=np.float64)
-    c = np.cos(half)[..., None, None]
-    s = np.sin(half)[..., None, None]
-    a = v[..., 0, :]
-    b = v[..., 1, :]
-    top = c * a - s * b
-    v[..., 1, :] = s * a + c * b
-    v[..., 0, :] = top
+    if v.shape[-1] == 1:  # against the leading axes; else along the row factor
+        half = half[..., None, None, None]
+    c, s = np.cos(half), np.sin(half)
+    a, b = v[..., 0, :, :], v[..., 1, :, :]
+    top = c * a
+    top -= s * b
+    bottom = s * a
+    bottom += c * b
+    v[..., 0, :, :], v[..., 1, :, :] = top, bottom
     return amps
 
 
 def _cnot(amps: np.ndarray, num_qubits: int, control: int, target: int) -> np.ndarray:
-    lead = amps.shape[:-1]
+    lead, rows = amps.shape[:-1], amps.shape[-1] >> num_qubits
     lo, hi = (control, target) if control < target else (target, control)
     v = amps.reshape(
-        *lead, 1 << lo, 2, 1 << (hi - lo - 1), 2, 1 << (num_qubits - hi - 1)
+        *lead, 1 << lo, 2, 1 << (hi - lo - 1), 2, (1 << (num_qubits - hi - 1)) * rows
     )
     if control < target:
         one_a = (Ellipsis, 1, slice(None), 0, slice(None))
@@ -82,29 +89,29 @@ def _cnot(amps: np.ndarray, num_qubits: int, control: int, target: int) -> np.nd
 def _pauli(amps: np.ndarray, num_qubits: int, qubit: int, which: str) -> np.ndarray:
     v = _qubit_view(amps, num_qubits, qubit)
     if which == "Z":
-        v[..., 1, :] *= -1.0
+        v[..., 1, :, :] *= -1.0
         return amps
-    a = v[..., 0, :].copy()
-    b = v[..., 1, :]
+    a = v[..., 0, :, :].copy()
+    b = v[..., 1, :, :]
     if which == "X":
-        v[..., 0, :] = b
-        v[..., 1, :] = a
+        v[..., 0, :, :] = b
+        v[..., 1, :, :] = a
     elif which == "Y":
         if np.iscomplexobj(amps):
-            v[..., 0, :] = -1j * b
-            v[..., 1, :] = 1j * a
+            v[..., 0, :, :] = -1j * b
+            v[..., 1, :, :] = 1j * a
         else:
             # Y = i.XZ: a real array gets XZ (Z, then X), dropping the global
             # phase i, which no |amplitude|^2 can see
-            v[..., 0, :] = -b
-            v[..., 1, :] = a
+            v[..., 0, :, :] = -b
+            v[..., 1, :, :] = a
     else:
         raise ConfigurationError(f"unknown Pauli label {which!r}, expected X, Y, or Z")
     return amps
 
 
 def _z_expectation(amps: np.ndarray, num_qubits: int, qubit: int):
-    v = _qubit_view(amps, num_qubits, qubit)
+    v = _qubit_view(amps, num_qubits, qubit)[..., 0]
     # v.imag of a real array is a fresh array of zeros
     pr = v.real**2 + v.imag**2 if np.iscomplexobj(v) else v * v
     return pr[..., 0, :].sum(axis=(-2, -1)) - pr[..., 1, :].sum(axis=(-2, -1))

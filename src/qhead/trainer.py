@@ -2,9 +2,11 @@
 
 Models are duck-typed; anything with ``parameter_arrays()``,
 ``batch_loss_and_gradients(X, y, noise, seed_path)`` and
-``predict_logits(X, noise, seed_path)`` can be trained. All shuffling derives
-from the train seed, all noise randomness from the noise model's own seed, so
-a (seed, config, dataset) triple fully determines every reported number.
+``predict_logits(X, noise, seed_path)`` can be trained; ``statistic_arrays()``
+names any arrays it updates outside the optimizer (batch-norm statistics).
+All shuffling derives from the train seed, all noise randomness from the
+noise model's own seed, so a (seed, config, dataset) triple fully determines
+every reported number.
 """
 from __future__ import annotations
 
@@ -124,15 +126,16 @@ def train(model, dataset, config: TrainConfig, noise=None, on_epoch=None):
 
     Returns (TrainReport, best_parameter_arrays). The best checkpoint is the
     highest validation accuracy, earliest epoch on ties; the final test
-    accuracy is evaluated with that checkpoint restored and the same noise
-    settings used in training. ``on_epoch(epoch, loss, val_accuracy)``, when
-    given, is called as each epoch finishes (metrics streaming).
+    accuracy is evaluated with that checkpoint and its statistics restored
+    and the same noise settings used in training. ``on_epoch(epoch, loss,
+    val_accuracy)``, when given, is called as each epoch finishes.
     """
     for split in ("train", "val", "test"):
         if len(dataset.split_indices(split)) == 0:
             raise ConfigurationError(f"dataset split {split!r} is empty")
     X_train, y_train = dataset.split_arrays("train")
     params = model.parameter_arrays()
+    statistics = model.statistic_arrays if hasattr(model, "statistic_arrays") else dict
     state = AdamState()
 
     epoch_losses: list[float] = []
@@ -161,8 +164,11 @@ def train(model, dataset, config: TrainConfig, noise=None, on_epoch=None):
             best_val = val_acc
             best_epoch = epoch
             best_snapshot = {k: v.copy() for k, v in params.items()}
+            best_statistics = {k: v.copy() for k, v in statistics().items()}
 
     load_parameters(model, best_snapshot)
+    for key, live in statistics().items():
+        live[...] = best_statistics[key]
     test_acc = evaluate(model, dataset, "test", noise, seed_path=(seeding.TEST,))
     report = TrainReport(
         epoch_loss=epoch_losses,

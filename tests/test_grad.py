@@ -839,6 +839,108 @@ def test_row_tags_outside_the_rows_are_rejected(tag):
         _batch_expectations(circuit, params, np.zeros((2, 0)))
 
 
+def _layout_circuit(qubits, rows, rng):
+    """Two layers of: RY and DATA records on every qubit, CNOTs both ways between
+    neighbours and across (Q - 1, 0), and an untagged and a row-tagged X, Y or Z
+    record on every qubit. Returns the list and its slot and latent counts."""
+    gates, slots, reads = [], 0, 0
+    for layer in range(2):
+        for q in range(qubits):
+            gates += [(RY, q, slots), (DATA, q, reads)]
+            slots, reads = slots + 1, reads + 1
+        for q in range(qubits - 1):
+            gates += [(CNOT, q, q + 1), (CNOT, q + 1, q)]
+        if qubits > 2:
+            gates += [(CNOT, qubits - 1, 0), (CNOT, 0, qubits - 1)]
+        for q in range(qubits):
+            gates += [(PAULI, q, "XYZ"[(q + layer) % 3]),
+                      (PAULI, q, "XYZ"[(q + layer + 1) % 3], int(rng.integers(rows)))]
+    return GateList(qubits, gates), slots, reads
+
+
+def _chunk_records(merged, lo, hi):
+    """The gate list of rows lo:hi of a merged list, its tags renumbered from lo."""
+    return GateList(merged.num_qubits, [
+        g if g[0] != PAULI or len(g) == 3 else (*g[:3], g[3] - lo)
+        for g in merged.gates if g[0] != PAULI or len(g) == 3 or lo <= g[3] < hi])
+
+
+class TestAmplitudeMajorRows:
+    """``run_gates`` and the per-gate sweep run B rows amplitude-major, as (2^Q, B).
+
+    Each row keeps the bits of that row run alone: the forward pass applies
+    the same elementwise operations to every amplitude, and the sweep sums
+    each row's derivative terms by one rule for any row count.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 16])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 6, 10])
+    def test_run_gates_gives_each_row_its_bits_alone(self, qubits, rows, shared, dtype):
+        rng = np.random.default_rng(1000 + 10 * qubits + rows)
+        circuit, slots, reads = _layout_circuit(qubits, rows, rng)
+        params = rng.uniform(-math.pi, math.pi, slots if shared else (rows, slots))
+        latent = rng.uniform(-1, 1, (rows, reads))
+        initial = rng.standard_normal((rows, 1 << qubits)).astype(dtype)
+        if dtype == np.complex128:
+            initial.imag = rng.standard_normal(initial.shape)
+        got = run_gates(initial.copy(), circuit, params, latent)
+        for b in range(rows):
+            alone = run_gates(initial[b].copy(), _own_records(circuit, b),
+                              params if shared else params[b], latent[b])
+            np.testing.assert_array_equal(got[b], alone)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "per-row"])
+    @pytest.mark.parametrize("qubits", [1, 3, 6, 10])
+    def test_sweep_gives_each_row_its_bits_alone_and_in_any_chunk(self, qubits, shared):
+        rows = 16
+        rng = np.random.default_rng(1200 + qubits)
+        circuit, slots, reads = _layout_circuit(qubits, rows, rng)
+        params = rng.uniform(-math.pi, math.pi, slots if shared else (rows, slots))
+        latent = rng.uniform(-1, 1, (rows, reads))
+        weights = rng.standard_normal((rows, qubits))
+        initial = amplitude_encode_rows(rng.standard_normal((rows, 1 << qubits)), qubits)
+        final = run_gates(initial, circuit, params, latent)
+        whole = adjoint_observable_gradients(circuit, params, latent, weights, final)
+        for size in (1, 2, 3, 16):
+            for lo in range(0, rows, size):
+                hi = min(lo + size, rows)
+                got = adjoint_observable_gradients(
+                    _chunk_records(circuit, lo, hi), params if shared else params[lo:hi],
+                    latent[lo:hi], weights[lo:hi], final[lo:hi])
+                for part, want in zip(got, whole):
+                    np.testing.assert_array_equal(part, want[lo:hi])
+        for b in range(rows):  # a 1-D final, with every argument 1-D
+            got = adjoint_observable_gradients(_own_records(circuit, b),
+                                               params if shared else params[b],
+                                               latent[b], weights[b], final[b])
+            for part, want in zip(got, whole):
+                np.testing.assert_array_equal(part[0], want[b])
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_kernel_calls_count_their_rows(self, rows, monkeypatch):
+        """A call on R amplitude-major rows has ``amps.size >> Q == R``: B rows
+        forward, 2B in the sweep (psi and lam), and a tagged record 1 or 2."""
+        rng = np.random.default_rng(1300 + rows)
+        circuit, slots, reads = _layout_circuit(4, rows, rng)
+        params, latent = rng.uniform(-3, 3, slots), rng.uniform(-1, 1, (rows, reads))
+        counted = []
+        for kernel in ("_ry", "_cnot", "_pauli"):
+            def recorded(amps, n, *args, original=getattr(grad_mod, kernel)):
+                counted.append(amps.size >> n)
+                return original(amps, n, *args)
+
+            monkeypatch.setattr(grad_mod, kernel, recorded)
+        tagged = [len(g) > 3 for g in circuit.gates]
+        amps = np.repeat(np.eye(1, 16), rows, axis=0)
+        final = run_gates(amps, circuit, params, latent)
+        assert counted == [1 if t else rows for t in tagged]
+        counted.clear()
+        adjoint_observable_gradients(circuit, params, latent, np.eye(4)[0], final)
+        assert counted == [2 if t else 2 * rows for t in reversed(tagged)]
+
+
 def _random_block(rng, k, size=14):
     """``size`` gate records on k qubits: RY slots, CNOTs and X/Y/Z records."""
     gates, slots = [], 0

@@ -9,7 +9,9 @@ import pytest
 from qhead.errors import ConfigurationError, DataError, DegenerateInputError
 from qhead.simcore import (
     StateVector,
+    _cnot,
     _pauli,
+    _ry,
     amplitude_encode,
     amplitude_encode_rows,
     angle_encode,
@@ -306,3 +308,28 @@ class TestInvariants:
             # spot-check expectations as well
             for q in range(n):
                 assert abs(z_expectation(sv, q) - dense_z(want, q, n)) < 1e-12
+
+
+class TestTrailingRowFactor:
+    """The kernels on R rows stored amplitude-major, as a flat (2^Q * R,) array."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16])
+    @pytest.mark.parametrize("qubits", [1, 2, 3, 6])
+    def test_each_row_has_the_bits_of_the_leading_layout(self, qubits, rows, dtype):
+        rng = np.random.default_rng(40 + qubits + rows)
+        lead = rng.standard_normal((rows, 1 << qubits)).astype(dtype)
+        flat = lead.T.copy().reshape(-1)
+        assert flat.size >> qubits == rows
+        per_row = rng.uniform(-math.pi, math.pi, rows)
+        for q in range(qubits):
+            for kernel, args in ((_ry, (q, per_row)), (_ry, (q, 0.7)), (_pauli, (q, "X")),
+                                 (_pauli, (q, "Y")), (_pauli, (q, "Z"))):
+                kernel(lead, qubits, *args)
+                kernel(flat, qubits, *args)
+            if qubits > 1:
+                other = (q + 1 + int(rng.integers(qubits - 1))) % qubits
+                for control, target in ((q, other), (other, q)):
+                    _cnot(lead, qubits, control, target)
+                    _cnot(flat, qubits, control, target)
+            np.testing.assert_array_equal(flat.reshape(1 << qubits, rows).T, lead)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qhead.baselines import LogisticModel
+from qhead.baselines import LogisticModel, MlpConfig, MlpHead
 from qhead.datasets import make_count_splits, synthetic_clusters
 from qhead.errors import ConfigurationError
 from qhead.trainer import (
@@ -149,6 +149,25 @@ class TestTrainLoop:
         for key, arr in model.parameter_arrays().items():
             np.testing.assert_array_equal(arr, best[key])
         assert report.test_accuracy == evaluate(model, ds, "test")
+
+    def test_restores_best_batch_norm_statistics_for_test_eval(self):
+        # the best epoch is 5 of 12: the running statistics of the last
+        # epoch moved the test logits by up to 0.80
+        ds = make_count_splits(synthetic_clusters(dim=8, n_per_class=40, separation=1.5, seed=3),
+                               20, 8, seed=1)
+        X_test, _ = ds.split_arrays("test")
+
+        def trained(epochs):
+            model = MlpHead(8, 2, MlpConfig(1, 8, True), rng=np.random.default_rng(1))
+            cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=epochs, seed=1)
+            report, _ = train(model, ds, cfg)
+            return report, model.predict_logits(X_test)
+
+        report, logits = trained(12)
+        assert report.best_epoch < 11
+        stopped, at_best = trained(report.best_epoch + 1)
+        assert stopped.best_epoch == report.best_epoch
+        np.testing.assert_array_equal(logits, at_best)
 
     def test_empty_split_rejected(self):
         ds = synthetic_clusters(dim=4, n_per_class=10, separation=1.0, seed=0)
