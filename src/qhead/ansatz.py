@@ -137,12 +137,12 @@ def count_parameters(spec: CircuitSpec) -> int:
 
 
 def gate_counts(spec: CircuitSpec) -> tuple[int, int]:
-    """(single-qubit, two-qubit) gate counts including encoding rotations."""
-    spec.validate()
-    layers = spec.main_layers + spec.reupload_count * spec.reupload_layers
-    single = layers * spec.qubits + (1 + spec.reupload_count) * spec.qubits
-    two = layers * spec.qubits
-    return single, two
+    """(single-qubit, two-qubit) gate counts including encoding rotations.
+
+    Each trainable rotation follows one CNOT; each encoding step adds Q rotations.
+    """
+    two = count_parameters(spec)
+    return two + (1 + spec.reupload_count) * spec.qubits, two
 
 
 def parameter_slot_count(circuit: GateList) -> int:

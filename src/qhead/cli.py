@@ -38,7 +38,7 @@ from .errors import (
     DegenerateInputError,
     UnsupportedModeError,
 )
-from .head import HybridHead, QuantumEncoder
+from .head import HybridHead, build_hybrid_head
 from .trainer import (
     count_model_parameters,
     evaluate,
@@ -57,16 +57,11 @@ def build_model(cfg: ExperimentConfig, input_dim: int):
     if cfg.model == "mlp-head":
         return MlpHead(input_dim, cfg.num_classes, cfg.mlp_config(), rng)
     if cfg.encoder_type == "quantum":
-        encoder = QuantumEncoder(cfg.encoder_config(), rng)
-    else:
-        encoder = MlpEncoder(input_dim, cfg.latent_dim(), cfg.encoder_mlp_config(), rng)
-    return HybridHead(
-        encoder,
-        cfg.circuit_spec(),
-        num_classes=cfg.num_classes,
-        final_linear=cfg.final_linear,
-        rng=rng,
-    )
+        return build_hybrid_head(cfg.encoder_config(), cfg.circuit_spec(), cfg.num_classes,
+                                 cfg.final_linear, cfg.seed)
+    encoder = MlpEncoder(input_dim, cfg.latent_dim(), cfg.encoder_mlp_config(), rng)
+    return HybridHead(encoder, cfg.circuit_spec(), num_classes=cfg.num_classes,
+                      final_linear=cfg.final_linear, rng=rng)
 
 
 def load_dataset(cfg: ExperimentConfig):
@@ -183,24 +178,17 @@ def cmd_eval(args) -> int:
 def _sweep_point(task):
     index, point, base_dir = task
     out = Path(base_dir) / f"point_{index:03d}"
-    qubits = point.get("qubits", ExperimentConfig.qubits)
     try:
-        payload = run_train(point, out)
-        return {
-            "point": f"point_{index:03d}",
-            "status": "ok",
-            "qubits": qubits,
-            "best_val_accuracy": payload["best_val_accuracy"],
-            "test_accuracy": payload["test_accuracy"],
-        }
+        payload, status = run_train(point, out), "ok"
     except Exception as exc:  # keep sweeping; record the failure
-        return {
-            "point": f"point_{index:03d}",
-            "status": f"failed: {exc}",
-            "qubits": qubits,
-            "best_val_accuracy": None,
-            "test_accuracy": None,
-        }
+        payload, status = {}, f"failed: {exc}"
+    return {
+        "point": f"point_{index:03d}",
+        "status": status,
+        "qubits": point.get("qubits", ExperimentConfig.qubits),
+        "best_val_accuracy": payload.get("best_val_accuracy"),
+        "test_accuracy": payload.get("test_accuracy"),
+    }
 
 
 def cmd_sweep(args) -> int:

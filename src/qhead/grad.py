@@ -14,16 +14,17 @@ States are real (rows, 2^Q) arrays from |0...0>, run in row chunks that
 bound peak memory (``_row_chunks``): every gate is real up to a global
 phase, and on real arrays Y is applied as XZ = -iY. ``run_gates`` and the
 per-gate adjoint sweep run a chunk amplitude-major, as (2^Q, rows), and
-states are measured rows first. Single circuit values
-(``evaluate_expectation``, ``trajectory_expectation``) run one row through
-``_single_value``; the two references run their 2P +/- rows plainly.
+states are measured rows first. A single circuit value runs one row in
+``trajectory_expectation``, which ``evaluate_expectation`` calls without
+noise; the two references run their 2P +/- rows plainly.
 
 Two engines fuse gates (as statevector simulators such as Qulacs do;
 Suzuki et al. 2021, Quantum 5, 559): each run of consecutive gates within a
-window of at most four qubits becomes one matrix. ``_block_matrices`` builds
-a block's M and, per rotation j, D_j = M_{>j} (-iY_j) M_{<=j}, for a stack of
-angle rows at once. As RY(t + pi) = -iY RY(t), D_j is the block with
-rotation j turned by pi, and 2 dM/dtheta_j.
+window of at most four qubits becomes one matrix. Both take their blocks
+from one builder, ``_block_matrices``: for each windowed block of a cut, M
+and, per rotation j, D_j = M_{>j} (-iY_j) M_{<=j}, one stack per angle row,
+with the blocks of one gate pattern built as one stack. As RY(t + pi) =
+-iY RY(t), D_j is the block with rotation j turned by pi, and 2 dM/dtheta_j.
 
 * ``_batch_expectations``, the head's finite-shot engine, runs each row's
   state psi and its states turned by pi, psi_j = 2 dpsi/dtheta_j, which
@@ -31,7 +32,7 @@ rotation j turned by pi, and 2 dM/dtheta_j.
 * ``block_adjoint_gradients`` sweeps the encoders, whose rows share their
   angles: one matmul per block un-applies M from psi and lam, and one Gram
   matrix of the two, summed over the rows, gives the block's derivatives
-  through its D_j. The blocks of one gate pattern are built as one stack.
+  through its D_j.
 """
 from __future__ import annotations
 
@@ -219,24 +220,40 @@ def _blocks(circuit: GateList) -> tuple[int, list[tuple]]:
     return k, blocks
 
 
-def _block_matrices(k: int, gates, angles) -> np.ndarray:
-    """A fused block's matrices (S, 1 + J, 2^k, 2^k), one stack per row of ``angles`` (S, J).
+def _block_matrices(k: int, cut, angles) -> list:
+    """Every windowed block of ``cut``: block i's matrices (S_i, 1 + J_i, 2^k, 2^k).
 
-    The j-th rotation (RY or DATA record) of ``gates`` turns by ``angles[:, j]``.
-    Each stack holds M^T, then each D_j^T (row a of a matrix is its image of
-    basis state a); the S builds share each gate's one kernel call.
+    ``cut`` lists blocks as ``_blocks`` cuts them, and block i takes one
+    stack per row of its angle rows ``angles[i]`` (S_i, J_i): its j-th
+    rotation (RY or DATA record) turns by ``angles[i][:, j]``. A block that
+    fits no window gets None. Each stack holds M^T, then each D_j^T (row a
+    of a matrix is its image of basis state a). The blocks of one gate
+    pattern, their rotations' slots aside, are built as one stack that
+    shares each gate's one kernel call; every build is elementwise, so a
+    block has the same bits as when built alone.
     """
-    mats = np.empty((len(angles), 1 + angles.shape[1], 1 << k, 1 << k))
-    mats[:, 0] = np.eye(1 << k)
-    started = 1
-    for g in gates:
-        if g[0] in (RY, DATA):
-            _ry(mats[:, :started], k, g[1], angles[:, started - 1, None, None])
-            mats[:, started] = _pauli(mats[:, 0].copy(), k, g[1], "Y")  # -iY on real rows
-            started += 1
-        else:
-            _apply_gate(mats[:, :started], k, g, None, None)
-    return mats
+    patterns: dict[tuple, list[int]] = {}
+    for i, (_, lo, gates) in enumerate(cut):
+        if lo is not None:
+            key = tuple(g[:2] if g[0] in (RY, DATA) else g for g in gates)
+            patterns.setdefault(key, []).append(i)
+    built = [None] * len(cut)
+    for members in patterns.values():
+        stack = np.concatenate([angles[i] for i in members])
+        mats = np.empty((len(stack), 1 + stack.shape[1], 1 << k, 1 << k))
+        mats[:, 0] = np.eye(1 << k)
+        started = 1
+        for g in cut[members[0]][2]:
+            if g[0] in (RY, DATA):
+                _ry(mats[:, :started], k, g[1], stack[:, started - 1, None, None])
+                mats[:, started] = _pauli(mats[:, 0].copy(), k, g[1], "Y")  # -iY on real rows
+                started += 1
+            else:
+                _apply_gate(mats[:, :started], k, g, None, None)
+        top = 0
+        for i in members:
+            built[i], top = mats[top : top + len(angles[i])], top + len(angles[i])
+    return built
 
 
 def _batch_expectations(circuit, params, latent=None) -> tuple[np.ndarray, np.ndarray]:
@@ -273,9 +290,9 @@ def _batch_expectations(circuit, params, latent=None) -> tuple[np.ndarray, np.nd
     # block i holds rotations bounds[i]:bounds[i + 1]; a stack of 1 serves every row
     bounds = np.searchsorted(starts, [0] + ends)
     ext = np.concatenate([np.broadcast_to(params, (rows, p)), latent], axis=1)
-    built = [None if lo is None else _block_matrices(
-        k, gates, ext[: rows if any(g[0] == DATA for g in gates) else 1, cols[a:b]])
-        for (_, lo, gates), a, b in zip(blocks, bounds, bounds[1:])]
+    built = _block_matrices(k, blocks, [
+        ext[: rows if any(g[0] == DATA for g in gates) else 1, cols[a:b]]
+        for (_, _, gates), a, b in zip(blocks, bounds, bounds[1:])])
     own, after = {}, {}  # (row, block): the row's gates of the block, or its records after it
     for row, at, g in tagged:
         i = int(np.searchsorted(ends, max(at - 1, 0), side="right"))
@@ -286,7 +303,8 @@ def _batch_expectations(circuit, params, latent=None) -> tuple[np.ndarray, np.nd
             mine.insert(at, (PAULI, g[1] - lo, g[2]))
         else:
             after.setdefault((row, i), []).append(g[:3])
-    own = {(row, i): _block_matrices(k, gates, ext[row : row + 1, cols[bounds[i] : bounds[i + 1]]])
+    own = {(row, i): _block_matrices(k, [(0, 0, gates)],
+                                     [ext[row : row + 1, cols[bounds[i] : bounds[i + 1]]]])[0]
            for (row, i), gates in own.items()}
     z_0 = _z_diagonal(np.eye(n)[0], n)
     values, slopes = np.empty((2, rows, cols.size))
@@ -348,27 +366,19 @@ def _paired_shift_values(circuit, params, latent, measured, delta):
     return vals[: params.size], vals[params.size :]
 
 
-def _single_value(circuit: GateList, params, latent, measured: int) -> float:
-    """<Z_measured> of one row run from real |0...0>."""
-    amps = np.zeros(1 << circuit.num_qubits)
-    amps[0] = 1.0
-    run_gates(amps, circuit, params, latent)
-    return float(_z_expectation(amps, circuit.num_qubits, measured))
-
-
 def evaluate_expectation(circuit: GateList, params, latent=None, measured: int = 0) -> float:
     """Noiseless, infinite-shot <Z> on ``measured`` after running from |0...0>."""
-    circuit, params, latent = _prepare(circuit, params, latent, measured)
-    return _single_value(circuit, params, latent, measured)
+    return trajectory_expectation(circuit, params, latent, measured=measured)
 
 
 def trajectory_expectation(circuit: GateList, params, latent=None, noise=None,
                            rng: np.random.Generator | None = None, measured: int = 0) -> float:
-    """<Z> for one sampled Pauli-insertion trajectory (still infinite shots)."""
+    """<Z> of one row run from |0...0>: one sampled trajectory under ``noise``, else noiseless."""
     circuit, params, latent = _prepare(circuit, params, latent, measured)
     if noise is not None:
         circuit = noise_mod.sample_pauli_insertions(circuit, noise, rng)
-    return _single_value(circuit, params, latent, measured)
+    amps = run_gates(np.eye(1, 1 << circuit.num_qubits)[0], circuit, params, latent)
+    return float(_z_expectation(amps, circuit.num_qubits, measured))
 
 
 def parameter_shift_gradient(circuit: GateList, params, latent=None,
@@ -475,33 +485,27 @@ def block_adjoint_gradients(circuit: GateList, blocks, params, z_weights, final)
     un-applies a block's matrix M from psi and lam. Its RY gate j adds
     sum_ab D_j[a, b] C[a, b], with D_j from ``_block_matrices`` and C =
     sum lam_out psi_in^T over the rows and the qubits outside the window.
-    The blocks of one gate pattern are built as one stack.
     """
     n, (k, cut) = circuit.num_qubits, blocks
     dim = 1 << k
-    patterns: dict[tuple, list] = {}  # windowed blocks by their gates but for the slots
-    for i, (_, lo, gates) in enumerate(cut):
-        if lo is not None:
-            patterns.setdefault(tuple(g[:2] if g[0] == RY else g for g in gates), []).append(i)
-    built = {}
-    for members in patterns.values():
-        slots = [[g[2] for g in cut[i][2] if g[0] == RY] for i in members]
-        angles = params[np.array(slots, dtype=np.intp).reshape(len(members), -1)]
-        built.update(zip(members, _block_matrices(k, cut[members[0]][2], angles)))
+    slots = [[g[2] for g in gates if g[0] == RY] for _, _, gates in cut]
+    at = np.cumsum([0] + [len(s) for s in slots]).tolist()  # block i reads at[i]:at[i + 1]
+    angles = params[[j for s in slots for j in s]]  # one gather for every block
+    built = _block_matrices(k, cut, [angles[None, a:b] for a, b in zip(at, at[1:])])
     both = np.stack([final, _z_diagonal(np.asarray(z_weights, dtype=np.float64), n) * final])
     grad = np.zeros(len(params))
     for i, (_, lo, gates) in reversed(list(enumerate(cut))):
         if lo is None:  # a CNOT wider than the window undoes itself
             _apply_gate(both, n, gates[0], None, None)
             continue
-        mats, slots = built[i], [g[2] for g in gates if g[0] == RY]  # M^T, then each D_j^T
+        mats = built[i][0]  # M^T, then each D_j^T
         # psi_in = M^T psi_out, and lam likewise, on views with the window's
         # axis second last; a window at the low end is one matmul over rows
         m = n - lo - k
         out = both.reshape(2, -1, dim, 1 << m)
         into = np.matmul(mats[0], out) if m else (out[..., 0] @ mats[0].T)[..., None]
         gram = np.tensordot(into[0], out[1], axes=([0, 2], [0, 2]))  # C^T
-        np.add.at(grad, slots, mats[1:].reshape(len(slots), dim * dim) @ gram.ravel())
+        np.add.at(grad, slots[i], mats[1:].reshape(len(slots[i]), dim * dim) @ gram.ravel())
         both = into.reshape(both.shape)
     return grad
 

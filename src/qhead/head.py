@@ -12,7 +12,8 @@ step applies stacked rotation passes, one per width-sized latent slice.
 A batch of B samples runs as real (B, 2^Q) arrays, in row chunks of bounded
 memory. Each encoder runs its circuit once over all rows and, in a training
 step, keeps the final states: its rows share its angles, so its gradient is
-one sweep back from them by fused blocks. The readout is one matmul.
+one sweep back from them by fused blocks. The readout is one matmul, by
+the linear layer or, without it, by fixed weights that give (z, -z).
 
 The re-uploading circuit runs one plan circuit whose k-th encoding rotation
 reads angle k: each row carries its K occurrence angles latent[occurrences],
@@ -211,9 +212,8 @@ class QuantumEncoder:
         latent = np.empty((len(X), self.latent_dim))
         saved = []
         for rows in _row_chunks(len(X), q):
-            encoded = amplitude_encode_rows(X[rows], q)
             for i, t in enumerate(self.theta):
-                amps = run_gates(encoded.copy(), self.circuit, t, None)
+                amps = run_gates(amplitude_encode_rows(X[rows], q), self.circuit, t, None)
                 latent[rows, i * q : (i + 1) * q] = _all_z_expectations(amps, q)
                 if grads:
                     saved.append((rows, i, amps))
@@ -241,7 +241,9 @@ class HybridHead:
     ablation uses this). A training step calls ``forward`` once with
     ``grads`` and hands what it saved to ``backward``. The circuit angles and
     the linear weights are drawn from ``rng``. Given values are copied in
-    afterwards with ``trainer.load_parameters``.
+    afterwards with ``trainer.load_parameters``. The logits are concat(latent,
+    z) @ ``readout``.T: ``readout`` is the live ``linear`` array or, with no
+    final linear layer, fixed weights [[0 ... 0, 1], [0 ... 0, -1]], no parameter.
     """
 
     def __init__(self, encoder, spec: CircuitSpec, num_classes: int = 2,
@@ -254,10 +256,12 @@ class HybridHead:
         self.final_linear = final_linear
         self.plan = _plan_pqc(spec, encoder.latent_dim)
         self.theta_q = rng.uniform(-math.pi, math.pi, self.plan.n_params)
+        width = encoder.latent_dim + 1
         if final_linear:
-            self.linear = 0.1 * rng.standard_normal((num_classes, encoder.latent_dim + 1))
+            self.linear = self.readout = 0.1 * rng.standard_normal((num_classes, width))
         else:
-            self.linear = None
+            self.linear, self.readout = None, np.zeros((2, width))
+            self.readout[:, -1] = 1.0, -1.0
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         arrays = dict(self.encoder.parameter_arrays())
@@ -314,20 +318,10 @@ class HybridHead:
         np.add.at(glatent, (slice(None), plan.occurrences), g_ext[:, plan.n_params :])
         return z, g_ext[:, : plan.n_params], glatent
 
-    def _logits(self, latent: np.ndarray, z: np.ndarray):
-        """(B, classes) logits and the readout features concat(latent, z).
-
-        Without a linear layer the logits are (z, -z) and there are no features.
-        """
-        if self.linear is None:
-            return np.column_stack([z, -z]), None
-        features = np.column_stack([latent, z])
-        return features @ self.linear.T, features
-
     def predict_logits(self, X, noise=None, seed_path: tuple[int, ...] = ()) -> np.ndarray:
         latent = self.encoder.forward(np.asarray(X, dtype=np.float64))
-        logits, _ = self._logits(latent, self._circuit(latent, noise, seed_path, grads=False))
-        return logits
+        z = self._circuit(latent, noise, seed_path, grads=False)
+        return np.column_stack([latent, z]) @ self.readout.T
 
     def batch_loss_and_gradients(self, X, y, noise=None,
                                  seed_path: tuple[int, ...] = ()):
@@ -336,18 +330,15 @@ class HybridHead:
             return 0.0, {k: np.zeros_like(v) for k, v in self.parameter_arrays().items()}
         latent, saved = self.encoder.forward(X, grads=True)
         z, dz_dtheta, dz_dlatent = self._circuit(latent, noise, seed_path, grads=True)
-        logits, features = self._logits(latent, z)
-        losses, dlogits = softmax_cross_entropy_batch(logits, np.asarray(y))
+        features = np.column_stack([latent, z])
+        losses, dlogits = softmax_cross_entropy_batch(features @ self.readout.T, np.asarray(y))
         scale = 1.0 / len(X)
         grads: dict[str, np.ndarray] = {}
-        if features is None:
-            dz = dlogits[:, 0] - dlogits[:, 1]
-            dlatent = dz[:, None] * dz_dlatent
-        else:
+        if self.linear is not None:
             grads["linear"] = (dlogits.T @ features) * scale
-            dfeatures = dlogits @ self.linear
-            dz = dfeatures[:, -1]
-            dlatent = dfeatures[:, :-1] + dz[:, None] * dz_dlatent
+        dfeatures = dlogits @ self.readout
+        dz = dfeatures[:, -1]
+        dlatent = dfeatures[:, :-1] + dz[:, None] * dz_dlatent
         grads["pqc"] = (dz @ dz_dtheta) * scale
         for key, g in self.encoder.backward(saved, dlatent).items():
             grads[key] = g * scale

@@ -137,11 +137,7 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
 
 def zero_state(num_qubits: int) -> StateVector:
     """|0...0> on ``num_qubits`` qubits."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ConfigurationError(
-            f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}"
-        )
-    amps = np.zeros(1 << num_qubits, dtype=np.complex128)
+    amps = np.zeros(_register_dim(num_qubits, 0), dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(num_qubits, amps)
 

@@ -142,7 +142,6 @@ def train(model, dataset, config: TrainConfig, noise=None, on_epoch=None):
     val_accs: list[float] = []
     best_epoch = -1
     best_val = -1.0
-    best_snapshot = {k: v.copy() for k, v in params.items()}
 
     n = len(y_train)
     for epoch in range(config.epochs):

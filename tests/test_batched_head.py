@@ -16,6 +16,7 @@ from qhead import head as head_mod
 from qhead import noise as noise_mod
 from qhead.ansatz import PAULI, CircuitSpec, assemble_head_circuit, expand_encoding
 from qhead.baselines import MlpConfig, MlpEncoder
+from qhead.datasets import make_count_splits, synthetic_clusters
 from qhead.errors import ConfigurationError
 from qhead.grad import (
     adjoint_observable_gradients,
@@ -33,7 +34,7 @@ from qhead.head import (
 from qhead.noise import NoiseModel, gaussian_shot_estimate, sample_pauli_insertions
 from qhead.seeding import PARAM_INIT, SHOTS, TRAJECTORY, stream
 from qhead.simcore import zero_state
-from qhead.trainer import load_parameters, softmax_cross_entropy_batch
+from qhead.trainer import TrainConfig, load_parameters, softmax_cross_entropy_batch, train
 
 from oracles import dense_run, dense_z
 from reference import (
@@ -253,6 +254,24 @@ def test_noisy_circuit_values_are_bit_identical_per_sample():
     logits = model.predict_logits(X, noise=noise, seed_path=SEED_PATH)
     _, z = _reference_logits(model, X, noise)
     np.testing.assert_array_equal(logits[:, 0], z)
+
+
+def test_no_linear_readout_is_fixed_weights():
+    # the logits (z, -z) come from fixed readout weights that training leaves alone
+    model = _quantum_head(final_linear=False)
+    fixed = model.readout.copy()
+    assert all(a is not model.readout for a in model.parameter_arrays().values())
+    noise = HEADS["noisy-500-shots"][1]
+    X = np.random.default_rng(8).standard_normal((7, 16))
+    logits = model.predict_logits(X, noise=noise, seed_path=SEED_PATH)
+    _, z = _reference_logits(model, X, noise)
+    assert logits.tobytes() == np.column_stack([z, -z]).tobytes()
+    data = make_count_splits(synthetic_clusters(dim=16, n_per_class=8, separation=4.0, seed=2),
+                             4, 2, seed=1)
+    theta_q = model.theta_q.copy()
+    train(model, data, TrainConfig(learning_rate=0.1, batch_size=4, epochs=2, seed=1), noise)
+    assert not np.array_equal(model.theta_q, theta_q)
+    assert model.readout.tobytes() == fixed.tobytes()
 
 
 def test_latents_and_clean_values_are_bit_identical_to_single_rows():

@@ -201,6 +201,8 @@ class TestSweep:
         statuses = {row["point"]: row["status"] for row in report["points"]}
         assert statuses["point_000"] == "ok"  # qubits=3, first listed value
         assert statuses["point_001"].startswith("failed")  # qubits=2
+        failed = report["points"][1]
+        assert failed["best_val_accuracy"] is None and failed["test_accuracy"] is None
 
 
 class _RecordingPool:

@@ -967,7 +967,7 @@ class TestBlockMatrices:
             gates, params = _random_block(rng, k)
             assert {CNOT, PAULI} <= {g[0] for g in gates}
             assert [g[2] for g in gates if g[0] == RY] == list(range(params.size))
-            (mats,) = _block_matrices(k, gates, params[None])
+            ((mats,),) = _block_matrices(k, [(len(gates), 0, gates)], [params[None]])
             assert mats.shape == (1 + params.size, 1 << k, 1 << k)
             # real arrays apply Y as XZ = -iY
             phase = (-1j) ** sum(g[0] == PAULI and g[2] == "Y" for g in gates)
@@ -982,8 +982,33 @@ class TestBlockMatrices:
                 turned[j] += math.pi
                 np.testing.assert_allclose(mats[1 + j].T, phase * dense(turned),
                                            rtol=0, atol=1e-14)
-                rebuilt = _block_matrices(k, gates, turned[None])[0][0]
+                rebuilt = _block_matrices(k, [(len(gates), 0, gates)], [turned[None]])[0][0, 0]
                 np.testing.assert_allclose(mats[1 + j], rebuilt, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("qubits", [4, 10])
+    def test_grouped_blocks_equal_blocks_built_alone(self, qubits, monkeypatch):
+        # the head circuit's cut has blocks with RY records, with DATA records
+        # and with both, and repeats its gate patterns
+        spec = CircuitSpec(qubits=qubits, main_layers=2, reupload_count=4, reupload_layers=1)
+        k, cut = _blocks(expand_encoding(assemble_head_circuit(spec)))
+        rng = np.random.default_rng(90 + qubits)
+        angles = [rng.uniform(-math.pi, math.pi, (rng.choice((1, 5)),
+                                                  sum(g[0] in (RY, DATA) for g in gates)))
+                  for _, _, gates in cut]
+        assert {len(a) for a in angles} == {1, 5}
+        calls = []
+        ry = grad_mod._ry
+        monkeypatch.setattr(grad_mod, "_ry", lambda *args: calls.append(args) or ry(*args))
+        grouped = _block_matrices(k, cut, angles)
+        windowed = [i for i, (_, lo, _) in enumerate(cut) if lo is not None]
+        assert 0 < len(calls) < len(windowed)
+        for i, block in enumerate(cut):
+            if i not in windowed:
+                assert grouped[i] is None
+                continue
+            (alone,) = _block_matrices(k, [block], [angles[i]])
+            assert grouped[i].shape == (len(angles[i]), 1 + angles[i].shape[1], 1 << k, 1 << k)
+            assert grouped[i].tobytes() == alone.tobytes()
 
 
 def _encoder_shapes():
