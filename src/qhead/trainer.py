@@ -125,7 +125,7 @@ def train(model, dataset, config: TrainConfig, noise=None, on_epoch=None):
     """Mini-batch training with per-epoch validation and best-checkpoint selection.
 
     Returns (TrainReport, best_parameter_arrays). The best checkpoint is the
-    highest validation accuracy, earliest epoch on ties; the final test
+    highest validation accuracy, latest epoch on ties; the final test
     accuracy is evaluated with that checkpoint and its statistics restored
     and the same noise settings used in training. ``on_epoch(epoch, loss,
     val_accuracy)``, when given, is called as each epoch finishes.
@@ -159,7 +159,7 @@ def train(model, dataset, config: TrainConfig, noise=None, on_epoch=None):
         val_accs.append(val_acc)
         if on_epoch is not None:
             on_epoch(epoch, epoch_losses[-1], val_acc)
-        if val_acc > best_val:
+        if val_acc >= best_val:
             best_val = val_acc
             best_epoch = epoch
             best_snapshot = {k: v.copy() for k, v in params.items()}

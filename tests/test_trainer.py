@@ -133,13 +133,23 @@ class TestTrainLoop:
 
     def test_best_checkpoint_from_validation_only(self):
         # trace which evaluations can influence selection: the recorded best
-        # epoch must be the argmax of the validation curve (earliest on ties)
+        # epoch must be the argmax of the validation curve (latest on ties)
         ds = _split_clusters(separation=1.0, seed=7)
         cfg = TrainConfig(learning_rate=0.02, batch_size=8, epochs=15, seed=11)
         report, _ = train(LogisticModel(ds.dim), ds, cfg)
         val = np.asarray(report.val_accuracy)
-        assert report.best_epoch == int(np.argmax(val))
+        assert report.best_epoch == len(val) - 1 - int(np.argmax(val[::-1]))
         assert report.best_val_accuracy == val.max()
+
+    def test_latest_of_tied_best_epochs_is_kept(self):
+        # validation accuracy is 1.0 at every epoch: the last epoch's
+        # parameters, trained longest, are the ones reported
+        ds = make_count_splits(synthetic_clusters(dim=8, n_per_class=40, separation=8.0, seed=2),
+                               20, 8, seed=1)
+        cfg = TrainConfig(learning_rate=0.05, batch_size=8, epochs=6, seed=1)
+        report, _ = train(LogisticModel(8), ds, cfg)
+        assert report.val_accuracy == [1.0] * 6
+        assert report.best_epoch == 5
 
     def test_restores_best_parameters_for_test_eval(self):
         ds = _split_clusters(separation=2.0, seed=8)
