@@ -16,7 +16,7 @@ from qhead.grad import (
 
 spec = CircuitSpec(qubits=6, connectivity=1, main_layers=2, reupload_count=4,
                    reupload_layers=1)
-circuit = assemble_head_circuit(spec)
+circuit = assemble_head_circuit(spec, rounds=1)
 single, two = gate_counts(spec)
 print(f"circuit: {spec.qubits} qubits, {count_parameters(spec)} trainable angles, "
       f"{single} single-qubit gates (incl. encoding), {two} CNOTs")

@@ -14,7 +14,6 @@ from .ansatz import (
     build_block,
     build_entangling_layer,
     count_parameters,
-    expand_encoding,
     gate_counts,
 )
 from .baselines import LogisticModel, MlpConfig, MlpEncoder, MlpHead

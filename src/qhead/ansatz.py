@@ -4,16 +4,17 @@ A circuit is a :class:`GateList` of plain tuples over a fixed register width:
 
     ("cnot", control, target)
     ("ry", qubit, slot)       trainable rotation reading parameter ``slot``
-    ("encode", step)          one full angle-encoding pass (expand before running)
     ("data", qubit, index)    encoding rotation reading ``latent[index]``
     ("pauli", qubit, label)   Pauli insertion from a noise trajectory
     ("pauli", qubit, label, row)  the same, on row ``row`` of a batch only
 
 An entangling layer with offset c wires CNOT(i -> (i+c) mod Q) followed by a
 trainable RY on the target, for i = 0..Q-1, consuming Q parameters. A block of
-L layers cycles the offset 1, 2, ..., C, 1, 2, ... (block-local). The head
-circuit is ENCODE, a main block of M layers, then R repetitions of
-[ENCODE, re-uploading block of N layers].
+L layers cycles the offset 1, 2, ..., C, 1, 2, ... (block-local). An
+encoding step loads a latent of ``rounds`` x Q values as ``rounds`` passes of
+Q data rotations; pass e on qubit i reads ``latent[e * Q + i]``. The head
+circuit is an encoding step, a main block of M layers, then R repetitions of
+[encoding step, re-uploading block of N layers].
 """
 from __future__ import annotations
 
@@ -23,7 +24,6 @@ from .errors import ConfigurationError
 
 CNOT = "cnot"
 RY = "ry"
-ENCODE = "encode"
 DATA = "data"
 PAULI = "pauli"
 
@@ -96,37 +96,23 @@ def build_block(
     return GateList(qubits, gates)
 
 
-def assemble_head_circuit(spec: CircuitSpec) -> GateList:
-    """ENCODE, main block, then R repetitions of [ENCODE, re-uploading block]."""
-    spec.validate()
-    q = spec.qubits
-    gates: list[tuple] = [(ENCODE, 0)]
-    gates.extend(build_block(q, spec.connectivity, spec.main_layers).gates)
-    offset = spec.main_layers * q
-    for step in range(1, spec.reupload_count + 1):
-        gates.append((ENCODE, step))
-        gates.extend(build_block(q, spec.connectivity, spec.reupload_layers, offset).gates)
-        offset += spec.reupload_layers * q
-    return GateList(q, gates)
+def assemble_head_circuit(spec: CircuitSpec, rounds: int) -> GateList:
+    """Encoding step, main block, then R repetitions of [encoding step, re-uploading block].
 
-
-def expand_encoding(circuit: GateList, rounds: int = 1) -> GateList:
-    """Replace each ENCODE step with explicit per-qubit data rotations.
-
-    With ``rounds`` > 1 (stacked loading of a latent longer than the register)
-    each step applies ``rounds`` full RY passes; pass e on qubit i reads
-    ``latent[e * Q + i]``.
+    Each encoding step is ``rounds`` passes of data rotations, (DATA, i, e*Q + i)
+    for pass e on qubit i, so the circuit reads a latent of ``rounds`` * Q values.
     """
+    spec.validate()
     if rounds < 1:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-    q = circuit.num_qubits
-    gates: list[tuple] = []
-    for g in circuit.gates:
-        if g[0] != ENCODE:
-            gates.append(g)
-            continue
-        for e in range(rounds):
-            gates.extend((DATA, i, e * q + i) for i in range(q))
+    q = spec.qubits
+    encode = [(DATA, i, e * q + i) for e in range(rounds) for i in range(q)]
+    gates: list[tuple] = encode + build_block(q, spec.connectivity, spec.main_layers).gates
+    offset = spec.main_layers * q
+    for _ in range(spec.reupload_count):
+        gates.extend(encode)
+        gates.extend(build_block(q, spec.connectivity, spec.reupload_layers, offset).gates)
+        offset += spec.reupload_layers * q
     return GateList(q, gates)
 
 

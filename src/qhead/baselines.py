@@ -178,11 +178,6 @@ class _Mlp:
 class MlpHead(_Mlp):
     """Classification head: input -> [hidden, optional batch norm, ReLU] -> classes."""
 
-    def __init__(self, in_dim: int, num_classes: int, config: MlpConfig,
-                 rng: np.random.Generator):
-        super().__init__(in_dim, num_classes, config, rng)
-        self.num_classes = num_classes
-
     def predict_logits(self, X, noise=None, seed_path=()) -> np.ndarray:
         logits, _ = self._forward(np.asarray(X, dtype=np.float64), training=False)
         return logits

@@ -197,10 +197,7 @@ def cmd_sweep(args) -> int:
     mapping = _resolved_mapping(args)
     base_dir = Path(mapping.get("out_dir", "runs/sweep"))
     base_dir.mkdir(parents=True, exist_ok=True)
-    points = expand_sweep(mapping)
-    if not points:
-        raise ConfigurationError("sweep grid is empty")
-    tasks = [(i, point, str(base_dir)) for i, point in enumerate(points)]
+    tasks = [(i, point, str(base_dir)) for i, point in enumerate(expand_sweep(mapping))]
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:

@@ -41,7 +41,7 @@ import math
 import numpy as np
 
 from . import noise as noise_mod
-from .ansatz import CNOT, DATA, ENCODE, PAULI, RY, GateList, expand_encoding, parameter_slot_count
+from .ansatz import CNOT, DATA, PAULI, RY, GateList, parameter_slot_count
 from .errors import ConfigurationError
 from .simcore import (
     MAX_QUBITS,
@@ -59,7 +59,7 @@ _BLOCK_QUBITS = 4
 
 
 def _apply_gate(amps: np.ndarray, n: int, g: tuple, params, latent, rows: int = 0) -> None:
-    """Apply one expanded gate record in place; angles broadcast row-wise, and a
+    """Apply one gate record in place; angles broadcast row-wise, and a
     record tagged with row b of ``rows`` acts on the columns b, b + rows, ..."""
     kind = g[0]
     if kind == RY:
@@ -72,8 +72,6 @@ def _apply_gate(amps: np.ndarray, n: int, g: tuple, params, latent, rows: int = 
         if len(g) > 3:
             amps = amps.reshape(*amps.shape[:-1], -1, max(rows, 1))[..., _tagged_row(g, rows)]
         _pauli(amps, n, g[1], g[2])
-    elif kind == ENCODE:
-        raise ConfigurationError("encoding steps must be expanded before execution")
     else:
         raise ConfigurationError(f"unknown gate record {g!r}")
 
@@ -86,7 +84,7 @@ def _tagged_row(g: tuple, rows: int) -> int:
 
 
 def run_gates(amps: np.ndarray, circuit: GateList, params=None, latent=None) -> np.ndarray:
-    """Execute an expanded gate list in place on one row (2^Q,) or B rows (B, 2^Q).
+    """Execute a gate list in place on one row (2^Q,) or B rows (B, 2^Q).
 
     ``params`` (B, P) and ``latent`` (B, K) give each row its own angles;
     1-D ones are shared. B rows run amplitude-major on a (2^Q, B) copy, and
@@ -104,7 +102,7 @@ def _check_records(circuit: GateList) -> None:
     """Reject a record on a qubit outside the register, or a CNOT onto its own control."""
     n = circuit.num_qubits
     for g in circuit.gates:
-        for q in g[1:3] if g[0] == CNOT else g[1:2] if g[0] != ENCODE else ():
+        for q in g[1:3] if g[0] == CNOT else g[1:2]:
             if not 0 <= q < n:
                 raise ConfigurationError(f"qubit {q} of {g!r} is outside the {n}-qubit register")
         if g[0] == CNOT and g[1] == g[2]:
@@ -112,7 +110,11 @@ def _check_records(circuit: GateList) -> None:
 
 
 def _prepare(circuit: GateList, params, latent, measured: int | None = None):
-    """Validate shapes, records and ``measured``; expand encoding steps against ``latent``."""
+    """Validate shapes, records and ``measured``; return float ``params`` and ``latent``.
+
+    The circuit fixes its encoding passes: each DATA index must be in ``latent``,
+    and values past the last one read are allowed.
+    """
     if not 1 <= circuit.num_qubits <= MAX_QUBITS:
         raise ConfigurationError(
             f"register width must be in [1, {MAX_QUBITS}] for simulation, "
@@ -129,15 +131,6 @@ def _prepare(circuit: GateList, params, latent, measured: int | None = None):
         latent = np.asarray(latent, dtype=np.float64)
         if latent.ndim != 1:
             raise ConfigurationError(f"latent must be a 1-D vector, got shape {latent.shape}")
-    q = circuit.num_qubits
-    if any(g[0] == ENCODE for g in circuit.gates):
-        if latent is None:
-            raise ConfigurationError("circuit has encoding steps but no latent vector given")
-        if latent.size == 0 or latent.size % q:
-            raise ConfigurationError(
-                f"latent length {latent.size} is not a multiple of the register width {q}"
-            )
-        circuit = expand_encoding(circuit, latent.size // q)
     _check_records(circuit)
     n_slots = parameter_slot_count(circuit)
     if params.size != n_slots:
@@ -152,7 +145,7 @@ def _prepare(circuit: GateList, params, latent, measured: int | None = None):
             raise ConfigurationError(
                 f"latent index {max(data_idx)} out of range for length {latent.size}"
             )
-    return circuit, params, latent
+    return params, latent
 
 
 def lift_data_slots(circuit: GateList) -> tuple[GateList, np.ndarray]:
@@ -374,7 +367,7 @@ def evaluate_expectation(circuit: GateList, params, latent=None, measured: int =
 def trajectory_expectation(circuit: GateList, params, latent=None, noise=None,
                            rng: np.random.Generator | None = None, measured: int = 0) -> float:
     """<Z> of one row run from |0...0>: one sampled trajectory under ``noise``, else noiseless."""
-    circuit, params, latent = _prepare(circuit, params, latent, measured)
+    params, latent = _prepare(circuit, params, latent, measured)
     if noise is not None:
         circuit = noise_mod.sample_pauli_insertions(circuit, noise, rng)
     amps = run_gates(np.eye(1, 1 << circuit.num_qubits)[0], circuit, params, latent)
@@ -384,7 +377,7 @@ def trajectory_expectation(circuit: GateList, params, latent=None, noise=None,
 def parameter_shift_gradient(circuit: GateList, params, latent=None,
                              measured: int = 0) -> np.ndarray:
     """Noiseless d<Z>/d(params) via [E(theta + pi/2) - E(theta - pi/2)] / 2 per angle."""
-    circuit, params, latent = _prepare(circuit, params, latent, measured)
+    params, latent = _prepare(circuit, params, latent, measured)
     plus, minus = _paired_shift_values(circuit, params, latent, measured, math.pi / 2)
     return (plus - minus) / 2.0
 
@@ -394,7 +387,7 @@ def finite_difference_oracle(circuit: GateList, params, latent=None, measured: i
     """Central differences [E(theta+h) - E(theta-h)] / (2h), noiseless."""
     if h <= 0:
         raise ConfigurationError(f"step size must be positive, got {h}")
-    circuit, params, latent = _prepare(circuit, params, latent, measured)
+    params, latent = _prepare(circuit, params, latent, measured)
     plus, minus = _paired_shift_values(circuit, params, latent, measured, h)
     return (plus - minus) / (2.0 * h)
 
@@ -429,7 +422,7 @@ def adjoint_observable_gradients(circuit: GateList, params, latent, z_weights, f
     params = np.asarray(params, dtype=np.float64)
     latent = None if latent is None else np.asarray(latent, dtype=np.float64)
     n = circuit.num_qubits
-    circuit, _, _ = _prepare(circuit, _first_row(params), _first_row(latent))
+    _prepare(circuit, _first_row(params), _first_row(latent))
     z_weights = np.asarray(z_weights, dtype=np.float64)
     if z_weights.ndim not in (1, 2) or z_weights.shape[-1] != n:
         raise ConfigurationError(
@@ -512,7 +505,7 @@ def block_adjoint_gradients(circuit: GateList, blocks, params, z_weights, final)
 
 def adjoint_gradient(circuit: GateList, params, latent=None, measured: int = 0) -> np.ndarray:
     """Adjoint-mode d<Z>/d(params); matches the shift rule on noiseless circuits."""
-    circuit, params, latent = _prepare(circuit, params, latent, measured)
+    params, latent = _prepare(circuit, params, latent, measured)
     n = circuit.num_qubits
     final = run_gates(np.eye(1, 1 << n), circuit, params, latent)  # one row from |0...0>
     return adjoint_observable_gradients(circuit, params, latent, np.eye(n)[measured], final)[0][0]

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import noise as noise_mod
 from . import seeding
-from .ansatz import DATA, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, build_block, count_parameters, expand_encoding
+from .ansatz import DATA, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, build_block, count_parameters
 from .errors import ConfigurationError
 from .grad import (
     _batch_expectations,
@@ -109,8 +109,8 @@ def encoder_circuit(config: EncoderConfig) -> GateList:
 class _PqcPlan:
     """Precomputed circuit structure for one (spec, latent length) pairing.
 
-    ``circuit`` is the expanded head circuit whose k-th DATA record reads
-    angle k; a row's angles are ``latent[occurrences]``, one per occurrence.
+    ``circuit`` is the head circuit whose k-th DATA record reads angle k; a
+    row's angles are ``latent[occurrences]``, one per occurrence.
     """
 
     circuit: GateList
@@ -131,11 +131,11 @@ def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
             f"latent length {latent_dim} is not a positive multiple of the circuit "
             f"width {spec.qubits}"
         )
-    expanded = expand_encoding(assemble_head_circuit(spec), latent_dim // spec.qubits).gates
-    occurrences = np.array([g[2] for g in expanded if g[0] == DATA], dtype=np.intp)
+    gates = assemble_head_circuit(spec, latent_dim // spec.qubits).gates
+    occurrences = np.array([g[2] for g in gates if g[0] == DATA], dtype=np.intp)
     k = iter(range(occurrences.size))
     circuit = GateList(spec.qubits, [(DATA, g[1], next(k)) if g[0] == DATA else g
-                                     for g in expanded])
+                                     for g in gates])
     return _PqcPlan(circuit, occurrences, count_parameters(spec), latent_dim)
 
 
@@ -252,8 +252,6 @@ class HybridHead:
             raise ConfigurationError("dropping the final linear layer requires 2 classes")
         self.encoder = encoder
         self.spec = spec
-        self.num_classes = num_classes
-        self.final_linear = final_linear
         self.plan = _plan_pqc(spec, encoder.latent_dim)
         self.theta_q = rng.uniform(-math.pi, math.pi, self.plan.n_params)
         width = encoder.latent_dim + 1

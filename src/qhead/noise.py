@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import CNOT, DATA, ENCODE, PAULI, RY, GateList
+from .ansatz import CNOT, DATA, PAULI, RY, GateList
 from .errors import ConfigurationError
 
 _PAULI_LABELS = "IXYZ"
@@ -55,17 +55,15 @@ def sample_pauli_insertions(circuit: GateList, model: NoiseModel,
     """Draw one noise trajectory: random Pauli records after noisy gates.
 
     Single-qubit gates (trainable and encoding rotations) fire with p1q, CNOTs
-    with p2q. Returns a new gate list; with both rates zero the input is
-    returned unchanged and ``rng`` may be None. Encoding steps must be
-    expanded first so each constituent rotation can receive its own insertion.
+    with p2q, so each data rotation of an encoding step can receive its own
+    insertion. Returns a new gate list; with both rates zero the input is
+    returned unchanged and ``rng`` may be None.
     """
     if model.p1q == 0.0 and model.p2q == 0.0:
         return circuit
     rng = _require_rng(rng, "gate-noise trajectories")
     gates: list[tuple] = []
     for g in circuit.gates:
-        if g[0] == ENCODE:
-            raise ConfigurationError("expand encoding steps before sampling gate noise")
         gates.append(g)
         if g[0] in (RY, DATA):
             if model.p1q > 0.0 and rng.random() < model.p1q:

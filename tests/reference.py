@@ -79,7 +79,7 @@ def parameter_shift_jacobian(circuit: GateList, params, latent=None,
     Each +/- pi/2 row runs alone through ``run_gates``, from |0...0> or from
     a copy of ``initial``.
     """
-    circuit, params, latent = _prepare(circuit, params, latent)
+    params, latent = _prepare(circuit, params, latent)
     n, p = circuit.num_qubits, params.size
     vals = np.empty((2 * p, n))
     for r, row in enumerate(_shift_rows(params, math.pi / 2)[1:]):

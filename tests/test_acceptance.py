@@ -20,7 +20,6 @@ from qhead.ansatz import (
     GateList,
     assemble_head_circuit,
     count_parameters,
-    expand_encoding,
 )
 from qhead.baselines import LogisticModel, MlpConfig, MlpHead
 from qhead.cli import main as cli_main
@@ -202,9 +201,7 @@ def test_criterion_1_gradient_correctness():
         worst_sweep = max(worst_sweep, deviation)
         sweep_y_insertions += ys
 
-        circuit = expand_encoding(
-            assemble_head_circuit(spec), encoder.latent_dim // spec.qubits
-        )
+        circuit = assemble_head_circuit(spec, encoder.latent_dim // spec.qubits)
         params = rng.uniform(-math.pi, math.pi, count_parameters(spec))
         latent = rng.uniform(-1, 1, encoder.latent_dim)
         shift = parameter_shift_gradient(circuit, params, latent)

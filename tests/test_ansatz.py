@@ -6,7 +6,6 @@ import pytest
 from qhead.ansatz import (
     CNOT,
     DATA,
-    ENCODE,
     RY,
     CircuitSpec,
     GateList,
@@ -14,7 +13,6 @@ from qhead.ansatz import (
     build_block,
     build_entangling_layer,
     count_parameters,
-    expand_encoding,
     gate_counts,
     parameter_slot_count,
 )
@@ -69,38 +67,50 @@ class TestBlock:
     def test_q14_two_layers(self):
         assert parameter_slot_count(build_block(14, 1, 2)) == 28
 
+    @pytest.mark.parametrize("connectivity, layers, message", [
+        (1, -1, "num_layers must be >= 0"),
+        (4, 2, "connectivity must satisfy"),
+        (0, 1, "connectivity must satisfy"),
+    ])
+    def test_rejects_bad_block(self, connectivity, layers, message):
+        with pytest.raises(ConfigurationError, match=message):
+            build_block(4, connectivity, layers)
+
 
 class TestAssemble:
     def test_reference_layout(self):
         spec = CircuitSpec(qubits=10, connectivity=1, main_layers=2,
                            reupload_layers=1, reupload_count=4)
-        circuit = assemble_head_circuit(spec)
+        circuit = assemble_head_circuit(spec, 1)
         assert parameter_slot_count(circuit) == 60
-        assert sum(1 for g in circuit if g[0] == ENCODE) == 5
         assert sum(1 for g in circuit if g[0] == CNOT) == 60
         assert sum(1 for g in circuit if g[0] == RY) == 60
-        expanded = expand_encoding(circuit)
-        assert sum(1 for g in expanded if g[0] == DATA) == 50
+        assert sum(1 for g in circuit if g[0] == DATA) == 50
 
     def test_no_reuploads(self):
         spec = CircuitSpec(qubits=4, main_layers=2, reupload_count=0, reupload_layers=1)
-        circuit = assemble_head_circuit(spec)
-        assert sum(1 for g in circuit if g[0] == ENCODE) == 1
-        assert circuit.gates[0] == (ENCODE, 0)
+        circuit = assemble_head_circuit(spec, 1)
+        assert sum(1 for g in circuit if g[0] == DATA) == 4
+        assert circuit.gates[:4] == [(DATA, i, i) for i in range(4)]
 
     def test_encode_count_is_one_plus_r(self):
         for r in range(4):
             spec = CircuitSpec(qubits=3, reupload_count=r)
-            circuit = assemble_head_circuit(spec)
-            assert sum(1 for g in circuit if g[0] == ENCODE) == 1 + r
+            circuit = assemble_head_circuit(spec, 1)
+            assert sum(1 for g in circuit if g[0] == DATA) == 3 * (1 + r)
 
     def test_q14_parameter_total(self):
         spec = CircuitSpec(qubits=14, main_layers=2, reupload_count=4, reupload_layers=1)
-        assert parameter_slot_count(assemble_head_circuit(spec)) == 84
+        assert parameter_slot_count(assemble_head_circuit(spec, 1)) == 84
 
     def test_invalid_spec(self):
         with pytest.raises(ConfigurationError):
-            assemble_head_circuit(CircuitSpec(qubits=4, connectivity=4))
+            assemble_head_circuit(CircuitSpec(qubits=4, connectivity=4), 1)
+        with pytest.raises(ConfigurationError, match="need at least 2 qubits, got 1"):
+            assemble_head_circuit(CircuitSpec(qubits=1), 1)
+        for field in ("main_layers", "reupload_layers", "reupload_count"):
+            with pytest.raises(ConfigurationError, match="counts must be non-negative"):
+                assemble_head_circuit(CircuitSpec(qubits=4, **{field: -1}), 1)
 
 
 class TestCounts:
@@ -122,39 +132,38 @@ class TestCounts:
         for q, m, r, n, c in [(4, 2, 4, 1, 1), (6, 3, 2, 2, 3), (5, 0, 3, 1, 2), (3, 1, 0, 2, 1)]:
             spec = CircuitSpec(qubits=q, connectivity=c, main_layers=m,
                                reupload_count=r, reupload_layers=n)
-            circuit = assemble_head_circuit(spec)
+            circuit = assemble_head_circuit(spec, 1)
             assert count_parameters(spec) == parameter_slot_count(circuit)
-            expanded = expand_encoding(circuit)
             single, two = gate_counts(spec)
-            n_ry = sum(1 for g in expanded if g[0] == RY)
-            n_data = sum(1 for g in expanded if g[0] == DATA)
-            n_cnot = sum(1 for g in expanded if g[0] == CNOT)
+            n_ry = sum(1 for g in circuit if g[0] == RY)
+            n_data = sum(1 for g in circuit if g[0] == DATA)
+            n_cnot = sum(1 for g in circuit if g[0] == CNOT)
             assert single == n_ry + n_data
             assert two == n_cnot
 
 
-class TestExpandEncoding:
+class TestEncodingSteps:
     def test_single_round_indices(self):
-        circuit = GateList(3, [(ENCODE, 0)])
-        expanded = expand_encoding(circuit)
-        assert expanded.gates == [(DATA, 0, 0), (DATA, 1, 1), (DATA, 2, 2)]
+        circuit = assemble_head_circuit(CircuitSpec(qubits=3, main_layers=0, reupload_count=0), 1)
+        assert circuit.gates == [(DATA, 0, 0), (DATA, 1, 1), (DATA, 2, 2)]
 
     def test_stacked_rounds(self):
-        circuit = GateList(2, [(ENCODE, 0)])
-        expanded = expand_encoding(circuit, rounds=2)
-        assert expanded.gates == [
+        circuit = assemble_head_circuit(CircuitSpec(qubits=2, main_layers=0, reupload_count=0), 2)
+        assert circuit.gates == [
             (DATA, 0, 0), (DATA, 1, 1), (DATA, 0, 2), (DATA, 1, 3),
         ]
 
-    def test_non_encode_records_pass_through(self):
-        circuit = GateList(2, [(CNOT, 0, 1), (ENCODE, 0), (RY, 0, 0)])
-        expanded = expand_encoding(circuit)
-        assert expanded.gates[0] == (CNOT, 0, 1)
-        assert expanded.gates[-1] == (RY, 0, 0)
+    def test_each_step_precedes_its_block(self):
+        spec = CircuitSpec(qubits=2, main_layers=1, reupload_layers=1, reupload_count=1)
+        step = [(DATA, 0, 0), (DATA, 1, 1), (DATA, 0, 2), (DATA, 1, 3)]
+        assert assemble_head_circuit(spec, 2).gates == (
+            step + build_block(2, 1, 1).gates + step + build_block(2, 1, 1, 2).gates
+        )
 
     def test_bad_rounds(self):
-        with pytest.raises(ConfigurationError):
-            expand_encoding(GateList(2, [(ENCODE, 0)]), rounds=0)
+        for rounds in (0, -1):
+            with pytest.raises(ConfigurationError, match=f"rounds must be >= 1, got {rounds}"):
+                assemble_head_circuit(CircuitSpec(qubits=2), rounds)
 
 
 def test_slot_contiguity_enforced():

@@ -23,6 +23,8 @@ class TestMlpConfig:
             MlpConfig(1, 0)
         with pytest.raises(ConfigurationError):
             MlpConfig(2, 48)
+        with pytest.raises(ConfigurationError, match="hidden_dim must be >= 0, got -5"):
+            MlpConfig(1, -5)
 
 
 class TestParameterCounts:

@@ -14,7 +14,7 @@ import pytest
 
 from qhead import head as head_mod
 from qhead import noise as noise_mod
-from qhead.ansatz import PAULI, CircuitSpec, assemble_head_circuit, expand_encoding
+from qhead.ansatz import PAULI, CircuitSpec, assemble_head_circuit
 from qhead.baselines import MlpConfig, MlpEncoder
 from qhead.datasets import make_count_splits, synthetic_clusters
 from qhead.errors import ConfigurationError
@@ -90,7 +90,7 @@ def _sample_latent(model, x):
 
 def _expanded(spec, latent_dim):
     """The spec's head circuit whose DATA records read the latent itself."""
-    return expand_encoding(assemble_head_circuit(spec), latent_dim // spec.qubits)
+    return assemble_head_circuit(spec, latent_dim // spec.qubits)
 
 
 def _sample_circuit(model, latent, noise, i, grads):

@@ -84,6 +84,14 @@ class TestTrain:
         assert code == 2
         assert "nope.emb" in capsys.readouterr().err
 
+    def test_no_dataset_path_rejected(self):
+        from qhead.cli import load_dataset
+        from qhead.config import ExperimentConfig
+        from qhead.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="dataset: no path configured"):
+            load_dataset(ExperimentConfig())
+
     def test_invalid_config_field_message(self, tmp_path, smoke_data, capsys):
         cfg = _write_config(tmp_path, smoke_data, connectivity=9)
         code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")])

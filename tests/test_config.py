@@ -61,6 +61,14 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="duplicate"):
             parse_flat("qubits = 4\nqubits = 5\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("qubits = 4\n = 5\n", "line 2: empty key"),
+        ("a = []\n", "line 1: empty list for 'a'"),
+    ])
+    def test_rejected_lines(self, text, message):
+        with pytest.raises(ConfigurationError, match=message):
+            parse_flat(text)
+
 
 class TestValidation:
     def test_unknown_key_named(self):
@@ -74,6 +82,23 @@ class TestValidation:
     def test_wrong_type_named(self):
         with pytest.raises(ConfigurationError, match="batch_size"):
             config_from_mapping({"batch_size": 2.5})
+
+    @pytest.mark.parametrize("mapping, message", [
+        ({"seed": -1}, "seed: must be non-negative"),
+        ({"model": "svm"}, "model: unknown value 'svm'"),
+        ({"encoder_type": "classical"}, "encoder_type: unknown value 'classical'"),
+        ({"dataset_format": "json"}, "dataset_format: unknown value 'json'"),
+        ({"split_mode": "random"}, "split_mode: unknown value 'random'"),
+        ({"num_classes": 1}, "num_classes: must be >= 2, got 1"),
+        ({"error_rate_1q": 1.5}, r"error_rate_1q/error_rate_2q: must be in \[0, 1\]"),
+        ({"error_rate_2q": -0.1}, r"error_rate_1q/error_rate_2q: must be in \[0, 1\]"),
+        ({"final_linear": False, "num_classes": 3}, "final_linear: disabling it requires"),
+        ({"final_linear": 1}, "final_linear: expected true or false, got 1"),
+        ({"learning_rate": "fast"}, "learning_rate: expected a number, got 'fast'"),
+    ])
+    def test_rejected_setting_is_named(self, mapping, message):
+        with pytest.raises(ConfigurationError, match=message):
+            config_from_mapping(mapping)
 
     def test_downstream_constraints_checked(self):
         with pytest.raises(ConfigurationError, match="circuit shape"):

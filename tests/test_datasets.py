@@ -122,6 +122,16 @@ class TestCsvFormat:
         with pytest.raises(DataError, match="label 2 out of range for 2 classes"):
             load_embeddings(path, "csv", num_classes=2)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = _tiny_dataset()
+        path = tmp_path / "blank.csv"
+        save_embeddings_csv(ds, path)
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", rows[0], "   ", "", rows[1], ""]) + "\n")
+        back = load_embeddings(path, "csv")
+        np.testing.assert_array_equal(back.vectors, ds.vectors)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_embeddings(tmp_path / "x", "json")
@@ -137,6 +147,25 @@ def test_non_finite_rows_rejected(tmp_path, fmt, save, bad):
     save(ds, path)
     with pytest.raises(DataError, match="row 2"):
         load_embeddings(path, fmt)
+
+
+def _short_file(path):
+    path.write_bytes(b"EMB1\x03")
+    load_embeddings(path, "binary")
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda path: EmbeddingDataset(np.ones(3), np.zeros(3)),
+     ConfigurationError, r"vectors must be 2-D, got shape \(3,\)"),
+    (lambda path: EmbeddingDataset(np.ones((2, 3)), np.zeros(1)),
+     ConfigurationError, "got 1 labels for 2 vectors"),
+    (lambda path: save_embeddings_binary(EmbeddingDataset(np.ones((2, 3)), [0, 256]), path),
+     DataError, "labels must fit in an unsigned byte"),
+    (_short_file, DataFormatError, "file is 5 bytes, shorter than the 12-byte header"),
+], ids=["vectors_1d", "label_count", "label_over_255", "shorter_than_header"])
+def test_bad_datasets_rejected(tmp_path, make, error, message):
+    with pytest.raises(error, match=message):
+        make(tmp_path / "bad.emb")
 
 
 class TestBenchmarkSplits:

@@ -10,14 +10,12 @@ from qhead import grad as grad_mod
 from qhead.ansatz import (
     CNOT,
     DATA,
-    ENCODE,
     PAULI,
     RY,
     CircuitSpec,
     GateList,
     assemble_head_circuit,
     count_parameters,
-    expand_encoding,
 )
 from qhead.errors import ConfigurationError
 from qhead.grad import (
@@ -69,7 +67,7 @@ def _random_inputs(rng, spec):
 class TestEvaluateExpectation:
     def test_all_zero_inputs(self):
         spec = CircuitSpec(qubits=4, main_layers=2, reupload_count=2)
-        circuit = assemble_head_circuit(spec)
+        circuit = assemble_head_circuit(spec, 1)
         from qhead.ansatz import count_parameters
 
         value = evaluate_expectation(circuit, np.zeros(count_parameters(spec)), np.zeros(4))
@@ -86,7 +84,7 @@ class TestEvaluateExpectation:
         for _ in range(20):
             spec = _random_spec(rng)
             params, latent = _random_inputs(rng, spec)
-            v = evaluate_expectation(assemble_head_circuit(spec), params, latent)
+            v = evaluate_expectation(assemble_head_circuit(spec, 1), params, latent)
             assert -1.0 - 1e-12 <= v <= 1.0 + 1e-12
 
     def test_param_length_mismatch(self):
@@ -95,22 +93,30 @@ class TestEvaluateExpectation:
 
     def test_latent_length_mismatch(self):
         spec = CircuitSpec(qubits=4)
-        circuit = assemble_head_circuit(spec)
+        circuit = assemble_head_circuit(spec, 1)
         from qhead.ansatz import count_parameters
 
         with pytest.raises(ConfigurationError):
             evaluate_expectation(circuit, np.zeros(count_parameters(spec)), np.zeros(3))
+
+    def test_circuit_fixes_its_encoding_passes(self):
+        """A latent longer than the circuit's data records read is accepted, and
+        only its first values are read."""
+        spec = CircuitSpec(qubits=4)
+        params, latent = _random_inputs(np.random.default_rng(19), spec)
+        circuit = assemble_head_circuit(spec, 1)
+        longer = np.concatenate([latent, [0.7, -0.2, 0.5, 0.9]])
+        assert evaluate_expectation(circuit, params, longer) == evaluate_expectation(
+            circuit, params, latent)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             spec = _random_spec(rng, max_qubits=4)
             params, latent = _random_inputs(rng, spec)
-            circuit = assemble_head_circuit(spec)
+            circuit = assemble_head_circuit(spec, 1)
             got = evaluate_expectation(circuit, params, latent)
-            from qhead.ansatz import expand_encoding
-
-            psi = dense_run(expand_encoding(circuit).gates, spec.qubits, params, latent)
+            psi = dense_run(circuit.gates, spec.qubits, params, latent)
             assert got == pytest.approx(dense_z(psi, 0, spec.qubits), abs=1e-12)
 
 
@@ -128,7 +134,7 @@ class TestParameterShift:
         for _ in range(8):
             spec = _random_spec(rng, max_qubits=4)
             params, latent = _random_inputs(rng, spec)
-            circuit = assemble_head_circuit(spec)
+            circuit = assemble_head_circuit(spec, 1)
             shift = parameter_shift_gradient(circuit, params, latent)
             fd = finite_difference_oracle(circuit, params, latent, h=1e-4)
             assert np.max(np.abs(shift - fd)) < 1e-6 if shift.size else True
@@ -145,7 +151,7 @@ class TestParameterShift:
 
     def test_zero_parameter_circuit_shapes(self):
         # no parameter, so no shifted row runs and the shifted values are empty
-        circuit = GateList(3, [(ENCODE, 0), (CNOT, 0, 1), (DATA, 2, 1)])
+        circuit = GateList(3, [(DATA, 0, 0), (DATA, 1, 1), (DATA, 2, 2), (CNOT, 0, 1), (DATA, 2, 1)])
         latent = [0.3, -0.4, 1.1]
         assert parameter_shift_gradient(circuit, [], latent, measured=1).shape == (0,)
         assert finite_difference_oracle(circuit, [], latent, measured=2).shape == (0,)
@@ -177,7 +183,7 @@ class TestAdjoint:
         for _ in range(50):
             spec = _random_spec(rng, max_qubits=5)
             params, latent = _random_inputs(rng, spec)
-            circuit = assemble_head_circuit(spec)
+            circuit = assemble_head_circuit(spec, 1)
             adj = adjoint_gradient(circuit, params, latent)
             shift = parameter_shift_gradient(circuit, params, latent)
             assert adj.shape == shift.shape
@@ -185,13 +191,13 @@ class TestAdjoint:
                 assert np.max(np.abs(adj - shift)) < 1e-8
 
     def test_zero_parameter_circuit(self):
-        circuit = GateList(2, [(ENCODE, 0)])
+        circuit = GateList(2, [(DATA, 0, 0), (DATA, 1, 1)])
         grad = adjoint_gradient(circuit, [], latent=[0.3, 0.4])
         assert grad.shape == (0,)
 
     def test_gradient_length(self):
         spec = CircuitSpec(qubits=3, main_layers=2, reupload_count=1)
-        circuit = assemble_head_circuit(spec)
+        circuit = assemble_head_circuit(spec, 1)
         from qhead.ansatz import count_parameters
 
         params = np.zeros(count_parameters(spec))
@@ -200,12 +206,11 @@ class TestAdjoint:
     def test_latent_gradients_match_finite_differences(self):
         rng = np.random.default_rng(41)
         spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=2, reupload_layers=1)
-        circuit = assemble_head_circuit(spec)
+        circuit = assemble_head_circuit(spec, 1)
         from qhead.ansatz import count_parameters
 
         params = rng.uniform(-math.pi, math.pi, count_parameters(spec))
         latent = rng.uniform(-1, 1, 3)
-        circuit = expand_encoding(circuit, 1)
         final = run_gates(np.eye(8)[0], circuit, params, latent)
         _, (glat,) = adjoint_observable_gradients(circuit, params, latent, np.eye(3)[0], final)
         h = 1e-5
@@ -394,9 +399,9 @@ class TestLiftDataSlots:
     def test_lifted_evaluation_matches(self):
         rng = np.random.default_rng(61)
         spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=1)
-        from qhead.ansatz import count_parameters, expand_encoding
+        from qhead.ansatz import count_parameters
 
-        circuit = expand_encoding(assemble_head_circuit(spec))
+        circuit = assemble_head_circuit(spec, 1)
         params = rng.uniform(-1, 1, count_parameters(spec))
         latent = rng.uniform(-1, 1, 3)
         lifted, occ = lift_data_slots(circuit)
@@ -414,7 +419,7 @@ class TestTrajectoryExpectation:
 
         params = rng.uniform(-1, 1, count_parameters(spec))
         latent = rng.uniform(-1, 1, 3)
-        circuit = assemble_head_circuit(spec)
+        circuit = assemble_head_circuit(spec, 1)
         a = trajectory_expectation(circuit, params, latent, NoiseModel(0, 0, None), None)
         b = evaluate_expectation(circuit, params, latent)
         assert a == b
@@ -432,7 +437,7 @@ class TestTrajectoryExpectation:
         params = np.linspace(-1, 1, count_parameters(spec))
         latent = np.array([0.2, -0.4, 0.9])
         model = NoiseModel(p1q=0.3, p2q=0.3)
-        circuit = assemble_head_circuit(spec)
+        circuit = assemble_head_circuit(spec, 1)
         a = trajectory_expectation(circuit, params, latent, model, stream(7, 1, 2))
         b = trajectory_expectation(circuit, params, latent, model, stream(7, 1, 2))
         assert a == b
@@ -470,6 +475,25 @@ def test_bad_records_rejected(call, record, match):
         call(GateList(2, [(RY, 0, 0), record]), [0.8])
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: run_gates(np.eye(1, 4)[0], GateList(2, [("encode", 0)])), "unknown gate record"),
+    (lambda: evaluate_expectation(GateList(25, [(RY, 0, 0)]), [0.1]),
+     r"register width must be in \[1, 24\] for simulation, got 25"),
+    (lambda: evaluate_expectation(GateList(2, [(RY, 0, 0)]), [[0.1]]),
+     "params must be a 1-D vector"),
+    (lambda: evaluate_expectation(GateList(2, [(DATA, 0, 0)]), [], [[0.1]]),
+     "latent must be a 1-D vector"),
+    (lambda: evaluate_expectation(GateList(2, [(DATA, 0, 0)]), []),
+     "reads latent values but no latent vector given"),
+    (lambda: evaluate_expectation(GateList(2, [(DATA, 0, 2)]), [], [0.1, 0.2]),
+     "latent index 2 out of range for length 2"),
+], ids=["unknown_record", "width_25", "params_2d", "latent_2d", "data_without_latent",
+        "latent_index_past_end"])
+def test_bad_inputs_rejected(call, match):
+    with pytest.raises(ConfigurationError, match=match):
+        call()
+
+
 def _half_turn_rows(params):
     """The unturned row, then params + pi e_j for each column j: (1 + P, P)."""
     return _shift_rows(params, math.pi)[: 1 + params.size]
@@ -486,9 +510,9 @@ def _check_half_turns(circuit, params):
 
 
 def _expanded_trajectory(rng, qubits=4):
-    """A sampled trajectory of an expanded head circuit (with data records), its P and a latent."""
+    """A sampled trajectory of a head circuit with data records (unlifted), its P and a latent."""
     spec = CircuitSpec(qubits=qubits, main_layers=2, reupload_count=1, reupload_layers=1)
-    circuit = sample_pauli_insertions(expand_encoding(assemble_head_circuit(spec)),
+    circuit = sample_pauli_insertions(assemble_head_circuit(spec, 1),
                                       NoiseModel(p1q=0.4, p2q=0.4), rng)
     return circuit, count_parameters(spec), rng.uniform(-1, 1, qubits)
 
@@ -603,7 +627,7 @@ class TestSharedAngleSplit:
 def _lifted_head_trajectory(rng):
     """A lifted head circuit (no data records) on one sampled trajectory, and its slot count."""
     spec = CircuitSpec(qubits=4, main_layers=2, reupload_count=2, reupload_layers=1)
-    lifted, occurrences = lift_data_slots(expand_encoding(assemble_head_circuit(spec), 2))
+    lifted, occurrences = lift_data_slots(assemble_head_circuit(spec, 2))
     circuit = sample_pauli_insertions(lifted, NoiseModel(p1q=0.4, p2q=0.4), rng)
     return circuit, count_parameters(spec) + occurrences.size
 
@@ -679,7 +703,7 @@ def _head_trajectory(qubits, rng, connectivity=1, main_layers=2, reupload_count=
     """One sampled trajectory of a lifted head circuit, and its slot values."""
     spec = CircuitSpec(qubits=qubits, connectivity=connectivity, main_layers=main_layers,
                        reupload_count=reupload_count, reupload_layers=1)
-    lifted, occurrences = lift_data_slots(expand_encoding(assemble_head_circuit(spec)))
+    lifted, occurrences = lift_data_slots(assemble_head_circuit(spec, 1))
     circuit = sample_pauli_insertions(lifted, NoiseModel(p1q=p, p2q=p), rng)
     return circuit, rng.uniform(-3, 3, count_parameters(spec) + occurrences.size)
 
@@ -990,7 +1014,7 @@ class TestBlockMatrices:
         # the head circuit's cut has blocks with RY records, with DATA records
         # and with both, and repeats its gate patterns
         spec = CircuitSpec(qubits=qubits, main_layers=2, reupload_count=4, reupload_layers=1)
-        k, cut = _blocks(expand_encoding(assemble_head_circuit(spec)))
+        k, cut = _blocks(assemble_head_circuit(spec, 1))
         rng = np.random.default_rng(90 + qubits)
         angles = [rng.uniform(-math.pi, math.pi, (rng.choice((1, 5)),
                                                   sum(g[0] in (RY, DATA) for g in gates)))

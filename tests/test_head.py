@@ -9,7 +9,7 @@ import pytest
 
 import qhead.head as head_mod
 import qhead.simcore as simcore
-from qhead.ansatz import DATA, RY, CircuitSpec, GateList, count_parameters, expand_encoding, assemble_head_circuit
+from qhead.ansatz import DATA, RY, CircuitSpec, GateList, count_parameters, assemble_head_circuit
 from qhead.checkpoint import load_checkpoint, save_checkpoint
 from qhead.errors import ConfigurationError, DegenerateInputError
 from qhead.grad import evaluate_expectation, lift_data_slots
@@ -141,20 +141,20 @@ class TestPqcForward:
         theta = rng.uniform(-1, 1, count_parameters(spec))
         latent = rng.uniform(-1, 1, 3)
         a = pqc_forward(latent, theta, spec, NoiseModel(0, 0, None), None)
-        b = evaluate_expectation(assemble_head_circuit(spec), theta, latent)
+        b = evaluate_expectation(assemble_head_circuit(spec, 1), theta, latent)
         assert a == b
 
     @pytest.mark.parametrize("rounds", [1, 2])
     def test_plan_circuit_numbers_each_encoding_rotation_by_occurrence(self, rounds):
         spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=2, reupload_layers=1)
         plan = head_mod._plan_pqc(spec, 3 * rounds)
-        expanded = expand_encoding(assemble_head_circuit(spec), rounds)
+        expanded = assemble_head_circuit(spec, rounds)
         p, k = plan.n_params, plan.occurrences.size
         assert k == 3 * 3 * rounds
         data = [g for g in plan.circuit.gates if g[0] == DATA]
         assert [g[2] for g in data] == list(range(k))
         # record k reads latent[occurrences[k]]: the same gates as the spec's
-        # own expanded circuit, which reads the latent itself
+        # own circuit, which reads the latent itself
         renumbered = iter((DATA, g[1], plan.occurrences[g[2]]) for g in data)
         assert [next(renumbered) if g[0] == DATA else g for g in plan.circuit.gates] \
             == expanded.gates
@@ -174,7 +174,7 @@ class TestPqcForward:
         theta = rng.uniform(-1, 1, count_parameters(spec))
         latent = np.array([0.3, -0.8])
         got = pqc_forward(latent, theta, spec)
-        gates = expand_encoding(assemble_head_circuit(spec)).gates
+        gates = assemble_head_circuit(spec, 1).gates
         psi = dense_run(gates, 2, params=theta, latent=latent)
         assert got == pytest.approx(dense_z(psi, 0, 2), abs=1e-12)
 
@@ -184,7 +184,7 @@ class TestPqcForward:
         theta = rng.uniform(-1, 1, count_parameters(spec))
         latent = np.array([0.2, -0.5, 0.7, 0.1])  # two stacked passes
         got = pqc_forward(latent, theta, spec)
-        gates = expand_encoding(assemble_head_circuit(spec), rounds=2).gates
+        gates = assemble_head_circuit(spec, rounds=2).gates
         psi = dense_run(gates, 2, params=theta, latent=latent)
         assert got == pytest.approx(dense_z(psi, 0, 2), abs=1e-12)
 
@@ -203,7 +203,7 @@ class TestPqcForward:
         # the finite-shot half-turn values need each slot read once; every
         # sweep needs each slot read at all
         spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=1, reupload_layers=1)
-        honest = assemble_head_circuit(spec)
+        honest = assemble_head_circuit(spec, 1)
         gates = list(honest.gates)
         if edit == "repeat":
             gates.insert(0, next(g for g in gates if g[0] == RY and g[2] == 0))
@@ -213,7 +213,7 @@ class TestPqcForward:
             gates.remove(next(g for g in gates if g[0] == RY and g[2] == last))
             noise, message = None, f"{last} parameter slots but got {last + 1} parameters"
         monkeypatch.setattr(head_mod, "assemble_head_circuit",
-                            lambda spec: GateList(honest.num_qubits, gates))
+                            lambda spec, rounds: GateList(honest.num_qubits, gates))
         enc = EncoderConfig(num_encoders=1, encoder_qubits=3, encoder_layers=1)
         model = build_hybrid_head(enc, spec, seed=30)
         X = np.random.default_rng(30).standard_normal((2, 8))
@@ -485,6 +485,25 @@ class TestFunctionalGradientWrapper:
         assert grads.linear.shape == params.linear.shape
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"num_encoders": 0}, "need at least one encoder, got 0"),
+    ({"encoder_qubits": 0}, "encoder qubits must be >= 1, got 0"),
+    ({"encoder_layers": -1}, "encoder layers must be >= 0, got -1"),
+    ({"encoder_qubits": 3, "connectivity": 3}, "encoder connectivity must satisfy 1 <= C < Qc, got 3"),
+])
+def test_encoder_config_rejects_bad_shapes(kwargs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        EncoderConfig(**kwargs)
+
+
+def test_head_wider_than_the_simulator_is_rejected():
+    from qhead.baselines import MlpConfig, MlpEncoder
+
+    encoder = MlpEncoder(4, 25, MlpConfig(), stream(1, PARAM_INIT))
+    with pytest.raises(ConfigurationError, match="wider than 24 qubits cannot be simulated, got 25"):
+        head_mod.HybridHead(encoder, CircuitSpec(qubits=25), rng=stream(1, PARAM_INIT))
+
+
 class TestCheckpointRoundTrip:
     def test_save_load_bit_exact(self, tmp_path):
         enc = EncoderConfig(num_encoders=1, encoder_qubits=3, encoder_layers=2)
@@ -515,6 +534,27 @@ class TestCheckpointRoundTrip:
         with pytest.raises(DataFormatError, match="truncated checkpoint: needed "
                                                   f"{8 * (2**32 - 1) ** 2} bytes"):
             load_checkpoint(wrapping_checkpoint)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob: blob[:4] + (2).to_bytes(4, "little") + blob[8:],
+         "unsupported checkpoint version 2 at byte 4"),
+        (lambda blob: blob + b"\x00\x00\x00", "checkpoint has 3 trailing bytes"),
+    ], ids=["version_2", "trailing_bytes"])
+    def test_damaged_checkpoint_rejected(self, tmp_path, damage, message):
+        from qhead.errors import DataFormatError
+
+        path = tmp_path / "damaged.qhd1"
+        save_checkpoint(path, {"a": np.arange(4.0)})
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataFormatError, match=message):
+            load_checkpoint(path)
+
+    def test_array_name_longer_than_the_header_field_rejected(self, tmp_path):
+        from qhead.errors import DataFormatError
+
+        with pytest.raises(DataFormatError, match="array name too long"):
+            save_checkpoint(tmp_path / "long.qhd1", {"a" * 65536: np.zeros(1)})
+        assert not (tmp_path / "long.qhd1").exists()
 
     def test_truncation_reports_lengths(self, tmp_path):
         path = tmp_path / "trunc.qhd1"

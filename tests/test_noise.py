@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qhead.ansatz import CNOT, DATA, ENCODE, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, expand_encoding, gate_counts, parameter_slot_count
+from qhead.ansatz import CNOT, DATA, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, gate_counts, parameter_slot_count
 from qhead.errors import ConfigurationError
 from qhead.grad import evaluate_expectation, lift_data_slots, trajectory_expectation
 from qhead.noise import (
@@ -39,11 +39,6 @@ class TestSamplePauliInsertions:
         out = sample_pauli_insertions(circuit, NoiseModel(0.0, 0.0), stream(0, 1))
         assert out is circuit
 
-    def test_rejects_unexpanded_encoding(self):
-        circuit = GateList(2, [("encode", 0)])
-        with pytest.raises(ConfigurationError):
-            sample_pauli_insertions(circuit, NoiseModel(p1q=0.5), stream(0, 1))
-
     def test_rate_one_inserts_after_every_gate(self):
         circuit = GateList(2, [(RY, 0, 0), (DATA, 1, 0), (CNOT, 0, 1)])
         out = sample_pauli_insertions(circuit, NoiseModel(1.0, 1.0), stream(3, 1))
@@ -52,7 +47,7 @@ class TestSamplePauliInsertions:
 
     def test_insertion_rate_matches_expectation(self):
         spec = CircuitSpec(qubits=4, main_layers=2, reupload_count=2, reupload_layers=1)
-        circuit = expand_encoding(assemble_head_circuit(spec))
+        circuit = assemble_head_circuit(spec, 1)
         single, two = gate_counts(spec)
         model = NoiseModel(p1q=0.05, p2q=0.15)
         trials = 3000
@@ -70,7 +65,7 @@ class TestSamplePauliInsertions:
 
     def test_firing_rates_match_expectation_per_kind(self):
         spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=1, reupload_layers=1)
-        circuit = expand_encoding(assemble_head_circuit(spec))
+        circuit = assemble_head_circuit(spec, 1)
         single, two = gate_counts(spec)
         trials = 4000
 
@@ -186,7 +181,7 @@ class TestDepolarizingReference:
         """The lifted Q = 10 head circuit (M = 2, R = 4, N = 1) without noise:
         the density matrix's <Z_0> equals the statevector route's."""
         spec = CircuitSpec(qubits=10, main_layers=2, reupload_layers=1, reupload_count=4)
-        circuit = lift_data_slots(expand_encoding(assemble_head_circuit(spec), 1))[0]
+        circuit = lift_data_slots(assemble_head_circuit(spec, 1))[0]
         params = np.random.default_rng(10).uniform(-math.pi, math.pi,
                                                    parameter_slot_count(circuit))
         want = evaluate_expectation(circuit, params)
@@ -205,7 +200,7 @@ class TestDepolarizingReference:
         with pytest.raises(ConfigurationError, match="outside the"):
             depolarizing_reference_expectation(GateList(n, [record]), [0.8], measured=measured)
 
-    @pytest.mark.parametrize("record", [(ENCODE, 0), (DATA, 1, 0), (PAULI, 1, "X", 0)])
+    @pytest.mark.parametrize("record", [("encode", 0), (DATA, 1, 0), (PAULI, 1, "X", 0)])
     def test_encoding_records_rejected(self, record):
         circuit = GateList(2, [(RY, 0, 0), record, (CNOT, 0, 1)])
         with pytest.raises(ConfigurationError, match="unknown gate record"):
@@ -275,6 +270,10 @@ class TestMultinomialOracle:
             multinomial_oracle([0.7, 0.7], 10, stream(0, 6))
         with pytest.raises(ConfigurationError):
             multinomial_oracle([1.2, -0.2], 10, stream(0, 6))
+        with pytest.raises(ConfigurationError, match=r"1-D probability vector, got shape \(1, 2\)"):
+            multinomial_oracle([[0.5, 0.5]], 10, stream(0, 6))
+        with pytest.raises(ConfigurationError, match="shot count must be non-negative, got -1"):
+            multinomial_oracle([0.5, 0.5], -1, stream(0, 6))
 
     def test_gaussian_sampler_matches_multinomial_moments(self):
         shots = 8192
@@ -298,7 +297,7 @@ class TestZeroNoiseEquivalence:
         from qhead.ansatz import count_parameters
         from qhead.grad import evaluate_expectation
 
-        circuit = assemble_head_circuit(spec)
+        circuit = assemble_head_circuit(spec, 1)
         params = rng.uniform(-1, 1, count_parameters(spec))
         latent = rng.uniform(-1, 1, 4)
         a = evaluate_expectation(circuit, params, latent)

@@ -166,6 +166,8 @@ class TestAmplitudeEncode:
     def test_oversized_rejected(self):
         with pytest.raises(ConfigurationError):
             amplitude_encode(np.ones(5), 2)
+        with pytest.raises(ConfigurationError, match=r"non-empty 1-D vector, got shape \(2, 2\)"):
+            amplitude_encode(np.ones((2, 2)), 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):

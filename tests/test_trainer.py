@@ -48,6 +48,8 @@ class TestCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ConfigurationError):
             softmax_cross_entropy_batch(np.array([[0.0, 0.0]]), np.array([2]))
+        with pytest.raises(ConfigurationError, match=r"\(2,\) labels for logits of shape \(1, 2\)"):
+            softmax_cross_entropy_batch(np.array([[0.0, 0.0]]), np.array([0, 1]))
 
     @pytest.mark.parametrize("label", [-1, 3])
     def test_batch_label_out_of_range(self, label):
@@ -214,6 +216,9 @@ class TestTrainLoop:
     ("weight_decay", math.nan),
     ("weight_decay", math.inf),
     ("weight_decay", -1.0),
+    ("batch_size", 0),
+    ("epochs", 0),
+    ("lr_decay", 0.0),
 ])
 def test_train_config_rejects_non_finite_and_out_of_range_rates(field, value):
     with pytest.raises(ConfigurationError, match=field):
