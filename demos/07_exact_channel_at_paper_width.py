@@ -7,8 +7,10 @@ sample of ``HybridHead._circuit(grads=True)``: it draws its own Pauli
 trajectory and, at finite shots, its own shot noise. Averaged over the
 copies, the value and the gradient must converge to the depolarizing
 channel's, which ``depolarizing_reference_expectation`` computes exactly on
-the 2^10 x 2^10 density matrix. The exact gradient of a trainable slot comes
-from the shift rule on that channel.
+the 2^10 x 2^10 density matrix. It reads the head's own plan circuit, data
+rotations included, with the latent's angles ``latent[plan.occurrences]``.
+The exact gradient of a trainable slot comes from the shift rule on that
+channel, which turns only the trainable angles.
 
 The decision rule was fixed before the first run. Over the 4 components (the
 value and the gradients of slots 0, 30 and 59), z_c = (sample mean - exact)
@@ -29,7 +31,6 @@ import time
 import numpy as np
 
 from qhead.ansatz import CircuitSpec
-from qhead.grad import lift_data_slots
 from qhead.head import EncoderConfig, build_hybrid_head
 from qhead.noise import NoiseModel, depolarizing_reference_expectation
 
@@ -46,20 +47,20 @@ latent = np.random.default_rng(7).uniform(-1, 1, plan.latent_dim)
 
 # --- the exact channel: value, and the shift rule on three trainable slots ---
 started = time.perf_counter()
-lifted = lift_data_slots(plan.circuit)[0]
-ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
+theta = model.theta_q
 
 
 def exact(angles):
-    return depolarizing_reference_expectation(lifted, angles, NoiseModel(**RATES))
+    return depolarizing_reference_expectation(plan.circuit, angles, NoiseModel(**RATES),
+                                              latent=latent[plan.occurrences])
 
 
-value = exact(ext)
-shifted = {j: [exact(ext + s * (math.pi / 2) * np.eye(ext.size)[j]) for s in (1, -1)]
+value = exact(theta)
+shifted = {j: [exact(theta + s * (math.pi / 2) * np.eye(theta.size)[j]) for s in (1, -1)]
            for j in SLOTS}
 want = np.array([value] + [(plus - minus) / 2.0 for plus, minus in shifted.values()])
 largest = max(abs(value), *(abs(e) for pair in shifted.values() for e in pair))
-print(f"exact channel: {len(lifted.gates)} gates, {1 + 2 * len(SLOTS)} density-matrix "
+print(f"exact channel: {len(plan.circuit.gates)} gates, {1 + 2 * len(SLOTS)} density-matrix "
       f"values in {time.perf_counter() - started:.1f}s; largest |E| {largest:.3f}")
 
 # --- the batched noisy route, at infinite shots and at 8192 ---------------

@@ -52,7 +52,7 @@ class CircuitSpec:
     reupload_layers: int = 1
     reupload_count: int = 4
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.qubits < 2:
             raise ConfigurationError(f"need at least 2 qubits, got {self.qubits}")
         if not 1 <= self.connectivity < self.qubits:
@@ -102,7 +102,6 @@ def assemble_head_circuit(spec: CircuitSpec, rounds: int) -> GateList:
     Each encoding step is ``rounds`` passes of data rotations, (DATA, i, e*Q + i)
     for pass e on qubit i, so the circuit reads a latent of ``rounds`` * Q values.
     """
-    spec.validate()
     if rounds < 1:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
     q = spec.qubits
@@ -118,7 +117,6 @@ def assemble_head_circuit(spec: CircuitSpec, rounds: int) -> GateList:
 
 def count_parameters(spec: CircuitSpec) -> int:
     """Trainable rotation count: (M + R*N) * Q."""
-    spec.validate()
     return (spec.main_layers + spec.reupload_count * spec.reupload_layers) * spec.qubits
 
 

@@ -10,7 +10,7 @@ Layout (all integers little-endian):
     data        float64 little-endian values, C order, arrays concatenated
                 in header order
 
-The metadata string carries the resolved run configuration so every
+The metadata string carries the run's config mapping as given, so every
 checkpoint is self-describing.
 """
 from __future__ import annotations

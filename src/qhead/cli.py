@@ -1,11 +1,11 @@
 """Command-line surface: train, eval, sweep, ablate, gradcheck, energy.
 
 Every run receives a flat key = value config file; ``--seed`` and ``--out``
-override the corresponding config entries. Every artifact written (report,
-metrics, summary, checkpoint, energy curve) embeds the fully resolved config
-and the seed. Reports are bit-reproducible for identical (config, seed);
-wall-clock timing therefore goes to a separate timing.json, which is the one
-file excluded from that guarantee.
+override its entries. Every artifact written (report, metrics, summary,
+checkpoint, energy curve) embeds that mapping as given, overrides applied;
+keys left at their defaults are not written. Reports are bit-reproducible for
+identical (config, seed); wall-clock timing therefore goes to a separate
+timing.json, which is the one file excluded from that guarantee.
 """
 from __future__ import annotations
 

@@ -85,7 +85,7 @@ class ExperimentConfig:
         # with a field-level message, before any work starts
         if self.model == "hybrid":
             try:
-                self.circuit_spec().validate()
+                self.circuit_spec()
             except ConfigurationError as exc:
                 raise ConfigurationError(f"circuit shape: {exc}") from exc
             if self.encoder_type == "quantum":

@@ -121,23 +121,17 @@ def save_embeddings_csv(dataset: EmbeddingDataset, path) -> None:
             fh.write(str(int(label)) + "," + ",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _parse_cell(parse, cell: str):
-    """``parse(cell)``, refusing the digit separators and non-ASCII digits
-    that Python's ``int`` and ``float`` take (``1_000``, full-width digits)."""
-    if "_" in cell or not cell.isascii():
-        raise ValueError(cell)
-    return parse(cell)
-
-
-def _bad_cell(fields: list[str], cells: list[str], lineno: int) -> str:
-    """Name the first cell of a CSV line that is not an integer label or a number."""
-    for name, cell in zip(fields, cells):
-        parse, kind = (int, "an integer") if name == "label" else (float, "a number")
-        try:
-            _parse_cell(parse, cell)
-        except ValueError:
-            return f"line {lineno}: {name} cell {cell!r} is not {kind}"
-    return f"line {lineno}: unreadable cells"
+def _parse_cell(parse, name: str, cell: str, lineno: int):
+    """``parse(cell)``, or a DataFormatError naming the line and the column; the
+    digit separators and non-ASCII digits that Python's ``int`` and ``float``
+    take (``1_000``, full-width digits) are refused."""
+    try:
+        if "_" in cell or not cell.isascii():
+            raise ValueError(cell)
+        return parse(cell)
+    except ValueError:
+        kind = "an integer" if parse is int else "a number"
+        raise DataFormatError(f"line {lineno}: {name} cell {cell!r} is not {kind}") from None
 
 
 def _load_csv(path, num_classes: int | None) -> EmbeddingDataset:
@@ -161,11 +155,9 @@ def _load_csv(path, num_classes: int | None) -> EmbeddingDataset:
                 raise DataFormatError(
                     f"line {lineno} has {len(cells)} fields, expected {dim + 1}"
                 )
-            try:
-                labels.append(_parse_cell(int, cells[0]))
-                row = np.array([_parse_cell(float, c) for c in cells[1:]])
-            except ValueError:
-                raise DataFormatError(_bad_cell(fields, cells, lineno)) from None
+            labels.append(_parse_cell(int, "label", cells[0], lineno))
+            row = np.array([_parse_cell(float, name, cell, lineno)
+                            for name, cell in zip(fields[1:], cells[1:])])
             big = np.flatnonzero(np.isfinite(row) & (np.abs(row) > _FLOAT32_MAX))
             if big.size:
                 raise DataError(f"line {lineno}: {fields[1 + big[0]]} cell {cells[1 + big[0]]!r} "

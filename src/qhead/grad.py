@@ -99,9 +99,13 @@ def run_gates(amps: np.ndarray, circuit: GateList, params=None, latent=None) -> 
 
 
 def _check_records(circuit: GateList) -> None:
-    """Reject a record on a qubit outside the register, or a CNOT onto its own control."""
+    """Reject a qubit or RY slot that is not an integer, a record on a qubit
+    outside the register, or a CNOT onto its own control."""
     n = circuit.num_qubits
     for g in circuit.gates:
+        fields = g[1:3] if g[0] in (CNOT, RY) else g[1:2]
+        if not all(isinstance(f, (int, np.integer)) for f in fields):
+            raise ConfigurationError(f"{g!r} has a qubit or slot that is not an integer")
         for q in g[1:3] if g[0] == CNOT else g[1:2]:
             if not 0 <= q < n:
                 raise ConfigurationError(f"qubit {q} of {g!r} is outside the {n}-qubit register")
@@ -112,8 +116,8 @@ def _check_records(circuit: GateList) -> None:
 def _prepare(circuit: GateList, params, latent, measured: int | None = None):
     """Validate shapes, records and ``measured``; return float ``params`` and ``latent``.
 
-    The circuit fixes its encoding passes: each DATA index must be in ``latent``,
-    and values past the last one read are allowed.
+    The circuit fixes its encoding passes: each DATA index must be an integer in
+    [0, ``latent.size``), and values past the last one read are allowed.
     """
     if not 1 <= circuit.num_qubits <= MAX_QUBITS:
         raise ConfigurationError(
@@ -138,33 +142,12 @@ def _prepare(circuit: GateList, params, latent, measured: int | None = None):
             f"circuit has {n_slots} parameter slots but got {params.size} parameters"
         )
     data_idx = [g[2] for g in circuit.gates if g[0] == DATA]
-    if data_idx:
-        if latent is None:
-            raise ConfigurationError("circuit reads latent values but no latent vector given")
-        if max(data_idx) >= latent.size:
-            raise ConfigurationError(
-                f"latent index {max(data_idx)} out of range for length {latent.size}"
-            )
+    if data_idx and latent is None:
+        raise ConfigurationError("circuit reads latent values but no latent vector given")
+    for k in data_idx:
+        if not (isinstance(k, (int, np.integer)) and 0 <= k < latent.size):
+            raise ConfigurationError(f"latent index {k!r} out of range for length {latent.size}")
     return params, latent
-
-
-def lift_data_slots(circuit: GateList) -> tuple[GateList, np.ndarray]:
-    """Rewrite data records as fresh parameter slots appended after the real ones.
-
-    Returns the rewritten list and, per new slot, the latent index it reads.
-    Callers evaluate with ``concat(params, latent[occurrences])``; this is what
-    lets the shift rule act on each encoding-gate occurrence individually.
-    """
-    base = parameter_slot_count(circuit)
-    gates: list[tuple] = []
-    occurrences: list[int] = []
-    for g in circuit.gates:
-        if g[0] == DATA:
-            gates.append((RY, g[1], base + len(occurrences)))
-            occurrences.append(g[2])
-        else:
-            gates.append(g)
-    return GateList(circuit.num_qubits, gates), np.asarray(occurrences, dtype=np.intp)
 
 
 def _row_chunks(rows: int, num_qubits: int) -> list[slice]:

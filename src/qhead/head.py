@@ -120,7 +120,6 @@ class _PqcPlan:
 
 
 def _plan_pqc(spec: CircuitSpec, latent_dim: int) -> _PqcPlan:
-    spec.validate()
     if spec.qubits > MAX_QUBITS:
         raise ConfigurationError(
             f"circuits wider than {MAX_QUBITS} qubits cannot be simulated, "

@@ -12,6 +12,10 @@ derivative of z_hat: each +/- pi/2 pair of the shift rule shares one draw
 (common random numbers), so qhead simulates correlated pairs, not separate
 executions; at the paper shape and 8192 shots the pair's shot noise mostly
 cancels, to a median of about 2e-4 of what separate executions would give.
+
+``depolarizing_reference_expectation``, the exact channel that trajectory
+averages converge to, reads the gate lists the evaluators read: the head's
+plan circuit, data rotations included.
 """
 from __future__ import annotations
 
@@ -141,20 +145,21 @@ def _twirl(rho: np.ndarray, n: int, q: int) -> None:
 
 def depolarizing_reference_expectation(circuit: GateList, params,
                                        model: NoiseModel | None = None,
-                                       measured: int = 0) -> float:
+                                       measured: int = 0, latent=None) -> float:
     """Exact <Z_measured> under the depolarizing channel, by density-matrix evolution.
 
-    Takes 1 to 10 qubits and RY, CNOT and untagged Pauli records; this is the
-    reference the Monte-Carlo trajectory average must converge to. rho is
-    real, held as (2^n, 2^n) rows: ``grad._apply_gate`` gives rho U^T on the
-    rows, then U rho U^T on rho as one 2n-qubit row, whose first n qubits
-    index the rows. Y enters as XZ = -iY, and (XZ) rho (XZ)^T = Y rho Y^dagger.
-    After an RY (rate p1q) or a CNOT (rate p2q) on k qubits S, rho becomes the
-    uniform mixture over the 4^k - 1 non-identity Pauli strings on S, in closed
-    form (1 - p - p/(4^k - 1)) rho + p 4^k/(4^k - 1) T_S(rho), with the twirl
+    Takes 1 to 10 qubits and RY, DATA, CNOT and untagged Pauli records, checked by
+    ``grad._prepare`` as in every evaluator, so it reads the head's plan circuit with
+    ``latent[occurrences]``; this is the reference the Monte-Carlo trajectory average
+    must converge to. rho is real, held as (2^n, 2^n) rows: ``grad._apply_gate`` gives
+    rho U^T on the rows, then U rho U^T on rho as one 2n-qubit row, whose first n
+    qubits index the rows. Y enters as XZ = -iY, and (XZ) rho (XZ)^T = Y rho Y^dagger.
+    After a rotation (rate p1q) or a CNOT (rate p2q) on k qubits S, rho becomes the
+    uniform mixture over the 4^k - 1 non-identity Pauli strings on S, in closed form
+    (1 - p - p/(4^k - 1)) rho + p 4^k/(4^k - 1) T_S(rho), with the twirl
     T_S = I_S/2^k (x) Tr_S taken one qubit of S at a time.
     """
-    from .grad import _apply_gate, _check_records, _z_diagonal
+    from .grad import _apply_gate, _prepare, _z_diagonal
 
     n = circuit.num_qubits
     if not 1 <= n <= _MAX_REFERENCE_QUBITS:
@@ -162,16 +167,15 @@ def depolarizing_reference_expectation(circuit: GateList, params,
             f"density-matrix reference takes 1 to {_MAX_REFERENCE_QUBITS} qubits, got {n}")
     if not 0 <= measured < n:
         raise ConfigurationError(f"qubit {measured} is outside the {n}-qubit register")
-    _check_records(circuit)
-    params = np.asarray(params if params is not None else [], dtype=np.float64)
+    params, latent = _prepare(circuit, params, latent)
     p1q, p2q = (model.p1q, model.p2q) if model is not None else (0.0, 0.0)
     rho = np.diag(np.eye(1, 1 << n)[0])  # |0...0><0...0|
     for g in circuit.gates:
-        if g[0] not in (RY, CNOT, PAULI) or len(g) != 3:
+        if g[0] not in (RY, DATA, CNOT, PAULI) or len(g) != 3:
             raise ConfigurationError(f"unknown gate record {g!r}")
-        _apply_gate(rho, n, g, params, None)  # rho U^T
-        _apply_gate(rho.reshape(-1), 2 * n, g, params, None)  # U rho U^T
-        qubits, p = (g[1:2], p1q) if g[0] == RY else (g[1:3], p2q) if g[0] == CNOT else ((), 0.0)
+        _apply_gate(rho, n, g, params, latent)  # rho U^T
+        _apply_gate(rho.reshape(-1), 2 * n, g, params, latent)  # U rho U^T
+        qubits, p = (g[1:3], p2q) if g[0] == CNOT else (g[1:2], p1q if g[0] != PAULI else 0.0)
         if p > 0.0:
             twirled, d = rho.copy(), 4 ** len(qubits)
             for q in qubits:

@@ -8,8 +8,9 @@ against these simpler routes:
   takes the full shift-rule Jacobian of ``parameter_shift_jacobian``, whose
   +/- pi/2 rows each run alone through ``run_gates``;
 * ``_noisy_sample`` runs one noisy sample alone, on its own trajectory of
-  the lifted plan circuit (each encoding occurrence an RY slot, every angle
-  in one per-row vector): one row forward and one one-row adjoint sweep,
+  the lifted plan circuit (``lift_plan``: each encoding occurrence an RY
+  slot, every angle in one per-row vector): one row forward and one one-row
+  adjoint sweep,
   then its shot work, whose half-turn values come from
   ``per_gate_expectations``. It draws one normal for the value, then one
   per +/- pi/2 pair, shared by both of the pair's estimates. The head runs
@@ -37,13 +38,12 @@ import numpy as np
 
 from qhead import grad
 from qhead import noise as noise_mod
-from qhead.ansatz import RY, CircuitSpec, GateList, count_parameters
+from qhead.ansatz import DATA, RY, CircuitSpec, GateList, count_parameters
 from qhead.errors import ConfigurationError
 from qhead.grad import (
     _prepare,
     _shift_rows,
     adjoint_observable_gradients,
-    lift_data_slots,
     run_gates,
 )
 from qhead.head import (
@@ -140,6 +140,12 @@ def multi_encoder_forward(x, theta_c_list, config: EncoderConfig) -> np.ndarray:
 # re-uploading circuit stage, one sample
 
 
+def lift_plan(circuit: GateList, p: int) -> GateList:
+    """A plan circuit with its data record k read as RY slot p + k, after the P real slots."""
+    return GateList(circuit.num_qubits, [(RY, g[1], p + g[2]) if g[0] == DATA else g
+                                         for g in circuit.gates])
+
+
 def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
                   noise: noise_mod.NoiseModel, rng_traj, rng_shot, grads: bool):
     """z estimate of one noisy sample; with ``grads`` also dz/dtheta_q and dz/dlatent.
@@ -154,8 +160,8 @@ def _noisy_sample(plan: _PqcPlan, theta_q: np.ndarray, latent: np.ndarray,
     a_j = [E + E(ext_j + pi)] / 2 from ``per_gate_expectations``, which checks
     that no slot is read twice; at infinite shots the gradient is c.
     """
-    run_list = noise_mod.sample_pauli_insertions(lift_data_slots(plan.circuit)[0], noise,
-                                                 rng_traj)
+    run_list = noise_mod.sample_pauli_insertions(lift_plan(plan.circuit, plan.n_params),
+                                                 noise, rng_traj)
     ext = np.concatenate([theta_q, latent[plan.occurrences]])
     n = run_list.num_qubits
     final = run_gates(np.eye(1, 1 << n), run_list, ext, None)

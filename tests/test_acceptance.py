@@ -33,7 +33,6 @@ from qhead.datasets import (
 from qhead.energy import find_crossover
 from qhead.grad import (
     adjoint_gradient,
-    lift_data_slots,
     parameter_shift_gradient,
     run_gates,
     trajectory_expectation,
@@ -50,7 +49,7 @@ from qhead.seeding import SHOTS, TRAJECTORY, stream
 from qhead.simcore import apply_cnot, apply_pauli, apply_ry, z_expectation, zero_state
 from qhead.trainer import TrainConfig, count_model_parameters, softmax_cross_entropy_batch, train
 
-from reference import _pqc_value_and_grads, count_head_parameters
+from reference import _pqc_value_and_grads, count_head_parameters, lift_plan
 
 
 def _report(criterion: int, detail: str) -> None:
@@ -143,7 +142,7 @@ def _noisy_shift_deviation(model, latent, noise, trial, *path):
     got = _pqc_value_and_grads(plan, model.theta_q, latent, noise,
                                stream(trial, TRAJECTORY, *path), stream(trial, SHOTS, *path))
 
-    run_list = sample_pauli_insertions(lift_data_slots(plan.circuit)[0], noise,
+    run_list = sample_pauli_insertions(lift_plan(plan.circuit, plan.n_params), noise,
                                        stream(trial, TRAJECTORY, *path))
     ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
     total = ext.size

@@ -108,6 +108,8 @@ class TestAssemble:
             assemble_head_circuit(CircuitSpec(qubits=4, connectivity=4), 1)
         with pytest.raises(ConfigurationError, match="need at least 2 qubits, got 1"):
             assemble_head_circuit(CircuitSpec(qubits=1), 1)
+        with pytest.raises(ConfigurationError, match="need at least 2 qubits, got 1"):
+            CircuitSpec(qubits=1)  # the spec checks itself when it is built
         for field in ("main_layers", "reupload_layers", "reupload_count"):
             with pytest.raises(ConfigurationError, match="counts must be non-negative"):
                 assemble_head_circuit(CircuitSpec(qubits=4, **{field: -1}), 1)

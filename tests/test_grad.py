@@ -28,7 +28,6 @@ from qhead.grad import (
     block_adjoint_gradients,
     evaluate_expectation,
     finite_difference_oracle,
-    lift_data_slots,
     parameter_shift_gradient,
     run_gates,
     trajectory_expectation,
@@ -38,7 +37,7 @@ from qhead.noise import NoiseModel, depolarizing_reference_expectation, sample_p
 from qhead.simcore import _z_expectation, amplitude_encode, amplitude_encode_rows
 
 from oracles import dense_run, dense_z
-from reference import encoder_backward, parameter_shift_jacobian, per_gate_expectations
+from reference import encoder_backward, lift_plan, parameter_shift_jacobian, per_gate_expectations
 
 
 def _single_ry():
@@ -349,7 +348,7 @@ def test_row_tagged_pauli_records_act_on_their_row_only():
     """B trajectories merged into one list, each Pauli record tagged with its
     row, run and sweep as one array with the bits of each trajectory alone."""
     plan = _plan_pqc(CircuitSpec(qubits=3, main_layers=1, reupload_count=1), 6)
-    lifted_circuit = lift_data_slots(plan.circuit)[0]
+    lifted_circuit = lift_plan(plan.circuit, plan.n_params)
     lifted = lifted_circuit.gates
     first_ry = next(i for i, g in enumerate(lifted) if g[0] == RY)
     first_cnot = next(i for i, g in enumerate(lifted) if g[0] == CNOT)
@@ -388,24 +387,16 @@ def test_record_before_a_trajectorys_first_gate_stays_before_it():
     assert merged.gates == [(PAULI, 0, "X", 0), (RY, 0, 0)]
 
 
-class TestLiftDataSlots:
-    def test_occurrence_bookkeeping(self):
-        circuit = GateList(2, [(DATA, 0, 0), (RY, 0, 0), (DATA, 1, 1), (DATA, 0, 0)])
-        lifted, occ = lift_data_slots(circuit)
-        assert [g[0] for g in lifted.gates] == [RY, RY, RY, RY]
-        assert list(occ) == [0, 1, 0]
-        assert lifted.gates[0][2] == 1  # first lifted slot appended after base slot 0
-
+class TestLiftPlan:
     def test_lifted_evaluation_matches(self):
         rng = np.random.default_rng(61)
         spec = CircuitSpec(qubits=3, main_layers=1, reupload_count=1)
-        from qhead.ansatz import count_parameters
-
         circuit = assemble_head_circuit(spec, 1)
-        params = rng.uniform(-1, 1, count_parameters(spec))
+        plan = _plan_pqc(spec, 3)
+        params = rng.uniform(-1, 1, plan.n_params)
         latent = rng.uniform(-1, 1, 3)
-        lifted, occ = lift_data_slots(circuit)
-        ext = np.concatenate([params, latent[occ]])
+        lifted = lift_plan(plan.circuit, plan.n_params)
+        ext = np.concatenate([params, latent[plan.occurrences]])
         assert evaluate_expectation(lifted, ext) == pytest.approx(
             evaluate_expectation(circuit, params, latent), abs=1e-14
         )
@@ -465,12 +456,17 @@ def test_measured_qubit_outside_the_register_is_rejected(name, measured):
     ((CNOT, 0, 0), "control as its target"),
     ((RY, 3, 0), "qubit 3 of .* is outside the 2-qubit register"),
     ((CNOT, 0, 5), "qubit 5 of .* is outside the 2-qubit register"),
-], ids=["cnot_0_to_0", "ry_on_3_of_2", "cnot_0_to_5_of_2"])
+    ((RY, 1.0, 0), "qubit or slot that is not an integer"),
+    ((CNOT, 0, 1.0), "qubit or slot that is not an integer"),
+    ((RY, 1, 0.0), "qubit or slot that is not an integer"),
+], ids=["cnot_0_to_0", "ry_on_3_of_2", "cnot_0_to_5_of_2", "ry_on_float_qubit",
+        "cnot_onto_float_qubit", "ry_float_slot"])
 @pytest.mark.parametrize("call", [evaluate_expectation, adjoint_gradient,
                                   depolarizing_reference_expectation])
 def test_bad_records_rejected(call, record, match):
-    """A record off the register or a CNOT onto its own control is rejected by
-    the one record check, not misread by the kernels or the reference."""
+    """A record off the register, a CNOT onto its own control, or a float qubit
+    or slot is rejected by the one record check, not misread by the kernels or
+    the reference."""
     with pytest.raises(ConfigurationError, match=match):
         call(GateList(2, [(RY, 0, 0), record]), [0.8])
 
@@ -487,8 +483,15 @@ def test_bad_records_rejected(call, record, match):
      "reads latent values but no latent vector given"),
     (lambda: evaluate_expectation(GateList(2, [(DATA, 0, 2)]), [], [0.1, 0.2]),
      "latent index 2 out of range for length 2"),
+    (lambda: evaluate_expectation(GateList(1, [(DATA, 0, -1)]), [], [0.3, 0.7]),
+     "latent index -1 out of range for length 2"),
+    (lambda: evaluate_expectation(GateList(1, [(DATA, 0, 1.5)]), [], [0.3, 0.7]),
+     "latent index 1.5 out of range for length 2"),
+    (lambda: evaluate_expectation(GateList(2, [(RY, 0, 0.0), (RY, 1, 1.0)]), [0.1, 0.2]),
+     "qubit or slot that is not an integer"),
 ], ids=["unknown_record", "width_25", "params_2d", "latent_2d", "data_without_latent",
-        "latent_index_past_end"])
+        "latent_index_past_end", "negative_latent_index", "float_latent_index",
+        "float_slots"])
 def test_bad_inputs_rejected(call, match):
     with pytest.raises(ConfigurationError, match=match):
         call()
@@ -627,9 +630,10 @@ class TestSharedAngleSplit:
 def _lifted_head_trajectory(rng):
     """A lifted head circuit (no data records) on one sampled trajectory, and its slot count."""
     spec = CircuitSpec(qubits=4, main_layers=2, reupload_count=2, reupload_layers=1)
-    lifted, occurrences = lift_data_slots(assemble_head_circuit(spec, 2))
-    circuit = sample_pauli_insertions(lifted, NoiseModel(p1q=0.4, p2q=0.4), rng)
-    return circuit, count_parameters(spec) + occurrences.size
+    plan = _plan_pqc(spec, 2 * 4)
+    circuit = sample_pauli_insertions(lift_plan(plan.circuit, plan.n_params),
+                                      NoiseModel(p1q=0.4, p2q=0.4), rng)
+    return circuit, plan.n_params + plan.occurrences.size
 
 
 class TestRowsRunAlone:
@@ -703,9 +707,10 @@ def _head_trajectory(qubits, rng, connectivity=1, main_layers=2, reupload_count=
     """One sampled trajectory of a lifted head circuit, and its slot values."""
     spec = CircuitSpec(qubits=qubits, connectivity=connectivity, main_layers=main_layers,
                        reupload_count=reupload_count, reupload_layers=1)
-    lifted, occurrences = lift_data_slots(assemble_head_circuit(spec, 1))
-    circuit = sample_pauli_insertions(lifted, NoiseModel(p1q=p, p2q=p), rng)
-    return circuit, rng.uniform(-3, 3, count_parameters(spec) + occurrences.size)
+    plan = _plan_pqc(spec, qubits)
+    circuit = sample_pauli_insertions(lift_plan(plan.circuit, plan.n_params),
+                                      NoiseModel(p1q=p, p2q=p), rng)
+    return circuit, rng.uniform(-3, 3, plan.n_params + plan.occurrences.size)
 
 
 class TestFusedBlocks:
@@ -830,7 +835,7 @@ class TestOneFusedPass:
         gp, gl = adjoint_observable_gradients(merged, params, latent, np.eye(qubits)[0], final)
         np.testing.assert_allclose(slopes, np.hstack([gp, gl]), rtol=0, atol=1e-14)
         for row in range(rows):
-            lifted, _ = lift_data_slots(_own_records(merged, row))
+            lifted = lift_plan(_own_records(merged, row), params.size)
             ext = np.concatenate([params, latent[row]])
             want = per_gate_expectations(lifted, _half_turn_rows(ext), None, 0)[1:]
             # fused and per-gate arithmetic round apart by up to about 1.1e-15

@@ -12,7 +12,7 @@ import qhead.simcore as simcore
 from qhead.ansatz import DATA, RY, CircuitSpec, GateList, count_parameters, assemble_head_circuit
 from qhead.checkpoint import load_checkpoint, save_checkpoint
 from qhead.errors import ConfigurationError, DegenerateInputError
-from qhead.grad import evaluate_expectation, lift_data_slots
+from qhead.grad import evaluate_expectation
 from qhead.head import EncoderConfig, build_hybrid_head, encoder_circuit
 from qhead.noise import NoiseModel, depolarizing_reference_expectation
 from qhead.seeding import PARAM_INIT, stream
@@ -158,10 +158,6 @@ class TestPqcForward:
         renumbered = iter((DATA, g[1], plan.occurrences[g[2]]) for g in data)
         assert [next(renumbered) if g[0] == DATA else g for g in plan.circuit.gates] \
             == expanded.gates
-        lifted, occurrences = lift_data_slots(plan.circuit)
-        np.testing.assert_array_equal(occurrences, np.arange(k))
-        assert lifted.gates == [(RY, g[1], p + g[2]) if g[0] == DATA else g
-                                for g in plan.circuit.gates]
         rng = np.random.default_rng(rounds)
         theta = rng.uniform(-math.pi, math.pi, p)
         latent = rng.uniform(-1, 1, 3 * rounds)
@@ -653,20 +649,20 @@ CHANNEL_NOISE = dict(p1q=0.02, p2q=0.05, seed=3)
 def _exact_channel(n):
     """A head of width n, one latent, and the channel's exact value and
     gradients [E, dE/dtheta_q, dE/dlatent] there, from the package's
-    density-matrix reference run on the lifted circuit.
+    density-matrix reference run on the plan circuit.
 
     Also returns the largest |E| at the latent and at its +/- pi/2 shifts.
     """
     spec = CircuitSpec(qubits=n, main_layers=2, reupload_layers=1, reupload_count=2)
     model = build_hybrid_head(EncoderConfig(1, n, 1), spec, seed=0)
     plan = model.plan
-    lifted = lift_data_slots(plan.circuit)[0]
     latent = np.random.default_rng(0).uniform(-1, 1, n)
     ext = np.concatenate([model.theta_q, latent[plan.occurrences]])
     noise = NoiseModel(p1q=CHANNEL_NOISE["p1q"], p2q=CHANNEL_NOISE["p2q"])
 
-    def exact(e):
-        return depolarizing_reference_expectation(lifted, e, noise)
+    def exact(e):  # e = concat(theta_q, the occurrence angles)
+        return depolarizing_reference_expectation(plan.circuit, e[: plan.n_params], noise,
+                                                  latent=e[plan.n_params :])
 
     turns = (math.pi / 2) * np.eye(ext.size)
     plus = np.array([exact(ext + t) for t in turns])

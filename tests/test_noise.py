@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from qhead.ansatz import CNOT, DATA, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, gate_counts, parameter_slot_count
+from qhead.ansatz import CNOT, DATA, PAULI, RY, CircuitSpec, GateList, assemble_head_circuit, gate_counts
 from qhead.errors import ConfigurationError
-from qhead.grad import evaluate_expectation, lift_data_slots, trajectory_expectation
+from qhead.grad import evaluate_expectation, trajectory_expectation
+from qhead.head import _plan_pqc
 from qhead.noise import (
     NoiseModel,
     depolarizing_reference_expectation,
@@ -21,6 +22,7 @@ from qhead.noise import (
 from qhead.seeding import TRAJECTORY, stream
 
 from oracles import dense_run, dense_z
+from reference import lift_plan
 
 
 class TestNoiseModel:
@@ -178,14 +180,17 @@ class TestDepolarizingReference:
             assert abs(v - dense_z(psi, measured, n)) <= 1e-12
 
     def test_noiseless_head_at_the_paper_width_matches_the_statevector(self):
-        """The lifted Q = 10 head circuit (M = 2, R = 4, N = 1) without noise:
-        the density matrix's <Z_0> equals the statevector route's."""
+        """The Q = 10 head's plan circuit (M = 2, R = 4, N = 1) without noise, its
+        data rotations reading the latent: the density matrix's <Z_0> equals the
+        statevector route's."""
         spec = CircuitSpec(qubits=10, main_layers=2, reupload_layers=1, reupload_count=4)
-        circuit = lift_data_slots(assemble_head_circuit(spec, 1))[0]
-        params = np.random.default_rng(10).uniform(-math.pi, math.pi,
-                                                   parameter_slot_count(circuit))
-        want = evaluate_expectation(circuit, params)
-        assert abs(depolarizing_reference_expectation(circuit, params) - want) <= 1e-12
+        plan = _plan_pqc(spec, 10)
+        angles = np.random.default_rng(10).uniform(-math.pi, math.pi,
+                                                   plan.n_params + plan.occurrences.size)
+        theta, latent = angles[: plan.n_params], angles[plan.n_params :]
+        want = evaluate_expectation(plan.circuit, theta, latent)
+        got = depolarizing_reference_expectation(plan.circuit, theta, latent=latent)
+        assert abs(got - want) <= 1e-12
 
     def test_oracle_scope_limit(self):
         with pytest.raises(ConfigurationError, match="1 to 10 qubits, got 11"):
@@ -202,9 +207,42 @@ class TestDepolarizingReference:
 
     @pytest.mark.parametrize("record", [("encode", 0), (DATA, 1, 0), (PAULI, 1, "X", 0)])
     def test_encoding_records_rejected(self, record):
+        """Unknown and row-tagged records are rejected; a data record needs a latent."""
         circuit = GateList(2, [(RY, 0, 0), record, (CNOT, 0, 1)])
-        with pytest.raises(ConfigurationError, match="unknown gate record"):
+        match = "no latent vector given" if record[0] == DATA else "unknown gate record"
+        with pytest.raises(ConfigurationError, match=match):
             depolarizing_reference_expectation(circuit, [0.4], model=NoiseModel(p1q=0.1))
+
+    @pytest.mark.parametrize("slots, params, match", [
+        ((0, 1), [0.1, 0.2, 0.3], "2 parameter slots but got 3 parameters"),
+        ((0, 1), [0.1], "2 parameter slots but got 1 parameters"),
+        ((0, 1), [[0.1, 0.2]], "params must be a 1-D vector"),
+        ((0, 2), [0.1, 0.2], "not contiguous from 0"),
+    ], ids=["extra_param", "missing_param", "params_2d", "slots_0_and_2"])
+    @pytest.mark.parametrize("call", [
+        lambda c, p: evaluate_expectation(c, p),
+        lambda c, p: depolarizing_reference_expectation(c, p, NoiseModel(p1q=0.1, p2q=0.1)),
+    ], ids=["evaluate_expectation", "reference"])
+    def test_params_checked_as_every_evaluator_checks_them(self, call, slots, params, match):
+        """Angles that do not fit the circuit's slots are rejected, not read in part,
+        broadcast or indexed past the end."""
+        circuit = GateList(2, [(RY, 0, slots[0]), (CNOT, 0, 1), (RY, 1, slots[1])])
+        with pytest.raises(ConfigurationError, match=match):
+            call(circuit, params)
+
+    def test_data_records_read_the_latent(self):
+        """On the plan circuit with latent[occurrences], the channel equals the one
+        on the same circuit with each data record lifted to an RY slot, bit for bit."""
+        spec = CircuitSpec(qubits=3, main_layers=2, reupload_layers=1, reupload_count=2)
+        plan = _plan_pqc(spec, 6)
+        rng = np.random.default_rng(44)
+        theta, latent = rng.uniform(-math.pi, math.pi, plan.n_params), rng.uniform(-1, 1, 6)
+        lifted = lift_plan(plan.circuit, plan.n_params)
+        for model in (None, NoiseModel(p1q=0.05, p2q=0.1)):
+            got = depolarizing_reference_expectation(plan.circuit, theta, model,
+                                                     latent=latent[plan.occurrences])
+            ext = np.concatenate([theta, latent[plan.occurrences]])
+            assert got == depolarizing_reference_expectation(lifted, ext, model)
 
 
 class TestShotSampling:
